@@ -1,8 +1,8 @@
 """Constrained argument erasure.
 
-Starting from the full erasure (every argument position of every
-predicate), positions are removed until every remaining pair (p, k)
-satisfies, in every clause with head p(X1,...,Xn) :- c, G:
+The erasure is the greatest set E of (predicate, position) pairs such that
+every pair (p, k) in E satisfies, in every clause with head
+p(X1,...,Xn) :- c, G:
 
   (i)   the k-th head argument is a variable X_k and
         ``forall X_k . exists (vars(c) minus X_k) . c`` holds;
@@ -14,17 +14,21 @@ satisfies, in every clause with head p(X1,...,Xn) :- c, G:
 The occurrence checks in (iii) go beyond the constrained-to relation: a
 variable flowing unguarded into a surviving body position, or duplicated
 across head positions, carries information the erased program would lose.
-Removals only expose more body positions, so the set shrinks monotonically
-to a greatest fixpoint that is independent of scan order.  Erasing a
+Only the body part of (iii) depends on E: a kept body position (q, j)
+keeps every head pair (p, k) whose variable occurs at, or is constrained
+to, that position.  So the kept pairs are the local violations, found once
+per pair, closed backward along those edges, and E is the rest.  Erasing a
 position under these conditions leaves membership of every surviving-atom
 projection unchanged, in particular the query verdict.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .constraints import TriState, constrained_to, forall_exists_valid
+from .constraints import (TriState, constrained_to, constraint_components,
+                          forall_exists_valid)
 from .syntax import QUERY, Atom, Clause, Const, Constraint, Program, Var
 
 Pair = tuple[str, int]
@@ -81,55 +85,55 @@ def erased_names(prog: Program, e: Erasure, rename: bool = True) -> dict[str, st
     return names
 
 
-def check_pair(pair: Pair, e: Erasure, prog: Program) -> Violation | None:
-    """First violation of the erasability conditions for ``pair`` under the
-    candidate erasure ``e``, scanning clauses in program order and the
-    conditions in their numbered order; None when the pair is safe."""
+def check_pair(pair: Pair, prog: Program) -> Violation | None:
+    """First violation of the conditions that do not depend on the erasure
+    -- (i), (ii) and the repeated head variable of (iii) -- for ``pair``,
+    scanning clauses in program order and the conditions in their numbered
+    order; None when the pair is locally safe."""
     pred, k = pair
     for index, clause in enumerate(prog.clauses):
         if clause.head.pred != pred:
             continue
-        violation = _check_clause(pair, e, clause, index)
-        if violation is not None:
-            return violation
+        term = clause.head.args[k - 1]
+        if isinstance(term, Const):
+            return Violation(pair, index, "i-not-variable",
+                             f"head argument {k} is the constant {term.value}")
+        x = term.name
+        c = clause.constraint
+        if forall_exists_valid(x, c) is not TriState.HOLDS:
+            return Violation(pair, index, "i-forall-exists",
+                             f"forall {x} . exists rest . "
+                             f"{c if c.conjuncts else 'true'} not validated")
+        for other in clause.head.args:
+            if isinstance(other, Var) and other.name != x \
+                    and constrained_to(x, other.name, c):
+                return Violation(pair, index, "ii-head-constrained",
+                                 f"{x} is constrained to head variable {other.name}")
+        for j, other in enumerate(clause.head.args, start=1):
+            if j != k and isinstance(other, Var) and other.name == x:
+                return Violation(pair, index, "iii-body-constrained",
+                                 f"{x} also occurs at head position {j}")
     return None
 
 
-def _check_clause(pair: Pair, e: Erasure, clause: Clause,
-                  index: int) -> Violation | None:
-    pred, k = pair
-    term = clause.head.args[k - 1]
-    if isinstance(term, Const):
-        return Violation(pair, index, "i-not-variable",
-                         f"head argument {k} is the constant {term.value}")
-    x = term.name
-    c = clause.constraint
-    if forall_exists_valid(x, c) is not TriState.HOLDS:
-        return Violation(pair, index, "i-forall-exists",
-                         f"forall {x} . exists rest . {c if c.conjuncts else 'true'} "
-                         f"not validated")
-    for other in clause.head.args:
-        if isinstance(other, Var) and other.name != x \
-                and constrained_to(x, other.name, c):
-            return Violation(pair, index, "ii-head-constrained",
-                             f"{x} is constrained to head variable {other.name}")
-    for j, other in enumerate(clause.head.args, start=1):
-        if j != k and isinstance(other, Var) and other.name == x:
-            return Violation(pair, index, "iii-body-constrained",
-                             f"{x} also occurs at head position {j}")
-    for atom in clause.body:
-        for pos, t in enumerate(atom.args, start=1):
-            if (atom.pred, pos) in e or not isinstance(t, Var):
+def body_edges(prog: Program) -> dict[Pair, list[Pair]]:
+    """The body part of condition (iii): for each body position (q, j), the
+    head pairs (p, k) kept whenever it is, because some clause has the head
+    variable at k occur at, or be constrained to, body position j of q."""
+    edges: dict[Pair, list[Pair]] = defaultdict(list)
+    for clause in prog.clauses:
+        linked = {name: component
+                  for component in constraint_components(clause.constraint)
+                  for name in component}
+        for k, term in enumerate(clause.head.args, start=1):
+            if not isinstance(term, Var):
                 continue
-            if t.name == x:
-                return Violation(pair, index, "iii-body-constrained",
-                                 f"{x} occurs at surviving position {pos} "
-                                 f"of {atom.pred}")
-            if constrained_to(x, t.name, c):
-                return Violation(pair, index, "iii-body-constrained",
-                                 f"{x} is constrained to {t.name} at surviving "
-                                 f"position {pos} of {atom.pred}")
-    return None
+            reach = linked.get(term.name, {term.name})
+            for atom in clause.body:
+                for j, t in enumerate(atom.args, start=1):
+                    if isinstance(t, Var) and t.name in reach:
+                        edges[atom.pred, j].append((clause.head.pred, k))
+    return edges
 
 
 @dataclass
@@ -142,18 +146,6 @@ class CfarReport:
     args_after: int = 0
     renamed: dict = field(default_factory=dict)
     erasure: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs_initial": self.pairs_initial,
-            "pairs_kept": self.pairs_kept,
-            "removals": self.removals,
-            "removals_by_condition": self.removals_by_condition,
-            "args_before": self.args_before,
-            "args_after": self.args_after,
-            "renamed": self.renamed,
-            "erasure": self.erasure,
-        }
 
     def text(self) -> str:
         lines = [
@@ -192,29 +184,30 @@ def cfar_transform(prog: Program,
                    rename: bool = True) -> tuple[Program, Erasure, CfarReport]:
     """Greatest safe erasure of ``prog`` and the erased program.
 
-    The candidate set starts full and loses violating pairs until a full
-    pass removes nothing; a removal can expose body occurrences for other
-    pairs, hence the repeated passes.
+    Each pair is checked once for its local violations; a kept pair then
+    keeps every pair reachable backward from it along ``body_edges``, and
+    the erasure is every pair not kept.
     """
     problems = prog.validate()
     if problems:
         raise ValueError("invalid program: " + "; ".join(problems))
-    e = set(full_erasure(prog))
-    report = CfarReport(pairs_initial=len(e), args_before=prog.total_args())
+    pairs = full_erasure(prog)
+    report = CfarReport(pairs_initial=len(pairs), args_before=prog.total_args())
 
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(e):
-            violation = check_pair(pair, frozenset(e), prog)
-            if violation is not None:
-                e.discard(pair)
-                report.removals += 1
-                by = report.removals_by_condition
-                by[violation.condition] = by.get(violation.condition, 0) + 1
-                changed = True
+    violations = [check_pair(pair, prog) for pair in sorted(pairs)]
+    kept = {v.pair: v.condition for v in violations if v is not None}
+    edges = body_edges(prog)
+    work = list(kept)
+    while work:
+        for pair in edges.get(work.pop(), ()):
+            if pair not in kept:
+                kept[pair] = "iii-body-constrained"
+                work.append(pair)
 
-    erasure = frozenset(e)
+    counts = Counter(kept.values())
+    report.removals = len(kept)
+    report.removals_by_condition = {c: counts[c] for c in CONDITIONS if counts[c]}
+    erasure = pairs.difference(kept)
     names = erased_names(prog, erasure, rename=rename)
     out = Program(tuple(
         Clause(erase_atom(c.head, erasure, names), c.constraint,

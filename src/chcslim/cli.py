@@ -8,6 +8,7 @@ contradicting itself).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import tempfile
@@ -151,7 +152,7 @@ def cmd_nlr(args) -> int:
     result, rep = nlr_transform(prog, drop_unsat=not args.keep_unsat)
     _write_out(emit_clp(result), args.out)
     if args.json:
-        print(json.dumps(rep.to_dict()), file=sys.stderr)
+        print(json.dumps(dataclasses.asdict(rep)), file=sys.stderr)
     else:
         print(rep.text(), file=sys.stderr)
     return 0
@@ -162,7 +163,7 @@ def cmd_cfar(args) -> int:
     result, erasure, rep = cfar_transform(prog, rename=not args.no_rename)
     _write_out(emit_clp(result), args.out)
     if args.json:
-        print(json.dumps(rep.to_dict()), file=sys.stderr)
+        print(json.dumps(dataclasses.asdict(rep)), file=sys.stderr)
     else:
         print(rep.text(), file=sys.stderr)
         for line in erasure_lines(erasure, prog.arities):

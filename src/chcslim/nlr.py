@@ -101,10 +101,9 @@ class DefsIndex:
         return existing, widened, False
 
 
-def unfold(defn: Definition, prog: Program, drop_unsat: bool = True) -> list[Clause]:
-    """Resolve the definition's body atom against every matching program
-    clause.  Clauses whose instantiated constraint is certainly
-    unsatisfiable are dropped when drop_unsat is set."""
+def unfold(defn: Definition, prog: Program) -> list[Clause]:
+    """Resolve the definition's body atom against every program clause
+    whose head unifies with it."""
     out: list[Clause] = []
     taken = defn.body_atom.vars() | set(defn.head_vars)
     for clause in prog.clauses_for(defn.body_atom.pred):
@@ -112,10 +111,7 @@ def unfold(defn: Definition, prog: Program, drop_unsat: bool = True) -> list[Cla
         mu = mgu_atoms(defn.body_atom, renamed.head)
         if mu is None:
             continue
-        result = Clause(defn.head(), renamed.constraint, renamed.body).subst(mu)
-        if drop_unsat and is_satisfiable(result.constraint) is TriState.FAILS:
-            continue
-        out.append(result)
+        out.append(Clause(defn.head(), renamed.constraint, renamed.body).subst(mu))
     return out
 
 
@@ -155,21 +151,6 @@ class NlrReport:
     clauses_in: int = 0
     clauses_out: int = 0
     warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "definitions": self.definitions,
-            "widenings": self.widenings,
-            "iterations": self.iterations,
-            "variant_classes": self.variant_classes,
-            "max_arity": self.max_arity,
-            "dropped_unsat": self.dropped_unsat,
-            "args_before": self.args_before,
-            "args_after": self.args_after,
-            "clauses_in": self.clauses_in,
-            "clauses_out": self.clauses_out,
-            "warnings": self.warnings,
-        }
 
     def text(self) -> str:
         lines = [f"definitions: {len(self.definitions)}"]
@@ -224,8 +205,10 @@ def nlr_transform(prog: Program, drop_unsat: bool = True) -> tuple[Program, NlrR
         if defn.body_atom.pred not in defined:
             report.warnings.append(
                 f"{defn.body_atom.pred} has no clauses; {defn.name} is empty")
-        clauses = unfold(defn, prog, drop_unsat=drop_unsat)
-        report.dropped_unsat += len(prog.clauses_for(defn.body_atom.pred)) - len(clauses)
+        resolvents = unfold(defn, prog)
+        clauses = [c for c in resolvents if not drop_unsat
+                   or is_satisfiable(c.constraint) is not TriState.FAILS]
+        report.dropped_unsat += len(resolvents) - len(clauses)
         defn.status = "unfolded"
         raw[defn.name] = clauses
         for clause in clauses:

@@ -8,7 +8,8 @@ Syntax accepted::
     p(0).
 
 Variables begin with an uppercase letter or underscore, predicates with a
-lowercase letter; the only terms are variables and integer constants.
+lowercase letter; the only terms are variables and integer constants.  Each
+``_`` is a distinct variable ``_0``, ``_1``, ... apart from its clause's names.
 Relations are ``= < =< > >=`` (``<=`` is accepted as an alias of ``=<``).
 ``read(A,I,V)`` and ``write(A,I,V,B)`` in a body parse as array
 pseudo-constraints, ``true`` as the empty constraint.  Constraints and atoms
@@ -18,6 +19,7 @@ the relative order of each kind.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -75,6 +77,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.clause_start, self.anonymous = 0, None
 
     @property
     def here(self) -> _Token:
@@ -98,13 +101,28 @@ class _Parser:
     def at_op(self, text: str) -> bool:
         return self.here.kind == "op" and self.here.text == text
 
+    def var_name(self, tok: _Token) -> str:
+        """The token's variable name; each ``_`` gets a fresh one, apart
+        from every variable written in its clause."""
+        if tok.text != "_":
+            return tok.text
+        if self.anonymous is None:
+            end = self.clause_start
+            while self.tokens[end].text not in (".", ""):  # "" is end of input
+                end += 1
+            written = {t.text for t in self.tokens[self.clause_start:end]
+                       if t.kind == "var"}
+            self.anonymous = (f"_{i}" for i in itertools.count()
+                              if f"_{i}" not in written)
+        return next(self.anonymous)
+
     # --- terms and expressions -------------------------------------------
 
     def parse_term(self) -> Term:
         tok = self.here
         if tok.kind == "var":
             self.advance()
-            return Var(tok.text)
+            return Var(self.var_name(tok))
         if tok.kind == "int":
             self.advance()
             return Const(int(tok.text))
@@ -131,7 +149,7 @@ class _Parser:
                 if self.at_op("*"):
                     self.advance()
                     var = self.expect("var")
-                    pairs.append((var.text, coeff))
+                    pairs.append((self.var_name(var), coeff))
                 else:
                     const += coeff
             elif tok.kind == "var":
@@ -141,7 +159,7 @@ class _Parser:
                     self.advance()
                     num = self.expect("int")
                     coeff *= int(num.text)
-                pairs.append((tok.text, coeff))
+                pairs.append((self.var_name(tok), coeff))
             else:
                 raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
             if self.at_op("+"):
@@ -202,6 +220,7 @@ class _Parser:
 
     def parse_clause(self) -> Clause:
         head_tok = self.here
+        self.clause_start, self.anonymous = self.pos, None
         head = self.parse_atom()
         conjuncts: list[AtomicCon] = []
         body: list[Atom] = []

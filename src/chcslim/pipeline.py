@@ -133,7 +133,8 @@ def classification_for(verdict: str) -> str:
 def solve_external(smt_path: Path, command: str,
                    timeout: float) -> tuple[str, float]:
     """Run ``command`` (a shell-style template with ``{file}``) on the file
-    and classify the first stdout token; returns (verdict, elapsed)."""
+    and classify the first stdout token; returns (verdict, elapsed).  A
+    command that cannot be started is a ConfigError."""
     if "{file}" not in command:
         raise ConfigError("solver command must contain the {file} placeholder")
     argv = [tok.replace("{file}", str(smt_path)) for tok in shlex.split(command)]
@@ -143,8 +144,8 @@ def solve_external(smt_path: Path, command: str,
                               timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout", float(timeout)
-    except OSError:
-        return "skipped", 0.0
+    except OSError as exc:
+        raise ConfigError(f"cannot run solver command {command!r}: {exc}") from exc
     elapsed = time.perf_counter() - start
     tokens = proc.stdout.split()
     token = tokens[0] if tokens else ""

@@ -63,6 +63,26 @@ def test_violation_conditions(source, pair, condition):
     assert violations[0].condition == condition
 
 
+def test_propagation_runs_against_sorted_order():
+    # c(1) keeps c/1; that reaches b/1 and then a/1 backward, the reverse
+    # of the sorted pair order
+    prog = parse_program("a(X) :- b(X).\nb(X) :- c(X).\nc(1).\nunsafe :- a(X).")
+    _, erasure, report = cfar_transform(prog)
+    assert erasure == frozenset()
+    assert report.removals_by_condition == {"i-not-variable": 1,
+                                            "iii-body-constrained": 2}
+
+
+def test_erasure_is_maximal():
+    rng = random.Random(5)
+    progs = [load(name) for name in corpus_names()]
+    progs += [random_program(rng) for _ in range(40)]
+    for prog in progs:
+        _, erasure, _ = cfar_transform(prog)
+        for pair in full_erasure(prog) - erasure:
+            assert verify_safe_erasure(prog, erasure | {pair}), pair
+
+
 def test_erasure_is_clause_order_invariant(counter_p2):
     rng = random.Random(99)
     clauses = list(counter_p2.clauses)

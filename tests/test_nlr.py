@@ -59,6 +59,14 @@ def test_unsatisfiable_resultants_dropped_by_default():
     assert len(kept.clauses) == 3
 
 
+def test_head_mismatch_is_not_counted_as_unsatisfiable():
+    # p(X,1) cannot resolve with the query's p(X,0); no constraint fails
+    prog = parse_program(
+        "unsafe :- p(X,0).\np(X,1) :- X>=0.\np(X,0) :- X>=5.")
+    _, report = nlr_transform(prog)
+    assert report.dropped_unsat == 0
+
+
 def test_undefined_body_predicate_warns_and_empties():
     out, report = nlr_transform(parse_program("unsafe :- X>=1, ghost(X)."))
     assert report.warnings

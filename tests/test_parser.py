@@ -2,10 +2,12 @@
 round trip."""
 
 import random
+import re
 
 import pytest
 
-from chcslim import ParseError, emit_clp, parse_program
+from chcslim import (ParseError, TriState, derives_unsafe, emit_clp,
+                     emit_smtlib_horn, parse_program)
 from chcslim.corpus import corpus_names, load
 from chcslim.parser import parse_clause, parse_constraint
 from chcslim.syntax import Atom, Const, Var, programs_isomorphic
@@ -94,3 +96,32 @@ def test_random_programs_round_trip():
         again = parse_program(emit_clp(prog))
         assert again == prog
         assert programs_isomorphic(prog, again)
+
+
+ANONYMOUS = "p(1,2).\nq(X) :- X=0, p(_,_).\nunsafe :- q(X).\n"
+
+
+def test_anonymous_variables_are_distinct():
+    prog = parse_program(ANONYMOUS)
+    assert prog.clauses[1].body[0].args == (Var("_0"), Var("_1"))
+    assert derives_unsafe(prog, bound=8) is TriState.HOLDS
+
+
+def test_anonymous_variables_avoid_written_names():
+    clause = parse_clause("p(_,_0,_) :- _0=_+1.")
+    assert clause.head.args == (Var("_1"), Var("_0"), Var("_2"))
+    assert clause.constraint.vars() == {"_0", "_3"}
+
+
+def test_anonymous_variables_bind_apart_in_smt():
+    smt = emit_smtlib_horn(parse_program(ANONYMOUS))
+    line = next(l for l in smt.splitlines() if "(p " in l and "forall" in l)
+    binders = re.findall(r"\(([^()\s]+) Int\)", line)
+    assert len(binders) == len(set(binders)) == 3
+    first, second = re.search(r"\(p ([^()\s]+) ([^()\s]+)\)", line).groups()
+    assert first != second and {first, second} <= set(binders)
+
+
+def test_anonymous_variables_round_trip():
+    prog = parse_program(ANONYMOUS)
+    assert parse_program(emit_clp(prog)) == prog

@@ -65,8 +65,9 @@ def test_solve_external_timeout(tmp_path, fake_solver):
 def test_solve_external_missing_binary(tmp_path):
     smt = tmp_path / "q.smt2"
     smt.write_text("(check-sat)\n")
-    got, elapsed = solve_external(str(smt), "/no/such/solver {file}", 5.0)
-    assert got == "skipped"
+    with pytest.raises(ConfigError) as info:
+        solve_external(str(smt), "/no/such/solver {file}", 5.0)
+    assert "/no/such/solver" in str(info.value)
 
 
 def test_run_pipeline_produces_artifacts(tmp_path, fake_solver):
@@ -276,6 +277,16 @@ def test_cli_pipeline_contradiction_exits_2(tmp_path, fake_solver, capsys):
 ])
 def test_cli_usage_errors_exit_1(tmp_path, argv, capsys):
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("command", ["pipeline", "solve"])
+def test_cli_missing_solver_binary_exits_1(tmp_path, command, capsys):
+    argv = [command, str(CORPUS / "chain_safe.clp"),
+            "--solver-cmd", "/no/such/solver {file}"]
+    if command == "pipeline":
+        argv += ["--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert "/no/such/solver" in capsys.readouterr().err
 
 
 def test_cli_pipeline_without_solver_skips_everything(tmp_path, capsys):
