@@ -2,9 +2,13 @@
 
 Facts are computed semi-naively over the finite domain [-B, B]: each round
 grounds every clause with at least one body atom matched against the facts
-new in the previous round.  Constraint variables are enumerated lazily,
-conjunct by conjunct, narrowing each variable through the conjuncts where
-it is the last unbound one.
+new in the previous round.  Each clause is compiled once per evaluation:
+its variables in clause order and each conjunct as the integer <=-rows of
+the constraint oracle (``constraints.rows_of``), so the evaluator has no
+reading of the relations of its own.  Constraint variables are enumerated
+lazily: a conjunct is checked once all its variables are bound, and one
+pass over the pending conjuncts gives each conjunct's last unbound
+variable its interval, from which the narrowest is enumerated next.
 
 The ``clipped`` flag records possible incompleteness with respect to the
 unbounded least model: it is set when a satisfying assignment touches the
@@ -17,9 +21,11 @@ only certifies derivations, not their absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from typing import NamedTuple
 
-from .constraints import TriState
-from .syntax import QUERY, Atom, Clause, Const, Program, RelCon, Var
+from .constraints import Row, TriState, rows_of
+from .syntax import QUERY, Atom, Clause, Const, Constraint, Program, Var
 
 
 class EvalError(Exception):
@@ -42,6 +48,14 @@ class BoundedModel:
 
     def size(self) -> int:
         return sum(len(s) for s in self.facts.values())
+
+    def verdict(self) -> TriState:
+        """Query verdict: holds when the query is derived (sound even when
+        clipped), fails when it is not and the run was exact, unknown when
+        absence might be an artifact of the bound."""
+        if self.derived():
+            return TriState.HOLDS
+        return TriState.UNKNOWN if self.clipped else TriState.FAILS
 
 
 class _State:
@@ -81,27 +95,29 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
     state = _State(budget, bound)
     facts: dict[str, set[tuple[int, ...]]] = {p: set() for p in prog.arities}
 
-    base = [c for c in prog.clauses if not c.body]
-    recursive = [c for c in prog.clauses if c.body]
+    plans = [_compile(c) for c in prog.clauses]
+    base = [p for p in plans if not p.clause.body]
+    recursive = [p for p in plans if p.clause.body]
 
     delta: dict[str, set[tuple[int, ...]]] = {p: set() for p in prog.arities}
-    for clause in base:
-        for fact in _ground(clause, facts, None, None, state):
-            if fact not in facts[clause.head.pred]:
-                facts[clause.head.pred].add(fact)
-                delta[clause.head.pred].add(fact)
+    for plan in base:
+        pred = plan.clause.head.pred
+        for fact in _ground(plan, facts, None, None, state):
+            if fact not in facts[pred]:
+                facts[pred].add(fact)
+                delta[pred].add(fact)
     rounds = 0
     while any(delta.values()):
         rounds += 1
         if until_query and facts.get(QUERY):
             break
         new_delta: dict[str, set[tuple[int, ...]]] = {p: set() for p in prog.arities}
-        for clause in recursive:
-            for i, atom in enumerate(clause.body):
+        for plan in recursive:
+            pred = plan.clause.head.pred
+            for i, atom in enumerate(plan.clause.body):
                 if not delta[atom.pred]:
                     continue
-                for fact in _ground(clause, facts, i, delta, state):
-                    pred = clause.head.pred
+                for fact in _ground(plan, facts, i, delta, state):
                     if fact not in facts[pred] and fact not in new_delta[pred]:
                         new_delta[pred].add(fact)
         for pred, new in new_delta.items():
@@ -112,40 +128,51 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
 
 def derives_unsafe(prog: Program, bound: int = 32, *,
                    budget: int = 2_000_000) -> TriState:
-    """Tri-state query verdict: holds when the query is derived (sound even
-    when clipped), fails when it is not and the run was exact, unknown when
-    absence might be an artifact of the bound."""
-    model = bounded_least_model(prog, bound, budget=budget, until_query=True)
-    if model.derived():
-        return TriState.HOLDS
-    if model.clipped:
-        return TriState.UNKNOWN
-    return TriState.FAILS
+    """``BoundedModel.verdict`` of a run that stops once the query is
+    derived."""
+    return bounded_least_model(prog, bound, budget=budget,
+                               until_query=True).verdict()
 
 
-def _ground(clause: Clause, facts: dict, delta_index: int | None,
+class _Plan(NamedTuple):
+    """A clause compiled once per evaluation: its variables in clause order
+    and, per arithmetic conjunct, the conjunct's variables and <=-rows."""
+    clause: Clause
+    variables: list[str]
+    conjuncts: list[tuple[frozenset[str], list[Row]]]
+
+
+def _compile(clause: Clause) -> _Plan:
+    return _Plan(clause, clause.vars(),
+                 [(frozenset(con.vars()), rows_of(Constraint((con,))))
+                  for con in clause.constraint.conjuncts])
+
+
+def _ground(plan: _Plan, facts: dict, delta_index: int | None,
             delta: dict | None, state: _State):
     """Yield head tuples for every satisfying clause instantiation; the
     atom at delta_index (when given) matches only last-round facts."""
-    conjuncts = [c for c in clause.constraint.conjuncts if isinstance(c, RelCon)]
+    clause = plan.clause
     assignment: dict[str, int] = {}
 
     atoms = list(enumerate(clause.body))
     if delta_index is not None:
         atoms.sort(key=lambda pair: pair[0] != delta_index)
 
-    def check_ready(pending: list[RelCon]) -> "list[RelCon] | None":
+    def check_ready(pending: list) -> "list | None":
         remaining = []
         for con in pending:
-            if con.vars() <= assignment.keys():
+            names, rows = con
+            if names <= assignment.keys():
                 state.tick()
-                if not con.holds_for(assignment):
-                    return None
+                for terms, bound in rows:
+                    if sum(c * assignment[n] for n, c in terms) > bound:
+                        return None
             else:
                 remaining.append(con)
         return remaining
 
-    def match_atoms(todo: list, pending: list[RelCon]):
+    def match_atoms(todo: list, pending: list):
         if not todo:
             yield from enumerate_vars(pending)
             return
@@ -177,16 +204,13 @@ def _ground(clause: Clause, facts: dict, delta_index: int | None,
             for name in bound_here:
                 del assignment[name]
 
-    def enumerate_vars(pending: list[RelCon]):
-        unbound: dict[str, None] = {}
-        for name in clause.vars():
-            if name not in assignment:
-                unbound.setdefault(name)
+    def enumerate_vars(pending: list):
+        unbound = [name for name in plan.variables if name not in assignment]
         if not unbound:
             if not pending:
                 yield _head_tuple()
             return
-        name, lo, hi = _choose_var(list(unbound), pending)
+        name, lo, hi = choose_var(unbound, pending)
         for value in range(lo, hi + 1):
             state.tick()
             assignment[name] = value
@@ -195,72 +219,56 @@ def _ground(clause: Clause, facts: dict, delta_index: int | None,
                 yield from enumerate_vars(after)
             del assignment[name]
 
-    def _choose_var(names: list[str], pending: list[RelCon]) -> tuple[str, int, int]:
-        best: tuple[int, str, int, int, bool] | None = None
-        for name in names:
-            interval = _interval_for(name, pending)
-            if interval is None:
+    def choose_var(unbound: list[str], pending: list) -> tuple[str, int, int]:
+        """The unbound variable with the narrowest interval.  One pass over
+        the pending conjuncts narrows each conjunct's last unbound variable
+        x by its rows: a*x <= r gives x <= floor(r/a) when a > 0 and
+        x >= ceil(r/a) when a < 0."""
+        # None marks an equation that alone admits no integer value; the
+        # variable's interval is then [1, 0] whatever else bounds it
+        intervals: dict[str, "tuple[float, float] | None"] = {}
+        for names, rows in pending:
+            missing = names - assignment.keys()
+            if len(missing) != 1:
                 continue
-            lo, hi, truncated = interval
-            width = hi - lo
-            if best is None or width < best[0]:
-                best = (width, name, lo, hi, truncated)
+            (name,) = missing
+            lo, hi = -inf, inf
+            for terms, r in rows:
+                a = 0
+                for n, c in terms:
+                    if n == name:
+                        a = c
+                    else:
+                        r -= c * assignment[n]
+                if a > 0:
+                    hi = min(hi, r // a)
+                elif a < 0:
+                    lo = max(lo, -(-r // a))
+            if lo > hi:
+                intervals[name] = None
+            elif lo > -inf or hi < inf:
+                seen = intervals.get(name, (-inf, inf))
+                if seen is not None:
+                    intervals[name] = (max(seen[0], lo), min(seen[1], hi))
+        best: tuple[int, str, int, int, bool] | None = None
+        for name in unbound:
+            if name not in intervals:
+                continue
+            lo, hi = intervals[name] or (1, 0)
+            # values lost to the domain cut only matter when the raw interval
+            # actually contains some of them
+            truncated = lo <= hi and (lo < -state.bound or hi > state.bound)
+            lo, hi = max(lo, -state.bound), min(hi, state.bound)
+            if best is None or hi - lo < best[0]:
+                best = (hi - lo, name, lo, hi, truncated)
         if best is None:
             # no conjunct pins any variable down; take the first in clause
             # order over the whole domain
-            name = names[0]
-            return name, -state.bound, state.bound
+            return unbound[0], -state.bound, state.bound
         _, name, lo, hi, truncated = best
         if truncated:
             state.clipped = True
         return name, lo, hi
-
-    def _interval_for(name: str, pending: list[RelCon]) -> tuple[int, int, bool] | None:
-        lo: "int | None" = None
-        hi: "int | None" = None
-        usable = False
-        for con in pending:
-            missing = con.vars() - assignment.keys()
-            if missing != {name}:
-                continue
-            diff = con.lhs.sub(con.rhs)
-            a = diff.coeff(name)
-            if a == 0:
-                continue
-            usable = True
-            rest = diff.const + sum(c * assignment[n] for n, c in diff.terms
-                                    if n != name)
-            # a*name + rest  REL  0
-            if con.rel == "=":
-                if rest % a != 0:
-                    return (1, 0, False)  # empty interval
-                v = -rest // a
-                lo = v if lo is None else max(lo, v)
-                hi = v if hi is None else min(hi, v)
-                continue
-            shift = 0
-            rel = con.rel
-            if rel == "<":
-                rel, shift = "=<", -1
-            elif rel == ">":
-                rel, shift = ">=", 1
-            target = -rest + shift
-            if (rel == "=<") == (a > 0):
-                v = _floor_div(target, a)
-                hi = v if hi is None else min(hi, v)
-            else:
-                v = _ceil_div(target, a)
-                lo = v if lo is None else max(lo, v)
-        if not usable:
-            return None
-        # values lost to the domain cut only matter when the raw interval
-        # actually contains some of them
-        nonempty = lo is None or hi is None or lo <= hi
-        spills = (lo is None or lo < -state.bound) or (hi is None or hi > state.bound)
-        truncated = nonempty and spills
-        lo = -state.bound if lo is None else max(lo, -state.bound)
-        hi = state.bound if hi is None else min(hi, state.bound)
-        return lo, hi, truncated
 
     def _head_tuple() -> tuple[int, ...]:
         values = []
@@ -274,7 +282,7 @@ def _ground(clause: Clause, facts: dict, delta_index: int | None,
             state.clipped = True
         return tuple(values)
 
-    initial = check_ready(conjuncts)
+    initial = check_ready(plan.conjuncts)
     if initial is not None:
         yield from match_atoms(atoms, initial)
 
@@ -282,11 +290,3 @@ def _ground(clause: Clause, facts: dict, delta_index: int | None,
 def _unbound_count(atom: Atom, assignment: dict) -> int:
     return sum(1 for t in atom.args
                if isinstance(t, Var) and t.name not in assignment)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)

@@ -196,12 +196,7 @@ def cmd_eval(args) -> int:
     except EvalBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if model.derived():
-        verdict = "holds"
-    elif model.clipped:
-        verdict = "unknown"
-    else:
-        verdict = "fails"
+    verdict = model.verdict().value
     counts = {p: len(f) for p, f in sorted(model.facts.items())}
     if args.json:
         print(json.dumps({"unsafe": verdict, "facts": counts,
@@ -216,15 +211,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    path = args.file
+    path, converted = args.file, None
     if path.suffix == ".clp":
-        prog = _load(path)
-        smt = emit_smtlib_horn(prog, arrays=True)
+        smt = emit_smtlib_horn(_load(path), arrays=True)
         with tempfile.NamedTemporaryFile("w", suffix=".smt2",
                                          delete=False) as handle:
             handle.write(smt)
-            path = Path(handle.name)
-    verdict, elapsed = solve_external(path, args.solver_cmd, args.timeout)
+        path = converted = Path(handle.name)
+    try:
+        verdict, elapsed = solve_external(path, args.solver_cmd, args.timeout)
+    finally:
+        if converted is not None:
+            converted.unlink(missing_ok=True)
     print(f"{verdict} {elapsed:.3f}")
     return 0
 

@@ -74,7 +74,7 @@ def constrained_to(x: str, y: str, c: Constraint) -> bool:
 Row = tuple[tuple[tuple[str, int], ...], int]
 
 
-def _rows_of(c: Constraint) -> list[Row] | None:
+def rows_of(c: Constraint) -> list[Row] | None:
     """Compile conjuncts to <=-rows; None when array constraints occur."""
     rows: list[Row] = []
 
@@ -189,7 +189,7 @@ def is_satisfiable(c: Constraint) -> TriState:
     only answered when every elimination step stayed within the unit
     coefficient guard, which makes the projection integer-exact.
     """
-    rows = _rows_of(c)
+    rows = rows_of(c)
     if rows is None:
         return TriState.UNKNOWN
     names = sorted({n for terms, _ in rows for n, _ in terms})
@@ -232,7 +232,7 @@ def forall_exists_valid(x: str, c: Constraint) -> TriState:
     if not component:
         return rest
 
-    rows = _rows_of(c_x)
+    rows = rows_of(c_x)
     assert rows is not None
     result = _eliminate(rows, sorted(component - {x}))
     if result is None:

@@ -70,9 +70,6 @@ class DefsIndex:
     def pending(self) -> list[Definition]:
         return [d for d in self._by_key.values() if d.status == "pending"]
 
-    def lookup(self, atom: Atom) -> Definition | None:
-        return self._by_key.get(atom_variant_key(atom))
-
     def introduce_or_merge(self, b: Atom, v: list[str]) -> tuple[Definition, bool, bool]:
         """Definition covering atom b with linking variables v.
 

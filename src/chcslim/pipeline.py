@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .bounded import EvalError, derives_unsafe
 from .cfar import cfar_transform
-from .constraints import TriState
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
 from .nlr import nlr_transform
 from .parser import ParseError, parse_program
@@ -242,8 +241,7 @@ def _oracle_verdict(prog: Program, bound: int, budget: int) -> str:
         result = derives_unsafe(prog, bound, budget=budget)
     except EvalError:
         return "unknown"
-    return {TriState.HOLDS: "holds", TriState.FAILS: "fails",
-            TriState.UNKNOWN: "unknown"}[result]
+    return result.value
 
 
 def _contradiction(verdict: str, oracle: str) -> str | None:

@@ -68,12 +68,6 @@ class LinExpr:
     def vars(self) -> set[str]:
         return {name for name, _ in self.terms}
 
-    def coeff(self, name: str) -> int:
-        for n, c in self.terms:
-            if n == name:
-                return c
-        return 0
-
     def sub(self, other: "LinExpr") -> "LinExpr":
         pairs = list(self.terms) + [(n, -c) for n, c in other.terms]
         return LinExpr.make(pairs, self.const - other.const)
@@ -408,15 +402,6 @@ def mgu_atoms(a: Atom, b: Atom) -> "dict[str, Term] | None":
         root = find(name)
         sub[name] = Const(value[root]) if root in value else Var(root)
     return {n: t for n, t in sub.items() if not (isinstance(t, Var) and t.name == n)}
-
-
-def clause_variant(a: Clause, b: Clause) -> bool:
-    """Structural equality of two clauses modulo a variable renaming."""
-    if a.head.pred != b.head.pred or len(a.body) != len(b.body):
-        return False
-    if len(a.constraint.conjuncts) != len(b.constraint.conjuncts):
-        return False
-    return _canonical_clause(a) == _canonical_clause(b)
 
 
 def _canonical_clause(clause: Clause, pred_map: "dict[str, str] | None" = None) -> tuple:

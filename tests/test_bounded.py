@@ -70,12 +70,29 @@ def test_spilling_guard_flags_clipped():
     ("p(X) :- 2*X=<7, 2*X>=3.", {(2,), (3,)}),
     ("p(X) :- 0-2*X=<4, 0-2*X>=-7.", {(v,) for v in range(-2, 4)}),
     ("p(Y) :- X=2, Y=3*X-1.", {(5,)}),
+    ("p(X) :- 0-3*X<7, 3*X=<8.", {(v,) for v in range(-2, 3)}),
+    ("p(X) :- 3*X>7, 0-2*X>-11.", {(3,), (4,), (5,)}),
+    ("p(X) :- X+Y=Y+2, Y>=0, Y=<1.", {(2,)}),
 ])
 def test_single_variable_intervals(source, facts):
     model = bounded_least_model(parse_program(source + "\nunsafe :- p(X)."),
                                 bound=32)
     assert model.facts.get("p", set()) == facts
     assert not model.clipped
+
+
+@pytest.mark.parametrize("source", [
+    "p(X) :- 2*X=1, X>=40, Y>=40.",
+    "p(X) :- X>=40, 2*X=1, Y>=40.",
+])
+def test_unsolvable_equation_empties_interval_outright(source):
+    # An equation with no integer solution gives X the empty interval [1, 0]
+    # whatever else bounds X, so Y's narrower interval, [40, 32] after the
+    # cut at the box edge, is the one enumerated, and it flags the clip.
+    model = bounded_least_model(parse_program(source + "\nunsafe :- p(X)."),
+                                bound=32)
+    assert not model.facts["p"]
+    assert model.clipped
 
 
 def test_until_query_stops_early():
@@ -103,6 +120,8 @@ def test_matches_brute_force_on_micro_programs():
         "unsafe :- p(X,Y), X=Y.\np(X,Y) :- X>=1, X=<2, Y=X+1.\np(2,2).",
         "unsafe :- p(X).\np(X) :- X>=-1, X=<1, q(X,X).\nq(X,Y) :- X=<Y.",
         "unsafe :- r(X,Y,Z).\nr(X,Y,Z) :- X=Y+Z, Y>=0, Y=<1, Z>=0, Z=<1.",
+        "unsafe :- p(X).\np(X) :- 0-3*X<7, 2*X>-5, X=<2.",
+        "unsafe :- p(X,Y).\np(X,Y) :- X+Y=Y+1, Y>=0, Y=<1.",
     ]
     for source in sources:
         prog = parse_program(source)

@@ -2,6 +2,7 @@
 the command line front end."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -221,13 +222,18 @@ def test_cli_cfar_prints_erasure_on_stderr(capsys):
     assert parse_program(out.out)
 
 
-def test_cli_eval_output(capsys):
-    rc = main(["eval", str(CORPUS / "branch_unsafe.clp"), "--bound", "32"])
+@pytest.mark.parametrize("name, bound, verdict, clipped, rounds", [
+    ("branch_unsafe", 32, "holds", "false", 5),
+    ("always_safe", 32, "fails", "false", 0),
+    ("count_up_safe", 8, "unknown", "true", 0),
+])
+def test_cli_eval_output(name, bound, verdict, clipped, rounds, capsys):
+    rc = main(["eval", str(CORPUS / f"{name}.clp"), "--bound", str(bound)])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "unsafe: holds"
-    assert "rounds: 5" in lines
-    assert "clipped: false" in lines
+    assert lines[0] == f"unsafe: {verdict}"
+    assert f"rounds: {rounds}" in lines
+    assert f"clipped: {clipped}" in lines
 
 
 def test_cli_eval_budget_exhaustion(capsys):
@@ -244,6 +250,18 @@ def test_cli_solve_prints_verdict_and_time(tmp_path, fake_solver, capsys):
     verdict, elapsed = capsys.readouterr().out.split()
     assert verdict == "sat"
     assert float(elapsed) >= 0
+
+
+def test_cli_solve_removes_converted_file(tmp_path, fake_solver, monkeypatch,
+                                          capsys):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    problem = str(CORPUS / "chain_safe.clp")
+    assert main(["solve", problem, "--solver-cmd", fake_solver("sat")]) == 0
+    assert main(["solve", problem, "--solver-cmd",
+                 "/no/such/solver {file}"]) == 1
+    assert not list(tmpdir.glob("*.smt2"))
 
 
 def test_cli_pipeline_json_and_report_rerender(tmp_path, fake_solver, capsys):
