@@ -10,10 +10,9 @@ SMT-LIB HORN scripts, and drives external solvers for comparison runs.
 from .bounded import (BoundedModel, EvalBudgetError, EvalError,
                       bounded_least_model, derives_unsafe)
 from .cfar import (CfarReport, Erasure, Violation, cfar_transform,
-                   erasure_lines, full_erasure, parse_erasure_lines,
-                   verify_safe_erasure)
-from .constraints import (TriState, constrained_to, constraint_components,
-                          forall_exists_valid, is_satisfiable)
+                   erasure_lines, full_erasure, verify_safe_erasure)
+from .constraints import (Parts, TriState, constrained_to, forall_exists_valid,
+                          is_satisfiable)
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
 from .nlr import DefsIndex, NlrReport, linkvars, nlr_transform
 from .parser import ParseError, parse_clause, parse_constraint, parse_program
@@ -28,14 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayCon", "Atom", "BoundedModel", "CfarReport", "Clause", "ConfigError",
     "Const", "Constraint", "DefsIndex", "Erasure", "EvalBudgetError",
-    "EvalError", "LinExpr", "NlrReport", "ParseError", "PipelineConfig",
+    "EvalError", "LinExpr", "NlrReport", "ParseError", "Parts", "PipelineConfig",
     "Program", "QUERY", "RelCon", "RunRecord", "SmtEmitError", "TriState",
     "Var", "Violation", "bounded_least_model", "cfar_transform",
-    "constrained_to", "constraint_components", "derives_unsafe", "emit_clp",
+    "constrained_to", "derives_unsafe", "emit_clp",
     "emit_smtlib_horn", "erasure_lines", "forall_exists_valid",
     "full_erasure", "invariant_failures", "is_satisfiable", "linkvars",
     "nlr_transform",
-    "parse_clause", "parse_constraint", "parse_erasure_lines",
-    "parse_program", "programs_isomorphic", "report", "run_pipeline",
+    "parse_clause", "parse_constraint", "parse_program", "programs_isomorphic", "report", "run_pipeline",
     "solve_external", "verify_safe_erasure",
 ]

@@ -223,10 +223,9 @@ def _ground(plan: _Plan, facts: dict, delta_index: int | None,
         """The unbound variable with the narrowest interval.  One pass over
         the pending conjuncts narrows each conjunct's last unbound variable
         x by its rows: a*x <= r gives x <= floor(r/a) when a > 0 and
-        x >= ceil(r/a) when a < 0."""
-        # None marks an equation that alone admits no integer value; the
-        # variable's interval is then [1, 0] whatever else bounds it
-        intervals: dict[str, "tuple[float, float] | None"] = {}
+        x >= ceil(r/a) when a < 0.  A variable left with no value is chosen
+        at once: it enumerates nothing, so no value is lost to the cut."""
+        intervals: dict[str, tuple[float, float]] = {}
         for names, rows in pending:
             missing = names - assignment.keys()
             if len(missing) != 1:
@@ -244,20 +243,17 @@ def _ground(plan: _Plan, facts: dict, delta_index: int | None,
                     hi = min(hi, r // a)
                 elif a < 0:
                     lo = max(lo, -(-r // a))
-            if lo > hi:
-                intervals[name] = None
-            elif lo > -inf or hi < inf:
+            if lo > -inf or hi < inf:
                 seen = intervals.get(name, (-inf, inf))
-                if seen is not None:
-                    intervals[name] = (max(seen[0], lo), min(seen[1], hi))
+                intervals[name] = (max(seen[0], lo), min(seen[1], hi))
         best: tuple[int, str, int, int, bool] | None = None
         for name in unbound:
             if name not in intervals:
                 continue
-            lo, hi = intervals[name] or (1, 0)
-            # values lost to the domain cut only matter when the raw interval
-            # actually contains some of them
-            truncated = lo <= hi and (lo < -state.bound or hi > state.bound)
+            lo, hi = intervals[name]
+            if lo > hi:
+                return name, lo, hi
+            truncated = lo < -state.bound or hi > state.bound
             lo, hi = max(lo, -state.bound), min(hi, state.bound)
             if best is None or hi - lo < best[0]:
                 best = (hi - lo, name, lo, hi, truncated)

@@ -20,6 +20,11 @@ to, that position.  So the kept pairs are the local violations, found once
 per pair, closed backward along those edges, and E is the rest.  Erasing a
 position under these conditions leaves membership of every surviving-atom
 projection unchanged, in particular the query verdict.
+
+Each clause's constraint is split once into its variable-disjoint parts
+(``constraints.Parts``).  Condition (i) holds when X_k's own part projects
+to true and every other part is satisfiable, each part decided at most
+once per clause; (ii) and the body edges read the parts' linked sets.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .constraints import (TriState, constrained_to, constraint_components,
-                          forall_exists_valid)
-from .syntax import QUERY, Atom, Clause, Const, Constraint, Program, Var
+from .constraints import Parts, TriState, constrained_to, forall_exists_valid
+from .syntax import Atom, Clause, Const, Program, Var
 
 Pair = tuple[str, int]
 Erasure = frozenset[Pair]
@@ -85,13 +89,18 @@ def erased_names(prog: Program, e: Erasure, rename: bool = True) -> dict[str, st
     return names
 
 
-def check_pair(pair: Pair, prog: Program) -> Violation | None:
+Split = tuple[int, Clause, Parts]  # (index, clause, its constraint split once)
+
+
+def check_pair(pair: Pair, splits: list[Split]) -> Violation | None:
     """First violation of the conditions that do not depend on the erasure
     -- (i), (ii) and the repeated head variable of (iii) -- for ``pair``,
     scanning clauses in program order and the conditions in their numbered
-    order; None when the pair is locally safe."""
+    order; None when the pair is locally safe.  Condition (i) is x's own
+    part projecting to true and every other part satisfiable; (ii) reads
+    x's linked set."""
     pred, k = pair
-    for index, clause in enumerate(prog.clauses):
+    for index, clause, parts in splits:
         if clause.head.pred != pred:
             continue
         term = clause.head.args[k - 1]
@@ -99,14 +108,15 @@ def check_pair(pair: Pair, prog: Program) -> Violation | None:
             return Violation(pair, index, "i-not-variable",
                              f"head argument {k} is the constant {term.value}")
         x = term.name
-        c = clause.constraint
-        if forall_exists_valid(x, c) is not TriState.HOLDS:
+        if forall_exists_valid(x, parts.own(x)) is not TriState.HOLDS \
+                or not parts.others_satisfiable(x):
+            c = clause.constraint
             return Violation(pair, index, "i-forall-exists",
                              f"forall {x} . exists rest . "
                              f"{c if c.conjuncts else 'true'} not validated")
+        linked = parts.linked(x)
         for other in clause.head.args:
-            if isinstance(other, Var) and other.name != x \
-                    and constrained_to(x, other.name, c):
+            if isinstance(other, Var) and other.name != x and other.name in linked:
                 return Violation(pair, index, "ii-head-constrained",
                                  f"{x} is constrained to head variable {other.name}")
         for j, other in enumerate(clause.head.args, start=1):
@@ -116,19 +126,16 @@ def check_pair(pair: Pair, prog: Program) -> Violation | None:
     return None
 
 
-def body_edges(prog: Program) -> dict[Pair, list[Pair]]:
+def body_edges(splits: list[Split]) -> dict[Pair, list[Pair]]:
     """The body part of condition (iii): for each body position (q, j), the
     head pairs (p, k) kept whenever it is, because some clause has the head
     variable at k occur at, or be constrained to, body position j of q."""
     edges: dict[Pair, list[Pair]] = defaultdict(list)
-    for clause in prog.clauses:
-        linked = {name: component
-                  for component in constraint_components(clause.constraint)
-                  for name in component}
+    for _, clause, parts in splits:
         for k, term in enumerate(clause.head.args, start=1):
             if not isinstance(term, Var):
                 continue
-            reach = linked.get(term.name, {term.name})
+            reach = parts.linked(term.name)
             for atom in clause.body:
                 for j, t in enumerate(atom.args, start=1):
                     if isinstance(t, Var) and t.name in reach:
@@ -169,24 +176,14 @@ def erasure_lines(e: Erasure, arities: dict[str, int]) -> list[str]:
     return [f"{pred}/{arities[pred]} {k}" for pred, k in sorted(e)]
 
 
-def parse_erasure_lines(lines: "list[str]") -> Erasure:
-    pairs = []
-    for line in lines:
-        if not line.strip():
-            continue
-        head, k = line.split()
-        pred = head.split("/")[0]
-        pairs.append((pred, int(k)))
-    return frozenset(pairs)
-
-
 def cfar_transform(prog: Program,
                    rename: bool = True) -> tuple[Program, Erasure, CfarReport]:
     """Greatest safe erasure of ``prog`` and the erased program.
 
-    Each pair is checked once for its local violations; a kept pair then
-    keeps every pair reachable backward from it along ``body_edges``, and
-    the erasure is every pair not kept.
+    Each clause with head arguments is split once into the parts of its
+    constraint; each pair is checked once for its local violations against
+    those splits; a kept pair then keeps every pair reachable backward from
+    it along ``body_edges``, and the erasure is every pair not kept.
     """
     problems = prog.validate()
     if problems:
@@ -194,9 +191,11 @@ def cfar_transform(prog: Program,
     pairs = full_erasure(prog)
     report = CfarReport(pairs_initial=len(pairs), args_before=prog.total_args())
 
-    violations = [check_pair(pair, prog) for pair in sorted(pairs)]
+    splits = [(index, clause, Parts(clause.constraint))
+              for index, clause in enumerate(prog.clauses) if clause.head.args]
+    violations = [check_pair(pair, splits) for pair in sorted(pairs)]
     kept = {v.pair: v.condition for v in violations if v is not None}
-    edges = body_edges(prog)
+    edges = body_edges(splits)
     work = list(kept)
     while work:
         for pair in edges.get(work.pop(), ()):

@@ -213,7 +213,7 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     path, converted = args.file, None
     if path.suffix == ".clp":
-        smt = emit_smtlib_horn(_load(path), arrays=True)
+        smt = emit_smtlib_horn(_load(path))
         with tempfile.NamedTemporaryFile("w", suffix=".smt2",
                                          delete=False) as handle:
             handle.write(smt)

@@ -9,6 +9,12 @@ only refutations remain trustworthy, because a rationally infeasible system
 has no integer solutions either.  Strict relations are first shifted to
 closed ones (a < b becomes a <= b-1), which is lossless over the integers.
 
+``Parts`` splits a conjunction once into its variable-disjoint parts.  It
+gives each variable's linked set (the constrained-to relation) and its own
+part, and decides each part's satisfiability at most once, so a caller
+asking about every variable of one conjunction runs the eliminator on each
+part once, not on the rest of the conjunction once per variable.
+
 Array pseudo-constraints are opaque: they connect their variables for the
 constrained-to relation and force ``unknown`` answers from the oracle.
 """
@@ -18,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .syntax import ArrayCon, Constraint, LinExpr, RelCon
+from .syntax import ArrayCon, Constraint, LinExpr
 
 # Safety valve for Fourier-Motzkin blowup; conjunctions in verification
 # conditions stay far below this.
@@ -34,38 +40,68 @@ class TriState(enum.Enum):
         raise TypeError("TriState is not a boolean; compare explicitly")
 
 
-def constraint_components(c: Constraint) -> list[set[str]]:
-    """Connected components of variables, one clique per conjunct."""
-    parent: dict[str, str] = {}
+class Parts:
+    """A conjunction split once into its variable-disjoint parts.
 
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Two conjuncts share a part when a chain of conjuncts sharing variables
+    links them; a conjunct without variables is a part of its own.  Each
+    part keeps the conjunct order of the whole, and its satisfiability is
+    decided at most once, when an answer first needs it.
+    """
 
-    for con in c.conjuncts:
-        names = sorted(con.vars())
-        for n in names:
-            parent.setdefault(n, n)
-        for a, b in zip(names, names[1:]):
-            parent[find(a)] = find(b)
-    groups: dict[str, set[str]] = {}
-    for n in parent:
-        groups.setdefault(find(n), set()).add(n)
-    return list(groups.values())
+    def __init__(self, c: Constraint) -> None:
+        parent: dict[str, str] = {}
+
+        def find(x: str) -> str:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        names = [con.vars() for con in c.conjuncts]
+        for group in names:
+            first = next(iter(group), None)
+            for n in group:
+                parent.setdefault(n, n)
+                parent[find(n)] = find(first)
+        groups: dict[object, list] = {}
+        for i, (con, group) in enumerate(zip(c.conjuncts, names)):
+            # a conjunct without variables is keyed by its own position
+            groups.setdefault(find(min(group)) if group else i, []).append(con)
+        self.parts = [Constraint(tuple(cons)) for cons in groups.values()]
+        self._part: dict[str, int] = {}
+        self._linked: dict[str, frozenset[str]] = {}
+        for i, part in enumerate(self.parts):
+            linked = frozenset(part.vars())
+            for n in linked:
+                self._part[n], self._linked[n] = i, linked
+        self._satisfiable: dict[int, bool] = {}
+
+    def linked(self, x: str) -> frozenset[str]:
+        """The variables of x's part; just x when x does not occur."""
+        return self._linked.get(x, frozenset((x,)))
+
+    def own(self, x: str) -> Constraint:
+        """x's part; empty when x does not occur."""
+        i = self._part.get(x)
+        return Constraint() if i is None else self.parts[i]
+
+    def others_satisfiable(self, x: str) -> bool:
+        """True when every part without x is satisfiable (``holds``)."""
+        own = self._part.get(x)
+        return all(self._decide(i) for i in range(len(self.parts)) if i != own)
+
+    def _decide(self, i: int) -> bool:
+        if i not in self._satisfiable:
+            self._satisfiable[i] = is_satisfiable(self.parts[i]) is TriState.HOLDS
+        return self._satisfiable[i]
 
 
 def constrained_to(x: str, y: str, c: Constraint) -> bool:
     """True when x and y are distinct variables linked by a chain of
     conjuncts sharing variables.  Irreflexive by convention; monotone under
     adding conjuncts."""
-    if x == y:
-        return False
-    for component in constraint_components(c):
-        if x in component:
-            return y in component
-    return False
+    return x != y and y in Parts(c).linked(x)
 
 
 # --- Fourier-Motzkin over integer rows -----------------------------------
@@ -189,59 +225,34 @@ def is_satisfiable(c: Constraint) -> TriState:
     only answered when every elimination step stayed within the unit
     coefficient guard, which makes the projection integer-exact.
     """
-    rows = rows_of(c)
-    if rows is None:
-        return TriState.UNKNOWN
-    names = sorted({n for terms, _ in rows for n, _ in terms})
-    result = _eliminate(rows, names)
-    if result is None:
-        return TriState.UNKNOWN
-    if any(not terms and bound < 0 for terms, bound in result.rows):
-        return TriState.FAILS
-    return TriState.HOLDS if result.exact else TriState.UNKNOWN
+    return _projects_to_true(c, None)
 
 
 def forall_exists_valid(x: str, c: Constraint) -> TriState:
     """Validity of ``forall x . exists (vars(c) minus x) . c``.
 
-    Split c into the conjuncts of x's connected component (c_x) and the
-    rest (c_r); the formula is valid iff c_r is satisfiable and the
-    projection of c_x onto x is unconstrained.  Both checks run through
-    the eliminator; a residual row mentioning x, or an infeasible side,
-    refutes validity even when the run was inexact (the rational
-    projection over-approximates the integer one).
+    The formula is valid iff projecting c onto x leaves no row: a residual
+    row in x restricts x, one without variables refutes c for every x.
+    Either refutes validity even when the run was inexact (the rational
+    projection over-approximates the integer one).  Variable-disjoint
+    parts of c are eliminated in the same order as each part alone, so
+    this is also "x's part projects to true and every other part is
+    satisfiable", the form ``Parts`` answers from, unless the whole run
+    exceeds ``ROW_BUDGET`` where no part alone does.
     """
-    component: set[str] = set()
-    for comp in constraint_components(c):
-        if x in comp:
-            component = comp
-            break
-    split_x, split_r = [], []
-    for con in c.conjuncts:
-        if component and con.vars() and con.vars() <= component:
-            split_x.append(con)
-        else:
-            split_r.append(con)
-    c_x, c_r = Constraint(tuple(split_x)), Constraint(tuple(split_r))
+    return _projects_to_true(c, x)
 
-    if c_x.has_arrays():
+
+def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
+    """Eliminate every variable of c but ``keep``: fails when a row is
+    left, holds when none is and the run was exact."""
+    rows = rows_of(c)
+    if rows is None:
         return TriState.UNKNOWN
-    rest = is_satisfiable(c_r)
-    if rest is TriState.FAILS:
-        return TriState.FAILS
-    if not component:
-        return rest
-
-    rows = rows_of(c_x)
-    assert rows is not None
-    result = _eliminate(rows, sorted(component - {x}))
+    names = sorted({n for terms, _ in rows for n, _ in terms} - {keep})
+    result = _eliminate(rows, names)
     if result is None:
         return TriState.UNKNOWN
-    for terms, bound in result.rows:
-        if not terms and bound < 0:
-            return TriState.FAILS  # c_x unsatisfiable for every x
-        if any(n == x and c != 0 for n, c in terms):
-            return TriState.FAILS  # projection restricts x
-    if not result.exact or rest is TriState.UNKNOWN:
-        return TriState.UNKNOWN
-    return TriState.HOLDS
+    if result.rows:
+        return TriState.FAILS
+    return TriState.HOLDS if result.exact else TriState.UNKNOWN

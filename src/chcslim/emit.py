@@ -101,24 +101,20 @@ def _array_sorted_vars(program: Program) -> set[tuple[int, str]]:
     return out
 
 
-def emit_smtlib_horn(program: Program, arrays: bool = False) -> str:
+def emit_smtlib_horn(program: Program) -> str:
     """Emit an SMT-LIB 2 document in the HORN fragment.
 
     Every non-query predicate is declared over integer sorts; each clause
     becomes a universally quantified implication and query clauses imply
     ``false``, so the clause set is satisfiable iff the program is safe.
-    With ``arrays`` enabled, read/write pseudo-constraints become
-    select/store equations over ``(Array Int Int)`` variables; predicate
-    argument sorts are then inferred and must not conflict.
+    Read/write pseudo-constraints become select/store equations over
+    ``(Array Int Int)`` variables; predicate argument sorts are inferred
+    and must not conflict.
     """
     problems = program.validate()
     if problems:
         raise SmtEmitError("; ".join(problems))
-    array_vars = _array_sorted_vars(program) if arrays else set()
-    if not arrays:
-        for i, clause in enumerate(program.clauses):
-            if clause.constraint.has_arrays():
-                raise SmtEmitError("array constraints need array emission enabled", i)
+    array_vars = _array_sorted_vars(program)
     for i, clause in enumerate(program.clauses):
         names = {n for (j, n) in array_vars if j == i}
         for name in names:

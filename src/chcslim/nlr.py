@@ -50,9 +50,6 @@ class Definition:
     def head(self) -> Atom:
         return Atom(self.name, tuple(Var(v) for v in self.head_vars))
 
-    def clause(self) -> Clause:
-        return Clause(self.head(), body=(self.body_atom,))
-
 
 class DefsIndex:
     """Definitions keyed by body atom modulo variable renaming."""

@@ -23,8 +23,11 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .syntax import (ARRAY_KINDS, QUERY, ArrayCon, Atom, AtomicCon, Clause, Const,
-                     Constraint, LinExpr, Program, RelCon, Term, Var)
+from .syntax import (ARRAY_KINDS, RELATIONS, ArrayCon, Atom, AtomicCon, Clause,
+                     Const, Constraint, LinExpr, Program, RelCon, Term, Var,
+                     clause_problems)
+
+_RELATION_TOKENS = frozenset((*RELATIONS, "<="))  # "<=" is read as "=<"
 
 
 class ParseError(Exception):
@@ -174,7 +177,7 @@ class _Parser:
     def parse_relcon(self) -> RelCon:
         lhs = self.parse_linexpr()
         tok = self.here
-        if tok.kind != "op" or tok.text not in ("=", "<", "=<", "<=", ">", ">="):
+        if tok.kind != "op" or tok.text not in _RELATION_TOKENS:
             raise self.fail(f"expected a relation, found {tok.text or 'end of input'!r}")
         self.advance()
         rel = "=<" if tok.text == "<=" else tok.text
@@ -212,8 +215,8 @@ class _Parser:
                                      f"arguments, got {len(args)}", tok.line, tok.col)
                 return ArrayCon(tok.text, args)
             atom = self.parse_atom()
-            if self.here.kind == "op" and self.here.text in ("=", "<", "=<", "<=", ">",
-                                                             ">=", "+", "-", "*"):
+            if self.here.kind == "op" and (self.here.text in _RELATION_TOKENS
+                                           or self.here.text in ("+", "-", "*")):
                 raise self.fail("compound terms are not supported")
             return atom
         return self.parse_relcon()
@@ -244,21 +247,13 @@ class _Parser:
 
     def parse_program(self) -> Program:
         clauses: list[Clause] = []
-        arities: dict[str, tuple[int, _Token]] = {}
+        arities: dict[str, int] = {}
         while self.here.kind != "eof":
             tok = self.here
             clause = self.parse_clause()
-            for atom in (clause.head, *clause.body):
-                known = arities.setdefault(atom.pred, (atom.arity, tok))
-                if known[0] != atom.arity:
-                    raise ParseError(
-                        f"{atom.pred} used with arity {atom.arity}, previously "
-                        f"{known[0]} (line {known[1].line})", tok.line, tok.col)
-            for atom in clause.body:
-                if atom.pred == QUERY:
-                    raise ParseError(f"{QUERY} must be head-only", tok.line, tok.col)
-            if clause.head.pred == QUERY and clause.head.arity != 0:
-                raise ParseError(f"{QUERY} must be nullary", tok.line, tok.col)
+            problems = clause_problems(clause, arities)
+            if problems:
+                raise ParseError(problems[0], tok.line, tok.col)
             clauses.append(clause)
         return Program(tuple(clauses))
 

@@ -20,7 +20,7 @@ import json
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .bounded import EvalError, derives_unsafe
@@ -47,7 +47,6 @@ class PipelineConfig:
     solver_cmd: str | None = None
     timeout: float = 300.0
     bound: int | None = None
-    eval_budget: int = 2_000_000
 
     def validate(self) -> None:
         if not self.inputs:
@@ -85,42 +84,21 @@ class RunRecord:
     internal_error: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "stages": list(self.stages),
-            "stage_times": {k: round(v, 6) for k, v in self.stage_times.items()},
-            "verdict": self.verdict,
-            "solve_time": round(self.solve_time, 6),
-            "classification": self.classification,
-            "args_before": self.args_before,
-            "args_after": self.args_after,
-            "clauses_before": self.clauses_before,
-            "clauses_after": self.clauses_after,
-            "oracle": self.oracle,
-            "cfar_second_erasure": self.cfar_second_erasure,
-            "artifacts": self.artifacts,
-            "error": self.error,
-            "internal_error": self.internal_error,
-        }
+        data = asdict(self)
+        data["stages"] = list(self.stages)
+        data["stage_times"] = {k: round(v, 6) for k, v in self.stage_times.items()}
+        data["solve_time"] = round(self.solve_time, 6)
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":
-        rec = cls(data["name"])
-        rec.stages = tuple(data.get("stages", ()))
-        rec.stage_times = dict(data.get("stage_times", {}))
-        rec.verdict = data.get("verdict", "skipped")
-        rec.solve_time = float(data.get("solve_time", 0.0))
-        rec.classification = data.get("classification",
-                                      classification_for(rec.verdict))
-        rec.args_before = data.get("args_before")
-        rec.args_after = data.get("args_after")
-        rec.clauses_before = data.get("clauses_before")
-        rec.clauses_after = data.get("clauses_after")
-        rec.oracle = data.get("oracle")
-        rec.cfar_second_erasure = data.get("cfar_second_erasure")
-        rec.artifacts = list(data.get("artifacts", []))
-        rec.error = data.get("error")
-        rec.internal_error = data.get("internal_error")
+        """A record from the fields present; a missing classification
+        follows the verdict, every other missing field is its default."""
+        names = {f.name for f in fields(cls)}
+        rec = cls(**{k: v for k, v in data.items() if k in names})
+        rec.stages = tuple(rec.stages)
+        if "classification" not in data:
+            rec.classification = classification_for(rec.verdict)
         return rec
 
 
@@ -206,7 +184,7 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
 
     try:
         smt_path = cfg.out_dir / f"{rec.name}.smt2"
-        smt_path.write_text(emit_smtlib_horn(current, arrays=True))
+        smt_path.write_text(emit_smtlib_horn(current))
         rec.artifacts.append(str(smt_path))
     except SmtEmitError as exc:
         rec.error = f"emit error: {exc}"
@@ -218,7 +196,7 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
     rec.classification = classification_for(rec.verdict)
 
     if cfg.bound is not None:
-        rec.oracle = _oracle_verdict(current, cfg.bound, cfg.eval_budget)
+        rec.oracle = _oracle_verdict(current, cfg.bound)
         clash = _contradiction(rec.verdict, rec.oracle)
         if clash:
             rec.internal_error = clash
@@ -236,9 +214,9 @@ def _recheck_artifact(path: Path) -> str | None:
     return None
 
 
-def _oracle_verdict(prog: Program, bound: int, budget: int) -> str:
+def _oracle_verdict(prog: Program, bound: int) -> str:
     try:
-        result = derives_unsafe(prog, bound, budget=budget)
+        result = derives_unsafe(prog, bound)
     except EvalError:
         return "unknown"
     return result.value

@@ -167,9 +167,6 @@ class Constraint:
             out |= con.vars()
         return out
 
-    def is_true(self) -> bool:
-        return not self.conjuncts
-
     def has_arrays(self) -> bool:
         return any(isinstance(c, ArrayCon) for c in self.conjuncts)
 
@@ -274,28 +271,34 @@ class Program:
 
     def validate(self) -> list[str]:
         """Arity consistency and query discipline; empty list means valid."""
-        problems: list[str] = []
         arities: dict[str, int] = {}
-        for i, clause in enumerate(self.clauses):
-            for atom in (clause.head, *clause.body):
-                known = arities.setdefault(atom.pred, atom.arity)
-                if known != atom.arity:
-                    problems.append(
-                        f"clause {i}: {atom.pred} used with arity {atom.arity}, "
-                        f"previously {known}")
-            for atom in clause.body:
-                if atom.pred == QUERY:
-                    problems.append(f"clause {i}: {QUERY} must be head-only")
-            for con in clause.constraint.conjuncts:
-                if isinstance(con, ArrayCon) and len(con.args) != ARRAY_KINDS[con.kind]:
-                    problems.append(f"clause {i}: {con.kind} expects "
-                                    f"{ARRAY_KINDS[con.kind]} arguments")
-        if arities.get(QUERY, 0) != 0:
-            problems.append(f"{QUERY} must be nullary, got arity {arities[QUERY]}")
-        return problems
+        return [f"clause {i}: {problem}" for i, clause in enumerate(self.clauses)
+                for problem in clause_problems(clause, arities)]
 
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.clauses)
+
+
+def clause_problems(clause: Clause, arities: dict[str, int]) -> list[str]:
+    """The program rules ``clause`` breaks, given the arities of the clauses
+    before it (``arities`` is extended with its own): one arity per
+    predicate, a nullary query that occurs only in heads, and array
+    constraints of their kind's length."""
+    problems: list[str] = []
+    for atom in (clause.head, *clause.body):
+        known = arities.setdefault(atom.pred, atom.arity)
+        if known != atom.arity:
+            problems.append(f"{atom.pred} used with arity {atom.arity}, "
+                            f"previously {known}")
+    if clause.head.pred == QUERY and clause.head.args:
+        problems.append(f"{QUERY} must be nullary, got arity {clause.head.arity}")
+    for atom in clause.body:
+        if atom.pred == QUERY:
+            problems.append(f"{QUERY} must be head-only")
+    for con in clause.constraint.conjuncts:
+        if isinstance(con, ArrayCon) and len(con.args) != ARRAY_KINDS[con.kind]:
+            problems.append(f"{con.kind} expects {ARRAY_KINDS[con.kind]} arguments")
+    return problems
 
 
 def _subst_term(term: Term, mapping: "dict[str, Term]") -> Term:

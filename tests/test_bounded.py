@@ -84,15 +84,17 @@ def test_single_variable_intervals(source, facts):
 @pytest.mark.parametrize("source", [
     "p(X) :- 2*X=1, X>=40, Y>=40.",
     "p(X) :- X>=40, 2*X=1, Y>=40.",
+    "p(X) :- X>=40, X=<35, Y>=50.",
 ])
 def test_unsolvable_equation_empties_interval_outright(source):
-    # An equation with no integer solution gives X the empty interval [1, 0]
-    # whatever else bounds X, so Y's narrower interval, [40, 32] after the
-    # cut at the box edge, is the one enumerated, and it flags the clip.
+    # X is left with no value, so the clause has no instance: X is chosen
+    # at once, though Y's interval is narrower after the cut at the box
+    # edge, and nothing is lost to the cut, so the run stays exact.
     model = bounded_least_model(parse_program(source + "\nunsafe :- p(X)."),
                                 bound=32)
     assert not model.facts["p"]
-    assert model.clipped
+    assert not model.clipped
+    assert model.verdict() is TriState.FAILS
 
 
 def test_until_query_stops_early():

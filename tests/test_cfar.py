@@ -8,9 +8,8 @@ from chcslim import (
     TriState, cfar_transform, derives_unsafe, parse_program,
     programs_isomorphic,
 )
-from chcslim.cfar import (
-    erasure_lines, full_erasure, parse_erasure_lines, verify_safe_erasure,
-)
+from chcslim import constraints
+from chcslim.cfar import erasure_lines, full_erasure, verify_safe_erasure
 from chcslim.corpus import corpus_names, load
 
 from gen import random_program
@@ -119,12 +118,26 @@ def test_rename_can_be_disabled(counter_p2):
     assert out.arities["newp4"] == 2
 
 
-def test_erasure_lines_round_trip():
+def test_erasure_lines_sorted():
     pairs = frozenset({("b", 2), ("a", 1), ("b", 1)})
     lines = erasure_lines(pairs, {"a": 3, "b": 2})
     assert lines == ["a/3 1", "b/2 1", "b/2 2"]
-    assert parse_erasure_lines(lines) == pairs
-    assert parse_erasure_lines(["", *lines, "  "]) == pairs
+
+
+def test_each_part_is_decided_at_most_once(monkeypatch):
+    # every head variable needs the other two parts satisfiable; each part
+    # goes to the oracle alone, and once for the whole clause
+    decide, asked = constraints.is_satisfiable, []
+
+    def record(c):
+        asked.append(str(c))
+        return decide(c)
+
+    monkeypatch.setattr(constraints, "is_satisfiable", record)
+    prog = parse_program("p(Y1,Y2,Y3) :- Y1=X1+1, Y2=X2, Y3=X3, q(X1,X2,X3).")
+    _, erasure, _ = cfar_transform(prog)
+    assert sorted(asked) == ["Y1=X1+1", "Y2=X2", "Y3=X3"]
+    assert erasure == full_erasure(prog)
 
 
 def test_corpus_erasures_are_idempotent_and_certified():

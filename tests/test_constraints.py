@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chcslim.constraints import (
-    TriState, constrained_to, constraint_components, forall_exists_valid,
-    is_satisfiable,
+    Parts, TriState, constrained_to, forall_exists_valid, is_satisfiable,
 )
 from chcslim.parser import parse_constraint
 
@@ -77,11 +76,41 @@ def test_constrained_to(x, y, text, expected):
     assert constrained_to(x, y, parse_constraint(text)) is expected
 
 
-def test_constraint_components_split_on_shared_vars():
-    c = parse_constraint("X=Y, Z>=1, W=Z+2")
-    components = constraint_components(c)
-    assert {frozenset(s) for s in components} == {frozenset({"X", "Y"}),
-                                                  frozenset({"Z", "W"})}
+def test_parts_split_on_shared_vars():
+    c = parse_constraint("X=Y, Z>=1, 0=<1, W=Z+2")
+    parts = Parts(c)
+    assert [str(p) for p in parts.parts] == ["X=Y", "Z>=1, W=Z+2", "0=<1"]
+    assert parts.linked("X") == {"X", "Y"}
+    assert parts.linked("W") == {"Z", "W"}
+    assert parts.linked("Q") == {"Q"}
+    assert str(parts.own("W")) == "Z>=1, W=Z+2"
+    assert parts.own("Q") == type(c)()
+
+
+def _split_verdict(x, c):
+    parts = Parts(c)
+    return (forall_exists_valid(x, parts.own(x)) is TriState.HOLDS
+            and parts.others_satisfiable(x))
+
+
+def test_split_agrees_with_forall_exists_on_the_whole():
+    # x's own part projecting to true with every other part satisfiable is
+    # the whole constraint's universal-existential validity, for every
+    # variable and for one that does not occur
+    rng = random.Random(31337)
+    checks = split = 0
+    for i in range(600):
+        unit = i % 3 != 0
+        if i % 2:
+            c = random_constraint(rng, max_vars=6, max_conjuncts=5, unit=unit)
+        else:
+            c = random_forall_instance(rng, unit=unit)[1]
+        split += len(Parts(c).parts) > 1
+        for x in sorted(c.vars()) + ["Absent"]:
+            whole = forall_exists_valid(x, c) is TriState.HOLDS
+            assert _split_verdict(x, c) is whole, f"forall {x}: {c}"
+            checks += 1
+    assert checks > 1500 and split > 100
 
 
 def test_array_constraints_make_satisfiability_unknown():

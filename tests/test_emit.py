@@ -43,11 +43,9 @@ def test_true_constraint_becomes_implication_from_true():
     assert "(assert (forall ((X Int)) (p X)))" in text
 
 
-def test_arrays_require_opt_in():
+def test_read_becomes_select_over_array_sort():
     prog = parse_program("p(A,I,V) :- read(A,I,V).\nunsafe :- V>=5, p(A,I,V).")
-    with pytest.raises(SmtEmitError):
-        emit_smtlib_horn(prog)
-    text = emit_smtlib_horn(prog, arrays=True)
+    text = emit_smtlib_horn(prog)
     assert "(declare-fun p ((Array Int Int) Int Int) Bool)" in text
     assert "(= (select A I) V)" in text
 
@@ -55,7 +53,7 @@ def test_arrays_require_opt_in():
 def test_write_constraint_uses_store():
     prog = parse_program(
         "p(A,B) :- write(A,1,5,B).\nunsafe :- p(A,B).")
-    text = emit_smtlib_horn(prog, arrays=True)
+    text = emit_smtlib_horn(prog)
     assert "(= B (store A 1 5))" in text
 
 
@@ -64,7 +62,7 @@ def test_array_slot_inference_rejects_mixed_use():
     prog = parse_program("p(A,I,V) :- read(A,I,V), X=A, q(X).\n"
                          "q(X) :- X=0.\nunsafe :- p(A,I,V).")
     with pytest.raises(SmtEmitError):
-        emit_smtlib_horn(prog, arrays=True)
+        emit_smtlib_horn(prog)
 
 
 def test_emit_is_parse_stable_on_programmatic_asts():

@@ -10,7 +10,7 @@ from chcslim import (ParseError, TriState, derives_unsafe, emit_clp,
                      emit_smtlib_horn, parse_program)
 from chcslim.corpus import corpus_names, load
 from chcslim.parser import parse_clause, parse_constraint
-from chcslim.syntax import Atom, Const, Var, programs_isomorphic
+from chcslim.syntax import Atom, Const, Constraint, Var, programs_isomorphic
 
 from gen import random_program
 
@@ -38,7 +38,7 @@ def test_relation_aliases_canonicalize():
 
 def test_true_body_and_bodyless_query():
     prog = parse_program("p(X) :- true.\nunsafe.")
-    assert prog.clauses[0].constraint.is_true()
+    assert prog.clauses[0].constraint == Constraint()
     assert prog.clauses[1].head.pred == "unsafe"
     assert emit_clp(prog) == "p(X).\nunsafe.\n"
 

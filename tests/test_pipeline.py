@@ -191,6 +191,12 @@ def test_report_json_lines_round_trip(tmp_path, fake_solver):
     assert summary["summary"]["n"] == 2
 
 
+def test_run_record_from_json_defaults_missing_fields():
+    rec = RunRecord.from_json({"name": "p", "verdict": "unsat"})
+    assert rec.classification == "unsafe"
+    assert rec == RunRecord("p", verdict="unsat", classification="unsafe")
+
+
 def test_cli_parse_ok_and_error(tmp_path, capsys):
     good = CORPUS / "branch_unsafe.clp"
     assert main(["parse", str(good)]) == 0
