@@ -14,7 +14,7 @@ from .cfar import (CfarReport, Erasure, Violation, cfar_transform,
 from .constraints import (Parts, TriState, constrained_to, forall_exists_valid,
                           is_satisfiable)
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
-from .nlr import DefsIndex, NlrReport, linkvars, nlr_transform
+from .nlr import NlrReport, linkvars, nlr_transform
 from .parser import ParseError, parse_clause, parse_constraint, parse_program
 from .pipeline import (ConfigError, PipelineConfig, RunRecord,
                        invariant_failures, report, run_pipeline,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayCon", "Atom", "BoundedModel", "CfarReport", "Clause", "ConfigError",
-    "Const", "Constraint", "DefsIndex", "Erasure", "EvalBudgetError",
+    "Const", "Constraint", "Erasure", "EvalBudgetError",
     "EvalError", "LinExpr", "NlrReport", "ParseError", "Parts", "PipelineConfig",
     "Program", "QUERY", "RelCon", "RunRecord", "SmtEmitError", "TriState",
     "Var", "Violation", "bounded_least_model", "cfar_transform",

@@ -20,6 +20,7 @@ only certifies derivations, not their absence.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple
@@ -80,8 +81,9 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
 
     With ``until_query`` the fixpoint stops as soon as the query is
     derived (the returned model may then be partial, but a derivation is a
-    derivation).  Raises EvalError on array constraints and
-    EvalBudgetError when grounding work exceeds ``budget`` steps.
+    derivation).  Raises EvalError on array constraints and on a clause
+    whose grounding nests deeper than the interpreter's recursion limit,
+    and EvalBudgetError when grounding work exceeds ``budget`` steps.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -279,8 +281,14 @@ def _ground(plan: _Plan, facts: dict, delta_index: int | None,
         return tuple(values)
 
     initial = check_ready(plan.conjuncts)
-    if initial is not None:
+    if initial is None:
+        return
+    try:
         yield from match_atoms(atoms, initial)
+    except RecursionError:
+        # one generator frame per bound atom and variable
+        raise EvalError(f"grounding {clause.head} nests deeper than the "
+                        f"recursion limit ({sys.getrecursionlimit()})") from None
 
 
 def _unbound_count(atom: Atom, assignment: dict) -> int:

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 from .bounded import EvalBudgetError, EvalError, bounded_least_model
-from .cfar import cfar_transform, erasure_lines
+from .cfar import cfar_transform
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
 from .nlr import nlr_transform
 from .parser import ParseError, parse_program
@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nlr", help="remove non-linking variables")
     p.add_argument("file", type=Path)
     p.add_argument("-o", "--out", type=Path)
-    p.add_argument("--keep-unsat", action="store_true",
-                   help="keep clauses whose constraint is unsatisfiable")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON on stderr")
     p.set_defaults(func=cmd_nlr)
@@ -149,7 +147,7 @@ def _write_out(text: str, out: Path | None) -> None:
 
 def cmd_nlr(args) -> int:
     prog = _load(args.file)
-    result, rep = nlr_transform(prog, drop_unsat=not args.keep_unsat)
+    result, rep = nlr_transform(prog)
     _write_out(emit_clp(result), args.out)
     if args.json:
         print(json.dumps(dataclasses.asdict(rep)), file=sys.stderr)
@@ -160,14 +158,12 @@ def cmd_nlr(args) -> int:
 
 def cmd_cfar(args) -> int:
     prog = _load(args.file)
-    result, erasure, rep = cfar_transform(prog, rename=not args.no_rename)
+    result, _, rep = cfar_transform(prog, rename=not args.no_rename)
     _write_out(emit_clp(result), args.out)
     if args.json:
         print(json.dumps(dataclasses.asdict(rep)), file=sys.stderr)
     else:
         print(rep.text(), file=sys.stderr)
-        for line in erasure_lines(erasure, prog.arities):
-            print(line, file=sys.stderr)
     return 0
 
 

@@ -82,23 +82,36 @@ def _conjoin(parts: list[str]) -> str:
     return f"(and {' '.join(parts)})"
 
 
-def _array_sorted_vars(program: Program) -> set[tuple[int, str]]:
-    """Variables forced to array sort: argument 1 of read/write, argument 4
-    of write.  Returned as (clause index, var name) pairs since variables
-    are clause-local."""
-    out: set[tuple[int, str]] = set()
+def _array_sorted(program: Program) -> tuple[set[tuple[int, str]],
+                                               set[tuple[str, int]]]:
+    """Array-sorted (clause index, variable) pairs and (predicate, position)
+    pairs.  Argument 1 of read/write and argument 4 of write are arrays, and
+    the sort flows both ways between a variable and every predicate
+    position it fills, through any number of clauses."""
+    seeds: list[tuple] = []
+    links: dict[tuple, list[tuple]] = {}
     for i, clause in enumerate(program.clauses):
         for con in clause.constraint.conjuncts:
             if isinstance(con, ArrayCon):
-                slots = (0, 3) if con.kind == "write" else (0,)
-                for k in slots:
+                for k in ((0, 3) if con.kind == "write" else (0,)):
                     t = con.args[k]
-                    if isinstance(t, Var):
-                        out.add((i, t.name))
-                    else:
+                    if not isinstance(t, Var):
                         raise SmtEmitError(f"array argument of {con.kind} must be "
                                            f"a variable", i)
-    return out
+                    seeds.append((i, t.name))
+        for atom in (clause.head, *clause.body):
+            for k, t in enumerate(atom.args):
+                if isinstance(t, Var):
+                    links.setdefault((i, t.name), []).append((atom.pred, k))
+                    links.setdefault((atom.pred, k), []).append((i, t.name))
+    reached = set(seeds)
+    while seeds:
+        for node in links.get(seeds.pop(), ()):
+            if node not in reached:
+                reached.add(node)
+                seeds.append(node)
+    variables = {n for n in reached if isinstance(n[0], int)}
+    return variables, reached - variables
 
 
 def emit_smtlib_horn(program: Program) -> str:
@@ -114,7 +127,7 @@ def emit_smtlib_horn(program: Program) -> str:
     problems = program.validate()
     if problems:
         raise SmtEmitError("; ".join(problems))
-    array_vars = _array_sorted_vars(program)
+    array_vars, array_positions = _array_sorted(program)
     for i, clause in enumerate(program.clauses):
         names = {n for (j, n) in array_vars if j == i}
         for name in names:
@@ -126,41 +139,20 @@ def emit_smtlib_horn(program: Program) -> str:
                     if isinstance(t, Var) and t.name in names:
                         raise SmtEmitError(f"array variable {t.name} used as an "
                                            f"integer in {con.kind}", i)
-
-    # Predicate signatures: Int everywhere unless an array-sorted variable
-    # flows into an argument position.
-    sorts: dict[str, list[str]] = {}
-    for pred in program.predicates():
-        if pred != QUERY:
-            sorts[pred] = ["Int"] * program.arities[pred]
-    for i, clause in enumerate(program.clauses):
         for atom in (clause.head, *clause.body):
-            if atom.pred == QUERY:
-                continue
             for k, t in enumerate(atom.args):
-                if isinstance(t, Var) and (i, t.name) in array_vars:
-                    if sorts[atom.pred][k] == "Int":
-                        sorts[atom.pred][k] = "(Array Int Int)"
-    for i, clause in enumerate(program.clauses):
-        for atom in (clause.head, *clause.body):
-            if atom.pred == QUERY:
-                continue
-            for k, t in enumerate(atom.args):
-                want = sorts[atom.pred][k]
-                if isinstance(t, Const) and want != "Int":
+                if isinstance(t, Const) and (atom.pred, k) in array_positions:
                     raise SmtEmitError(f"integer constant at array-sorted position "
                                        f"{k + 1} of {atom.pred}", i)
-                if (isinstance(t, Var)
-                        and want != "Int" and (i, t.name) not in array_vars
-                        and _var_constrained_arith(clause, t.name)):
-                    raise SmtEmitError(f"sort conflict at position {k + 1} of "
-                                       f"{atom.pred}", i)
 
     lines = ["(set-logic HORN)"]
-    for pred, sig in sorts.items():
-        lines.append(f"(declare-fun {_smt_symbol(pred)} ({' '.join(sig)}) Bool)")
+    for pred in program.predicates():
+        if pred != QUERY:
+            sig = ["(Array Int Int)" if (pred, k) in array_positions else "Int"
+                   for k in range(program.arities[pred])]
+            lines.append(f"(declare-fun {_smt_symbol(pred)} ({' '.join(sig)}) Bool)")
     for i, clause in enumerate(program.clauses):
-        lines.append(_emit_clause(clause, sorts, array_vars, i))
+        lines.append(_emit_clause(clause, array_vars, i))
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
@@ -172,17 +164,10 @@ def _var_constrained_arith(clause: Clause, name: str) -> bool:
     return False
 
 
-def _emit_clause(clause: Clause, sorts: dict[str, list[str]],
-                 array_vars: set[tuple[int, str]], index: int) -> str:
-    var_sorts: dict[str, str] = {}
-    for name in clause.vars():
-        var_sorts[name] = "(Array Int Int)" if (index, name) in array_vars else "Int"
-    for atom in (clause.head, *clause.body):
-        if atom.pred == QUERY:
-            continue
-        for k, t in enumerate(atom.args):
-            if isinstance(t, Var) and sorts[atom.pred][k] != "Int":
-                var_sorts[t.name] = sorts[atom.pred][k]
+def _emit_clause(clause: Clause, array_vars: set[tuple[int, str]],
+                 index: int) -> str:
+    var_sorts = {name: "(Array Int Int)" if (index, name) in array_vars else "Int"
+                 for name in clause.vars()}
 
     parts: list[str] = []
     for con in clause.constraint.conjuncts:

@@ -5,19 +5,22 @@ whose arguments are just the atom's linking variables: the variables shared
 with the rest of its clause.  Definitions are unfolded against the input
 program and the results folded back, so the output program reaches the query
 verdict of the input while carrying fewer arguments.  Two occurrences of the
-same atom shape (modulo renaming) share one definition; when a later
-occurrence needs more linking variables the definition is widened, reverted
-to pending, and its clauses re-derived.
+same atom shape (modulo renaming) share one definition.  Variants have the
+same variable-occurrence pattern, so a definition is the first atom of its
+class plus the argument positions it keeps, and folding any variant is a
+projection onto those positions.  Each class is unfolded once; when a later
+occurrence needs more linking variables the definition gains positions and
+its stored resolvents are re-scanned with the wider head, not re-derived.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .constraints import TriState, is_satisfiable
 from .syntax import (QUERY, Atom, Clause, Program, Var, atom_variant_key,
-                     fresh_predicate_counter, mgu_atoms, rename_apart, variant_of)
+                     fresh_predicate_counter, mgu_atoms, rename_apart)
 
 
 def linkvars(clause: Clause, position: int) -> list[str]:
@@ -38,98 +41,63 @@ def linkvars(clause: Clause, position: int) -> list[str]:
 
 @dataclass
 class Definition:
+    """``name`` abstracts the variant class of ``atom`` by the argument
+    positions it keeps.  ``resolvents`` are the atom's one-step unfoldings
+    with heads over its full argument list (None until unfolded)."""
     name: str
-    head_vars: list[str]
-    body_atom: Atom
-    status: str = "pending"  # pending | unfolded
+    atom: Atom
+    positions: list[int]
+    resolvents: list[Clause] | None = None
+    pending: bool = True
 
-    @property
-    def arity(self) -> int:
-        return len(self.head_vars)
+    def project(self, atom: Atom) -> Atom:
+        return Atom(self.name, tuple(atom.args[k] for k in self.positions))
 
-    def head(self) -> Atom:
-        return Atom(self.name, tuple(Var(v) for v in self.head_vars))
-
-
-class DefsIndex:
-    """Definitions keyed by body atom modulo variable renaming."""
-
-    def __init__(self, counter: "itertools.count[int] | None" = None):
-        self._by_key: dict[tuple, Definition] = {}
-        self._counter = counter if counter is not None else itertools.count(1)
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def in_order(self) -> list[Definition]:
-        return list(self._by_key.values())
-
-    def pending(self) -> list[Definition]:
-        return [d for d in self._by_key.values() if d.status == "pending"]
-
-    def introduce_or_merge(self, b: Atom, v: list[str]) -> tuple[Definition, bool, bool]:
-        """Definition covering atom b with linking variables v.
-
-        Returns (definition, widened, created).  An existing definition for
-        b's variant class is merged: its head keeps its variables and gains
-        the images of v not already present, in v's order; growth reverts
-        the definition to pending.
-        """
-        assert all(any(isinstance(t, Var) and t.name == x for t in b.args) for x in v)
-        key = atom_variant_key(b)
-        existing = self._by_key.get(key)
-        if existing is None:
-            definition = Definition(f"newp{next(self._counter)}", list(v), b)
-            self._by_key[key] = definition
-            return definition, False, True
-        theta = variant_of(b, existing.body_atom)
-        assert theta is not None
-        widened = False
-        for x in v:
-            mapped = theta[x]
-            if mapped not in existing.head_vars:
-                existing.head_vars.append(mapped)
-                widened = True
-        if widened:
-            existing.status = "pending"
-        return existing, widened, False
+    def clauses(self) -> list[Clause]:
+        """The resolvents with heads projected onto the kept positions."""
+        return [Clause(self.project(r.head), r.constraint, r.body)
+                for r in self.resolvents]
 
 
-def unfold(defn: Definition, prog: Program) -> list[Clause]:
-    """Resolve the definition's body atom against every program clause
-    whose head unifies with it."""
+def unfold(atom: Atom, prog: Program) -> list[Clause]:
+    """Resolve ``atom`` against every program clause whose head unifies
+    with it; each resolvent keeps the unified head."""
     out: list[Clause] = []
-    taken = defn.body_atom.vars() | set(defn.head_vars)
-    for clause in prog.clauses_for(defn.body_atom.pred):
+    taken = atom.vars()
+    for clause in prog.clauses_for(atom.pred):
         renamed, _ = rename_apart(clause, taken)
-        mu = mgu_atoms(defn.body_atom, renamed.head)
-        if mu is None:
-            continue
-        out.append(Clause(defn.head(), renamed.constraint, renamed.body).subst(mu))
+        mu = mgu_atoms(atom, renamed.head)
+        if mu is not None:
+            out.append(renamed.subst(mu))
     return out
 
 
-def fold_all(clause: Clause, defs: DefsIndex,
-             prog: Program) -> tuple[Clause, int, int]:
-    """Replace every body atom over an input-program predicate by its
-    definition's head, introducing or merging definitions as needed.
-    Atoms over already-introduced predicates are left alone.  Returns the
-    folded clause and the numbers of definitions created and widened."""
-    old_preds = prog.arities
-    created_count = widened_count = 0
-    new_body: list[Atom] = []
+def register(clause: Clause, defs: dict[tuple, Definition],
+             counter: Iterator[int]) -> int:
+    """Introduce a definition for each body atom whose variant class has
+    none, and widen an existing one by the positions of the atom's linking
+    variables it does not keep yet, in linking order; widening marks it
+    pending.  Returns the number of atoms that widened a definition."""
+    widened = 0
     for i, atom in enumerate(clause.body):
-        if atom.pred not in old_preds:
-            new_body.append(atom)
+        wanted = [atom.args.index(Var(x)) for x in linkvars(clause, i)]
+        key = atom_variant_key(atom)
+        defn = defs.get(key)
+        if defn is None:
+            defs[key] = Definition(f"newp{next(counter)}", atom, wanted)
             continue
-        defn, widened, created = defs.introduce_or_merge(atom, linkvars(clause, i))
-        created_count += created
-        widened_count += widened
-        theta = variant_of(atom, defn.body_atom)
-        assert theta is not None
-        back = {dv: bv for bv, dv in theta.items()}
-        new_body.append(Atom(defn.name, tuple(Var(back[v]) for v in defn.head_vars)))
-    return Clause(clause.head, clause.constraint, tuple(new_body)), created_count, widened_count
+        grown = [k for k in wanted if k not in defn.positions]
+        if grown:
+            defn.positions += grown
+            defn.pending = True
+            widened += 1
+    return widened
+
+
+def fold(clause: Clause, defs: dict[tuple, Definition]) -> Clause:
+    """Replace every body atom by its definition's projection of it."""
+    body = tuple(defs[atom_variant_key(a)].project(a) for a in clause.body)
+    return Clause(clause.head, clause.constraint, body)
 
 
 @dataclass
@@ -162,76 +130,56 @@ class NlrReport:
         return "\n".join(lines)
 
 
-def nlr_transform(prog: Program, drop_unsat: bool = True) -> tuple[Program, NlrReport]:
+def nlr_transform(prog: Program) -> tuple[Program, NlrReport]:
     """Run the removal strategy to a fixpoint over the whole program.
 
-    The query clauses are folded in place; every definition is unfolded and
-    its results folded, with widening re-running the affected definition.
-    Folding is repeated once the definition index is stable so that clauses
-    folded before a later widening pick up the final arities.
+    The query clauses register their body atoms; then the first pending
+    definition in creation order is processed until none is left: unfolded
+    on its first turn (resolvents with unsatisfiable constraints dropped),
+    and its resolvents registered under its current head.  Every output
+    clause is folded once, after the positions are final.
     """
     problems = prog.validate()
     if problems:
         raise ValueError("invalid program: " + "; ".join(problems))
-    report = NlrReport(args_before=prog.total_args(), clauses_in=len(prog.clauses))
-    max_arity = max((a.arity for a in prog.atoms()), default=0)
-    report.max_arity = max_arity
+    report = NlrReport(args_before=prog.total_args(), clauses_in=len(prog.clauses),
+                       max_arity=max((a.arity for a in prog.atoms()), default=0))
 
-    defs = DefsIndex(fresh_predicate_counter(prog))
+    counter = fresh_predicate_counter(prog)
+    defs: dict[tuple, Definition] = {}
     unsafe_clauses = [c for c in prog.clauses if c.head.pred == QUERY]
     defined = prog.defined_predicates()
 
-    widenings = 0
     for clause in unsafe_clauses:
-        _, _, widened = fold_all(clause, defs, prog)
-        widenings += widened
-
-    raw: dict[str, list[Clause]] = {}
-    iterations = 0
-    while True:
-        pending = defs.pending()
-        if not pending:
-            break
-        iterations += 1
-        if iterations > (len(defs) + 1) * (max_arity + 2) + 10:
+        report.widenings += register(clause, defs, counter)
+    while (defn := next((d for d in defs.values() if d.pending), None)) is not None:
+        report.iterations += 1
+        if report.iterations > (len(defs) + 1) * (report.max_arity + 2) + 10:
             raise RuntimeError("definition unfolding exceeded its budget")
-        defn = pending[0]
-        if defn.body_atom.pred not in defined:
-            report.warnings.append(
-                f"{defn.body_atom.pred} has no clauses; {defn.name} is empty")
-        resolvents = unfold(defn, prog)
-        clauses = [c for c in resolvents if not drop_unsat
-                   or is_satisfiable(c.constraint) is not TriState.FAILS]
-        report.dropped_unsat += len(resolvents) - len(clauses)
-        defn.status = "unfolded"
-        raw[defn.name] = clauses
-        for clause in clauses:
-            _, _, widened = fold_all(clause, defs, prog)
-            widenings += widened
+        defn.pending = False
+        if defn.resolvents is None:
+            if defn.atom.pred not in defined:
+                report.warnings.append(
+                    f"{defn.atom.pred} has no clauses; {defn.name} is empty")
+            resolvents = unfold(defn.atom, prog)
+            defn.resolvents = [r for r in resolvents
+                               if is_satisfiable(r.constraint) is not TriState.FAILS]
+            report.dropped_unsat += len(resolvents) - len(defn.resolvents)
+        for clause in defn.clauses():
+            report.widenings += register(clause, defs, counter)
 
-    out: list[Clause] = []
-    for clause in unsafe_clauses:
-        folded, created, widened = fold_all(clause, defs, prog)
-        assert not created and not widened, "definition index changed after fixpoint"
-        out.append(folded)
-    for defn in defs.in_order():
-        for clause in raw.get(defn.name, ()):
-            folded, created, widened = fold_all(clause, defs, prog)
-            assert not created and not widened, "definition index changed after fixpoint"
-            out.append(folded)
-
+    out = [fold(c, defs) for c in unsafe_clauses]
+    out += [fold(c, defs) for d in defs.values() for c in d.clauses()]
     result = Program(tuple(out))
     problems = result.validate()
     if problems:
         raise RuntimeError("transformed program invalid: " + "; ".join(problems))
 
-    report.iterations = iterations
-    report.widenings = widenings
     report.variant_classes = len(defs)
     report.definitions = [
-        {"name": d.name, "arity": d.arity, "pred": d.body_atom.pred,
-         "pred_arity": d.body_atom.arity, "body_atom": str(d.body_atom)}
-        for d in defs.in_order()
+        {"name": d.name, "arity": len(d.positions), "pred": d.atom.pred,
+         "pred_arity": d.atom.arity, "body_atom": str(d.atom)}
+        for d in defs.values()
     ]
     report.args_after = result.total_args()
     report.clauses_out = len(result.clauses)

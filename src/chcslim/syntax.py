@@ -326,28 +326,6 @@ def rename_apart(clause: Clause, taken: set[str]) -> tuple[Clause, dict[str, str
     return rename_clause(clause, renaming), renaming
 
 
-def variant_of(a: Atom, b: Atom) -> dict[str, str] | None:
-    """Bijective variable renaming making a equal to b, or None.
-
-    Constants must match exactly; the variable occurrence patterns must be
-    isomorphic (same positions share a variable in a iff they do in b).
-    """
-    if a.pred != b.pred or a.arity != b.arity:
-        return None
-    fwd: dict[str, str] = {}
-    bwd: dict[str, str] = {}
-    for ta, tb in zip(a.args, b.args):
-        if isinstance(ta, Const) or isinstance(tb, Const):
-            if ta != tb:
-                return None
-            continue
-        if fwd.setdefault(ta.name, tb.name) != tb.name:
-            return None
-        if bwd.setdefault(tb.name, ta.name) != ta.name:
-            return None
-    return fwd
-
-
 def atom_variant_key(atom: Atom) -> tuple:
     """Hashable key identifying the atom's class modulo variable renaming."""
     numbering: dict[str, int] = {}

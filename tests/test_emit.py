@@ -57,6 +57,20 @@ def test_write_constraint_uses_store():
     assert "(= B (store A 1 5))" in text
 
 
+ARRAY_FLOW = "p(A) :- read(A,I,V), V>=0.\nq(X) :- p(X).\n"
+
+
+def test_array_sort_flows_through_several_clauses():
+    text = emit_smtlib_horn(parse_program(ARRAY_FLOW + "unsafe :- q(Y)."))
+    assert "(declare-fun q ((Array Int Int)) Bool)" in text
+    assert "(assert (forall ((Y (Array Int Int))) (=> (q Y) false)))" in text
+
+
+def test_array_sort_reaching_arithmetic_is_rejected():
+    with pytest.raises(SmtEmitError):
+        emit_smtlib_horn(parse_program(ARRAY_FLOW + "unsafe :- q(Y), Y>=0."))
+
+
 def test_array_slot_inference_rejects_mixed_use():
     # A is used both as an array (in read) and as an integer (in X=A).
     prog = parse_program("p(A,I,V) :- read(A,I,V), X=A, q(X).\n"

@@ -7,7 +7,8 @@ import pytest
 from chcslim import (
     TriState, derives_unsafe, nlr_transform, parse_program, programs_isomorphic,
 )
-from chcslim.corpus import load
+from chcslim import nlr
+from chcslim.corpus import corpus_dir, load
 from chcslim.nlr import linkvars
 from chcslim.parser import parse_clause
 from chcslim.syntax import Var
@@ -54,9 +55,32 @@ def test_unsatisfiable_resultants_dropped_by_default():
     out, report = nlr_transform(prog)
     assert report.dropped_unsat == 1
     assert len(out.clauses) == 2
-    kept, report_kept = nlr_transform(prog, drop_unsat=False)
-    assert report_kept.dropped_unsat == 0
-    assert len(kept.clauses) == 3
+
+
+WIDENING = (corpus_dir() / "widening.clp").read_text()
+
+
+def test_widened_class_counts_a_dropped_clause_once():
+    prog = parse_program(WIDENING + "p(X,Y,Z) :- X>=1, X=<0.\n")
+    out, report = nlr_transform(prog)
+    assert report.widenings == 2
+    assert report.dropped_unsat == 1
+    assert len(out.clauses) == 4
+
+
+def test_widened_class_is_unfolded_once(monkeypatch):
+    # three program clauses for p: one satisfiability check each, although
+    # the class is processed again after each widening
+    decide, asked = nlr.is_satisfiable, []
+
+    def record(c):
+        asked.append(str(c))
+        return decide(c)
+
+    monkeypatch.setattr(nlr, "is_satisfiable", record)
+    _, report = nlr_transform(parse_program(WIDENING))
+    assert report.iterations == 2
+    assert len(asked) == 3
 
 
 def test_head_mismatch_is_not_counted_as_unsatisfiable():
@@ -73,6 +97,15 @@ def test_undefined_body_predicate_warns_and_empties():
     assert "ghost" in report.warnings[0]
     assert len(out.clauses) == 1
     assert derives_unsafe(out, bound=8) is TriState.FAILS
+
+
+def test_undefined_predicate_warns_once_per_class():
+    # the ghost class is widened by the second occurrence and processed again
+    _, report = nlr_transform(parse_program(
+        "unsafe :- ghost(X,Y), X>=0.\nunsafe :- p(Z).\n"
+        "p(Z) :- ghost(Z,W), W>=0."))
+    assert report.widenings == 1
+    assert report.warnings == ["ghost has no clauses; newp1 is empty"]
 
 
 def test_program_without_query_reduces_to_nothing():

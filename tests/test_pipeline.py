@@ -2,6 +2,7 @@
 the command line front end."""
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,8 +11,8 @@ import pytest
 from chcslim.cli import main
 from chcslim.corpus import corpus_dir, corpus_names
 from chcslim.pipeline import (
-    ConfigError, PipelineConfig, RunRecord, TABLE_LABELS, parse_json_lines,
-    report, run_pipeline, solve_external,
+    ConfigError, PipelineConfig, RunRecord, TABLE_LABELS, invariant_failures,
+    parse_json_lines, report, run_pipeline, solve_external,
 )
 from chcslim import parse_program, programs_isomorphic, nlr_transform
 
@@ -220,11 +221,31 @@ def test_cli_nlr_writes_output(tmp_path, capsys):
     assert "arguments" in err
 
 
+def test_deep_clause_does_not_abort_the_batch(tmp_path):
+    # the evaluator nests one generator per variable; a chain longer than
+    # the recursion limit leaves its problem undecided, not the batch dead
+    n = 300
+    chain = ", ".join(f"X{i}=X{i - 1}" for i in range(1, n))
+    deep = tmp_path / "deep.clp"
+    deep.write_text(f"p(X{n - 1}) :- X0=0, {chain}.\nunsafe :- p(X), X>=1.\n")
+    cfg = PipelineConfig(inputs=[str(deep), str(CORPUS / "branch_unsafe.clp")],
+                         out_dir=str(tmp_path / "out"), stages=(), bound=32)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        records = run_pipeline(cfg)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(r.name, r.oracle) for r in records] == [
+        ("deep", "unknown"), ("branch_unsafe", "holds")]
+    assert not invariant_failures(records)
+
+
 def test_cli_cfar_prints_erasure_on_stderr(capsys):
     rc = main(["cfar", str(CORPUS / "dead_argument.clp")])
     assert rc == 0
     out = capsys.readouterr()
-    assert "p/2 2" in out.err
+    assert out.err.count("p/2 2") == 1
     assert parse_program(out.out)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chcslim.syntax import (
     Atom, Clause, Const, Constraint, LinExpr, Program, RelCon, Var,
     atom_variant_key, fresh_predicate_counter, mgu_atoms,
-    programs_isomorphic, rename_apart, variant_of,
+    programs_isomorphic, rename_apart,
 )
 from chcslim.parser import parse_clause, parse_program
 
@@ -74,28 +74,16 @@ def test_rename_apart_avoids_taken_names():
     assert programs_isomorphic(Program((clause,)), Program((renamed,)))
 
 
-def test_variant_of_accepts_renaming_and_rejects_merging():
-    a = Atom("p", (Var("X"), Var("Y"), Var("X")))
-    b = Atom("p", (Var("A"), Var("B"), Var("A")))
-    c = Atom("p", (Var("A"), Var("A"), Var("A")))
-    assert variant_of(a, b) == {"X": "A", "Y": "B"}
-    assert variant_of(a, c) is None
-    assert variant_of(c, a) is None
-
-
-def test_variant_of_respects_constants():
-    a = Atom("p", (Var("X"), Const(3)))
-    assert variant_of(a, Atom("p", (Var("Z"), Const(3)))) == {"X": "Z"}
-    assert variant_of(a, Atom("p", (Var("Z"), Const(4)))) is None
-    assert variant_of(a, Atom("q", (Var("Z"), Const(3)))) is None
-
-
 def test_atom_variant_key_groups_variants():
     a = Atom("p", (Var("X"), Var("Y"), Var("X")))
     b = Atom("p", (Var("Q"), Var("R"), Var("Q")))
     c = Atom("p", (Var("X"), Var("X"), Var("Y")))
     assert atom_variant_key(a) == atom_variant_key(b)
     assert atom_variant_key(a) != atom_variant_key(c)
+    d = Atom("p", (Var("X"), Const(3)))
+    assert atom_variant_key(d) == atom_variant_key(Atom("p", (Var("Z"), Const(3))))
+    assert atom_variant_key(d) != atom_variant_key(Atom("p", (Var("Z"), Const(4))))
+    assert atom_variant_key(d) != atom_variant_key(Atom("q", (Var("Z"), Const(3))))
 
 
 def test_mgu_atoms_unifies_and_fails():
