@@ -81,12 +81,12 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
 
     With ``until_query`` the fixpoint stops as soon as the query is
     derived (the returned model may then be partial, but a derivation is a
-    derivation).  Raises EvalError on array constraints and on a clause
-    whose grounding nests deeper than the interpreter's recursion limit,
+    derivation).  Raises EvalError on a bound below 1, on array constraints
+    and on a clause whose grounding nests deeper than the recursion limit,
     and EvalBudgetError when grounding work exceeds ``budget`` steps.
     """
     if bound < 1:
-        raise ValueError("bound must be positive")
+        raise EvalError("bound must be positive")
     problems = prog.validate()
     if problems:
         raise EvalError("invalid program: " + "; ".join(problems))

@@ -69,19 +69,19 @@ def erase_atom(atom: Atom, e: Erasure, names: dict[str, str] | None = None) -> A
     return Atom(pred, args)
 
 
-def erased_names(prog: Program, e: Erasure, rename: bool = True) -> dict[str, str]:
+def erased_names(prog: Program, e: Erasure) -> dict[str, str]:
     """Fresh names for predicates with at least one erased position:
     p with positions {1,3} erased becomes p__1_3 (suffixing underscores on
-    collision).  With rename disabled every predicate keeps its name."""
+    collision)."""
+    positions: dict[str, list[str]] = defaultdict(list)
+    for pred, k in sorted(e):
+        positions[pred].append(str(k))
     names: dict[str, str] = {}
-    if not rename:
-        return names
     taken = set(prog.arities)
     for pred in prog.predicates():
-        positions = sorted(k for (p, k) in e if p == pred)
-        if not positions:
+        if pred not in positions:
             continue
-        candidate = pred + "__" + "_".join(str(k) for k in positions)
+        candidate = pred + "__" + "_".join(positions[pred])
         while candidate in taken:
             candidate += "_"
         names[pred] = candidate
@@ -95,14 +95,12 @@ Split = tuple[int, Clause, Parts]  # (index, clause, its constraint split once)
 def check_pair(pair: Pair, splits: list[Split]) -> Violation | None:
     """First violation of the conditions that do not depend on the erasure
     -- (i), (ii) and the repeated head variable of (iii) -- for ``pair``,
-    scanning clauses in program order and the conditions in their numbered
-    order; None when the pair is locally safe.  Condition (i) is x's own
-    part projecting to true and every other part satisfiable; (ii) reads
-    x's linked set."""
-    pred, k = pair
+    scanning ``splits`` (the clauses with the pair's predicate as head) in
+    program order and the conditions in their numbered order; None when the
+    pair is locally safe.  Condition (i) is x's own part projecting to true
+    and every other part satisfiable; (ii) reads x's linked set."""
+    k = pair[1]
     for index, clause, parts in splits:
-        if clause.head.pred != pred:
-            continue
         term = clause.head.args[k - 1]
         if isinstance(term, Const):
             return Violation(pair, index, "i-not-variable",
@@ -176,14 +174,14 @@ def erasure_lines(e: Erasure, arities: dict[str, int]) -> list[str]:
     return [f"{pred}/{arities[pred]} {k}" for pred, k in sorted(e)]
 
 
-def cfar_transform(prog: Program,
-                   rename: bool = True) -> tuple[Program, Erasure, CfarReport]:
+def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     """Greatest safe erasure of ``prog`` and the erased program.
 
     Each clause with head arguments is split once into the parts of its
-    constraint; each pair is checked once for its local violations against
-    those splits; a kept pair then keeps every pair reachable backward from
-    it along ``body_edges``, and the erasure is every pair not kept.
+    constraint, and the splits are grouped by head predicate; each pair is
+    checked once for its local violations against its predicate's splits;
+    a kept pair then keeps every pair reachable backward from it along
+    ``body_edges``, and the erasure is every pair not kept.
     """
     problems = prog.validate()
     if problems:
@@ -193,7 +191,10 @@ def cfar_transform(prog: Program,
 
     splits = [(index, clause, Parts(clause.constraint))
               for index, clause in enumerate(prog.clauses) if clause.head.args]
-    violations = [check_pair(pair, splits) for pair in sorted(pairs)]
+    by_head: dict[str, list[Split]] = defaultdict(list)
+    for split in splits:
+        by_head[split[1].head.pred].append(split)
+    violations = [check_pair(pair, by_head[pair[0]]) for pair in sorted(pairs)]
     kept = {v.pair: v.condition for v in violations if v is not None}
     edges = body_edges(splits)
     work = list(kept)
@@ -207,7 +208,7 @@ def cfar_transform(prog: Program,
     report.removals = len(kept)
     report.removals_by_condition = {c: counts[c] for c in CONDITIONS if counts[c]}
     erasure = pairs.difference(kept)
-    names = erased_names(prog, erasure, rename=rename)
+    names = erased_names(prog, erasure)
     out = Program(tuple(
         Clause(erase_atom(c.head, erasure, names), c.constraint,
                tuple(erase_atom(a, erasure, names) for a in c.body))

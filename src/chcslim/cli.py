@@ -14,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .bounded import EvalBudgetError, EvalError, bounded_least_model
+from .bounded import EvalError, bounded_least_model
 from .cfar import cfar_transform
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
 from .nlr import nlr_transform
@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cfar", help="erase constrained-redundant arguments")
     p.add_argument("file", type=Path)
     p.add_argument("-o", "--out", type=Path)
-    p.add_argument("--no-rename", action="store_true",
-                   help="keep original predicate names after erasure")
     p.add_argument("--json", action="store_true",
                    help="print the report as JSON on stderr")
     p.set_defaults(func=cmd_cfar)
@@ -158,7 +156,7 @@ def cmd_nlr(args) -> int:
 
 def cmd_cfar(args) -> int:
     prog = _load(args.file)
-    result, _, rep = cfar_transform(prog, rename=not args.no_rename)
+    result, _, rep = cfar_transform(prog)
     _write_out(emit_clp(result), args.out)
     if args.json:
         print(json.dumps(dataclasses.asdict(rep)), file=sys.stderr)
@@ -187,11 +185,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_eval(args) -> int:
     prog = _load(args.file)
-    try:
-        model = bounded_least_model(prog, args.bound, budget=args.budget)
-    except EvalBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model = bounded_least_model(prog, args.bound, budget=args.budget)
     verdict = model.verdict().value
     counts = {p: len(f) for p, f in sorted(model.facts.items())}
     if args.json:

@@ -22,9 +22,8 @@ constrained-to relation and force ``unknown`` answers from the oracle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .syntax import ArrayCon, Constraint, LinExpr
+from .syntax import ArrayCon, Constraint
 
 # Safety valve for Fourier-Motzkin blowup; conjunctions in verification
 # conditions stay far below this.
@@ -111,87 +110,69 @@ Row = tuple[tuple[tuple[str, int], ...], int]
 
 
 def rows_of(c: Constraint) -> list[Row] | None:
-    """Compile conjuncts to <=-rows; None when array constraints occur."""
+    """Compile conjuncts to <=-rows; None when array constraints occur.
+
+    Each conjunct is subtracted once, d = lhs - rhs: ``=``, ``=<`` and ``<``
+    give the row d <= 0, ``=``, ``>=`` and ``>`` give -d <= 0, and a strict
+    relation tightens its row's bound by 1.
+    """
     rows: list[Row] = []
-
-    def add(expr: LinExpr, bound_shift: int = 0) -> None:
-        rows.append((expr.terms, -expr.const + bound_shift))
-
     for con in c.conjuncts:
         if isinstance(con, ArrayCon):
             return None
-        diff = con.lhs.sub(con.rhs)
-        if con.rel == "=":
-            add(diff)
-            add(con.rhs.sub(con.lhs))
-        elif con.rel == "=<":
-            add(diff)
-        elif con.rel == "<":
-            add(diff, -1)
-        elif con.rel == ">=":
-            add(con.rhs.sub(con.lhs))
-        else:  # >
-            add(con.rhs.sub(con.lhs), -1)
+        d = con.lhs.sub(con.rhs)
+        shift = -1 if con.rel in ("<", ">") else 0
+        if con.rel in ("=", "=<", "<"):
+            rows.append((d.terms, shift - d.const))
+        if con.rel in ("=", ">=", ">"):
+            rows.append((tuple((n, -k) for n, k in d.terms), shift + d.const))
     return rows
 
 
-@dataclass
-class _Eliminated:
-    rows: list[Row]
-    exact: bool
+def _eliminate(rows: list[Row], drop: list[str]) -> tuple[list[Row], bool] | None:
+    """Project away ``drop``: the rows left and whether the run stayed
+    exact; None when the row budget blows.
 
-
-def _eliminate(rows: list[Row], drop: list[str]) -> _Eliminated | None:
-    """Project away ``drop`` variables; None when the row budget blows.
-
-    Variables whose occurrences all carry unit coefficients are eliminated
-    first, keeping the run exact as long as possible; the ``exact`` flag is
-    cleared on the first non-unit elimination.
+    Each step maps every variable to its (row index, coefficient) pairs in
+    one pass over the rows; the choice, the sign split and the kept rows
+    read that map.  Unit-coefficient variables go first, keeping the run
+    exact as long as possible, then the fewest pos*neg combinations, the
+    first in ``drop`` order on a tie.
     """
     exact = True
     remaining = list(drop)
     work = _dedupe(rows)
     while remaining:
-        occurrences = {
-            v: [row for row in work if _coeff(row, v) != 0] for v in remaining
-        }
-        remaining = [v for v in remaining if occurrences[v]]
+        occ: dict[str, list[tuple[int, int]]] = {}
+        for i, (terms, _) in enumerate(work):
+            for name, k in terms:
+                occ.setdefault(name, []).append((i, k))
+        remaining = [v for v in remaining if v in occ]
         if not remaining:
             break
-        unit = [v for v in remaining
-                if all(abs(_coeff(r, v)) == 1 for r in occurrences[v])]
-        pool = unit or remaining
-        # fewest pos*neg combinations first, the usual Fourier-Motzkin order
-        var = min(pool, key=lambda v: _combo_cost(occurrences[v], v))
-        pos = [r for r in occurrences[var] if _coeff(r, var) > 0]
-        neg = [r for r in occurrences[var] if _coeff(r, var) < 0]
+        unit = [v for v in remaining if all(abs(k) == 1 for _, k in occ[v])]
+        var = min(unit or remaining, key=lambda v: _combo_cost(occ[v]))
+        pos = [(work[i], k) for i, k in occ[var] if k > 0]
+        neg = [(work[i], -k) for i, k in occ[var] if k < 0]
         # one-sided variables project exactly whatever their coefficients;
         # two-sided ones need the unit guard
         if pos and neg and var not in unit:
             exact = False
-        kept = [r for r in work if _coeff(r, var) == 0]
-        for p in pos:
-            cp = _coeff(p, var)
-            for n in neg:
-                cn = -_coeff(n, var)
+        hit = {i for i, _ in occ[var]}
+        kept = [row for i, row in enumerate(work) if i not in hit]
+        for p, cp in pos:
+            for n, cn in neg:
                 kept.append(_combine(p, cn, n, cp))
                 if len(kept) > ROW_BUDGET:
                     return None
         work = _dedupe(kept)
         remaining.remove(var)
-    return _Eliminated(work, exact)
+    return work, exact
 
 
-def _coeff(row: Row, var: str) -> int:
-    for name, c in row[0]:
-        if name == var:
-            return c
-    return 0
-
-
-def _combo_cost(rows: list[Row], var: str) -> int:
-    pos = sum(1 for r in rows if _coeff(r, var) > 0)
-    return pos * (len(rows) - pos)
+def _combo_cost(occurrences: list[tuple[int, int]]) -> int:
+    pos = sum(1 for _, k in occurrences if k > 0)
+    return pos * (len(occurrences) - pos)
 
 
 def _combine(a: Row, ka: int, b: Row, kb: int) -> Row:
@@ -253,6 +234,7 @@ def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
     result = _eliminate(rows, names)
     if result is None:
         return TriState.UNKNOWN
-    if result.rows:
+    left, exact = result
+    if left:
         return TriState.FAILS
-    return TriState.HOLDS if result.exact else TriState.UNKNOWN
+    return TriState.HOLDS if exact else TriState.UNKNOWN

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (ARRAY_KINDS, RELATIONS, ArrayCon, Atom, AtomicCon, Clause,
                      Const, Constraint, LinExpr, Program, RelCon, Term, Var,
@@ -37,12 +37,10 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    offset: int
 
 
 _TOKEN_RE = re.compile(r"""
@@ -52,32 +50,31 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[a-z][A-Za-z0-9_]*)
   | (?P<int>\d+)
   | (?P<op>:-|=<|<=|>=|[=<>.,()*+-])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """A ParseError at ``offset``, with its line and column counted from 1."""
+    bol = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - bol + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, bol = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, pos - bol + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            bol = pos + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - bol + 1))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _error(f"unexpected character {m.group()!r}", text, m.start())
+        if kind != "ws" and kind != "comment":
+            tokens.append(_Token(kind, m.group(), m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.clause_start, self.anonymous = 0, None
@@ -91,8 +88,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> "ParseError":
-        return ParseError(message, self.here.line, self.here.col)
+    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
+        """A ParseError at ``tok``, by default the current token."""
+        return _error(message, self.text, (tok or self.here).offset)
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.here
@@ -211,8 +209,8 @@ class _Parser:
                 self.advance()
                 args = self.parse_args()
                 if len(args) != ARRAY_KINDS[tok.text]:
-                    raise ParseError(f"{tok.text} expects {ARRAY_KINDS[tok.text]} "
-                                     f"arguments, got {len(args)}", tok.line, tok.col)
+                    raise self.fail(f"{tok.text} expects {ARRAY_KINDS[tok.text]} "
+                                    f"arguments, got {len(args)}", tok)
                 return ArrayCon(tok.text, args)
             atom = self.parse_atom()
             if self.here.kind == "op" and (self.here.text in _RELATION_TOKENS
@@ -241,8 +239,8 @@ class _Parser:
                     break
         self.expect("op", ".")
         if head.pred in ARRAY_KINDS:
-            raise ParseError(f"{head.pred} is reserved for array constraints",
-                             head_tok.line, head_tok.col)
+            raise self.fail(f"{head.pred} is reserved for array constraints",
+                            head_tok)
         return Clause(head, Constraint(tuple(conjuncts)), tuple(body))
 
     def parse_program(self) -> Program:
@@ -253,7 +251,7 @@ class _Parser:
             clause = self.parse_clause()
             problems = clause_problems(clause, arities)
             if problems:
-                raise ParseError(problems[0], tok.line, tok.col)
+                raise self.fail(problems[0], tok)
             clauses.append(clause)
         return Program(tuple(clauses))
 

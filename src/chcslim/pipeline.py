@@ -20,6 +20,7 @@ import json
 import shlex
 import subprocess
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -51,17 +52,19 @@ class PipelineConfig:
         if not self.inputs:
             raise ConfigError("no input files")
         self.out_dir = Path(self.out_dir)
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
+        _check_solver(self.solver_cmd, self.timeout)
         bad = [s for s in self.stages if s not in STAGES]
         if bad:
             raise ConfigError(f"unknown stages: {', '.join(bad)}")
         if len(set(self.stages)) != len(self.stages):
             raise ConfigError("duplicate stages")
-        if self.solver_cmd is not None and "{file}" not in self.solver_cmd:
-            raise ConfigError("solver command must contain the {file} placeholder")
         if self.bound is not None and self.bound < 1:
             raise ConfigError("bound must be positive")
+        stems = Counter(Path(p).stem for p in self.inputs)
+        shared = sorted(stem for stem, n in stems.items() if n > 1)
+        if shared:
+            raise ConfigError(f"inputs share the name {', '.join(shared)}; "
+                              "their artifacts would overwrite each other")
 
 
 @dataclass
@@ -106,13 +109,21 @@ def classification_for(verdict: str) -> str:
     return {"sat": "safe", "unsat": "unsafe"}.get(verdict, "undetermined")
 
 
+def _check_solver(command: str | None, timeout: float) -> None:
+    """ConfigError unless the timeout is positive and a given solver
+    command contains the ``{file}`` placeholder."""
+    if timeout <= 0:
+        raise ConfigError("timeout must be positive")
+    if command is not None and "{file}" not in command:
+        raise ConfigError("solver command must contain the {file} placeholder")
+
+
 def solve_external(smt_path: Path, command: str,
                    timeout: float) -> tuple[str, float]:
     """Run ``command`` (a shell-style template with ``{file}``) on the file
     and classify the first stdout token; returns (verdict, elapsed).  A
     command that cannot be started is a ConfigError."""
-    if "{file}" not in command:
-        raise ConfigError("solver command must contain the {file} placeholder")
+    _check_solver(command, timeout)
     argv = [tok.replace("{file}", str(smt_path)) for tok in shlex.split(command)]
     start = time.perf_counter()
     try:
@@ -275,14 +286,20 @@ def report(records: list[RunRecord], *, json_lines: bool = True) -> str:
 
 
 def parse_json_lines(text: str) -> list[RunRecord]:
-    """Rebuild records from the JSON lines of a previous report."""
+    """Rebuild records from the JSON lines of a previous report; a line
+    that is not JSON or has no record name is a ConfigError naming it."""
     records = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line.startswith("{"):
             continue
-        data = json.loads(line)
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"line {number}: not JSON: {exc}") from exc
         if "summary" in data:
             continue
+        if "name" not in data:
+            raise ConfigError(f"line {number}: run record has no name")
         records.append(RunRecord.from_json(data))
     return records

@@ -112,12 +112,6 @@ def test_rename_collision_appends_underscore():
     assert report2.renamed == {"p": "p__2_"}
 
 
-def test_rename_can_be_disabled(counter_p2):
-    out, _, report = cfar_transform(counter_p2, rename=False)
-    assert report.renamed == {}
-    assert out.arities["newp4"] == 2
-
-
 def test_erasure_lines_sorted():
     pairs = frozenset({("b", 2), ("a", 1), ("b", 1)})
     lines = erasure_lines(pairs, {"a": 3, "b": 2})

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from chcslim.constraints import (
     Parts, TriState, constrained_to, forall_exists_valid, is_satisfiable,
+    rows_of,
 )
 from chcslim.parser import parse_constraint
 
@@ -111,6 +112,19 @@ def test_split_agrees_with_forall_exists_on_the_whole():
             assert _split_verdict(x, c) is whole, f"forall {x}: {c}"
             checks += 1
     assert checks > 1500 and split > 100
+
+
+@pytest.mark.parametrize("rel, expected", [
+    ("=", [({"X": 1, "Y": -2}, -1), ({"X": -1, "Y": 2}, 1)]),
+    ("=<", [({"X": 1, "Y": -2}, -1)]),
+    ("<", [({"X": 1, "Y": -2}, -2)]),
+    (">=", [({"X": -1, "Y": 2}, 1)]),
+    (">", [({"X": -1, "Y": 2}, 0)]),
+])
+def test_rows_of_each_relation(rel, expected):
+    # X+1 rel 2*Y as rows sum(coeff*var) <= bound; strict ones shift by 1
+    rows = rows_of(parse_constraint(f"X+1{rel}2*Y"))
+    assert [(dict(terms), bound) for terms, bound in rows] == expected
 
 
 def test_array_constraints_make_satisfiability_unknown():

@@ -67,6 +67,9 @@ def test_array_constraints_parse_as_constraints():
     ("read(X,Y,Z) :- X=1.", "1:1", "reserved for array constraints"),
     ("p(X) :- read(X,Y).", "1:9", "expects 3"),
     ("p(X) :- X=1", "1:12", "expected"),
+    ("% c\n\np(X) :- X=1 # 2.", "3:13", "unexpected character '#'"),
+    ("p(X) :- X=1. % tail\nq(Y) :- Y=$.", "2:11", "unexpected character '$'"),
+    ("p(X) :-\n   q(X", "2:7", "expected ')'"),
 ])
 def test_errors_carry_position(source, position, fragment):
     with pytest.raises(ParseError) as info:

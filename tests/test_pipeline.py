@@ -31,6 +31,7 @@ def config(tmp_path, names=("branch_unsafe",), **kw):
     ({"timeout": 0}, "timeout"),
     ({"solver_cmd": "z3"}, "{file}"),
     ({"bound": 0}, "bound"),
+    ({"inputs": ["a/x.clp", "b/x.clp"]}, "share the name x"),
 ])
 def test_config_validation(tmp_path, kw, fragment):
     base = dict(inputs=[str(CORPUS / "branch_unsafe.clp")],
@@ -319,9 +320,21 @@ def test_cli_pipeline_contradiction_exits_2(tmp_path, fake_solver, capsys):
     ["pipeline"],
     ["eval", "/no/such/file.clp"],
     ["bogus-command"],
+    ["eval", str(CORPUS / "chain_safe.clp"), "--bound", "0"],
+    ["report", "no_name.jsonl"],
+    ["report", "not_json.jsonl"],
+    ["solve", str(CORPUS / "chain_safe.clp"), "--solver-cmd", "true {file}",
+     "--timeout", "-1"],
 ])
-def test_cli_usage_errors_exit_1(tmp_path, argv, capsys):
+def test_cli_usage_errors_exit_1(tmp_path, monkeypatch, argv, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("no_name.jsonl").write_text('c      0\n{"verdict": "sat"}\n')
+    Path("not_json.jsonl").write_text("{not json\n")
     assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "internal error" not in err
+    if argv[0] == "report":  # the error names the offending line
+        assert ("line 2" if argv[1] == "no_name.jsonl" else "line 1") in err
 
 
 @pytest.mark.parametrize("command", ["pipeline", "solve"])
