@@ -81,12 +81,15 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
 
     With ``until_query`` the fixpoint stops as soon as the query is
     derived (the returned model may then be partial, but a derivation is a
-    derivation).  Raises EvalError on a bound below 1, on array constraints
-    and on a clause whose grounding nests deeper than the recursion limit,
-    and EvalBudgetError when grounding work exceeds ``budget`` steps.
+    derivation).  Raises EvalError on a bound or a budget below 1, on
+    array constraints and on a clause whose grounding nests deeper than the
+    recursion limit, and EvalBudgetError when grounding work exceeds
+    ``budget`` steps.
     """
     if bound < 1:
         raise EvalError("bound must be positive")
+    if budget < 1:
+        raise EvalError("budget must be positive")
     problems = prog.validate()
     if problems:
         raise EvalError("invalid program: " + "; ".join(problems))

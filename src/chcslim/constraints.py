@@ -1,13 +1,18 @@
 """Decision procedures over conjunctions of integer linear constraints.
 
 Satisfiability and universal-existential validity are decided by
-Fourier-Motzkin elimination run over the integers.  Elimination is exact
-when every occurrence of the eliminated variable has coefficient +-1 (the
-bounds seen during back-substitution are then integer-valued, so rational
-and integer projections coincide); otherwise the run is marked inexact and
-only refutations remain trustworthy, because a rationally infeasible system
-has no integer solutions either.  Strict relations are first shifted to
-closed ones (a < b becomes a <= b-1), which is lossless over the integers.
+projecting variables away over the integers, in two phases.  First each
+equality with a +-1 coefficient on a variable to project is solved for it
+and substituted away, as in the first phase of Pugh's Omega test; this is
+always exact, since the variable is then an integer expression in the
+others.  Then Fourier-Motzkin elimination runs on the rows left.  A step is
+exact when every occurrence of the eliminated variable has coefficient +-1
+(the bounds seen during back-substitution are then integer-valued, so
+rational and integer projections coincide), or when the variable is
+bounded on one side only; otherwise the run is marked inexact and only
+refutations remain trustworthy, because a rationally infeasible system has
+no integer solutions either.  Strict relations are first shifted to closed
+ones (a < b becomes a <= b-1), which is lossless over the integers.
 
 ``Parts`` splits a conjunction once into its variable-disjoint parts.  It
 gives each variable's linked set (the constrained-to relation) and its own
@@ -133,45 +138,189 @@ def _eliminate(rows: list[Row], drop: list[str]) -> tuple[list[Row], bool] | Non
     """Project away ``drop``: the rows left and whether the run stayed
     exact; None when the row budget blows.
 
-    Each step maps every variable to its (row index, coefficient) pairs in
-    one pass over the rows; the choice, the sign split and the kept rows
-    read that map.  Unit-coefficient variables go first, keeping the run
-    exact as long as possible, then the fewest pos*neg combinations, the
-    first in ``drop`` order on a tie.
+    Both phases work on one ``_System``, whose occurrence map is built
+    once.  First each equality with a +-1 coefficient on a variable of
+    ``drop`` is solved for it and substituted away, which is exact.  Then
+    Fourier-Motzkin eliminates what is left of ``drop``: unit-coefficient
+    variables first, keeping the run exact as long as possible, then the
+    fewest pos*neg combinations, the first in ``drop`` order on a tie.  The
+    first refutation derived ends the run as the only row left.
     """
-    exact = True
-    remaining = list(drop)
-    work = _dedupe(rows)
-    while remaining:
-        occ: dict[str, list[tuple[int, int]]] = {}
-        for i, (terms, _) in enumerate(work):
+    try:
+        system = _System(rows)
+        system.substitute(drop)
+        exact = system.fourier_motzkin(drop)
+    except _Refuted as refuted:
+        return [((), refuted.args[0])], True
+    if exact is None:
+        return None
+    return [row for row in system.rows if row is not None], exact
+
+
+class _Refuted(Exception):
+    """A row 0 <= bound with bound < 0 was derived; the bound is its
+    argument."""
+
+
+class _System:
+    """Rows under projection, with one occurrence map kept up to date.
+
+    Rows with equal terms are merged into the least bound, through their
+    sorted terms as keys; a constant row is dropped when vacuous and raises
+    ``_Refuted`` otherwise.  ``occ`` maps each variable to its {row index:
+    coefficient}.  A removed row leaves None behind and keeps its key: it
+    held the variable just eliminated, so no later row has that key.
+    """
+
+    __slots__ = ("rows", "keys", "occ", "size")
+
+    def __init__(self, rows: list[Row]) -> None:
+        self.rows: list[Row | None] = []
+        self.keys: dict[tuple, int] = {}
+        self.occ: dict[str, dict[int, int]] = {}
+        self.size = 0  # live rows
+        for terms, bound in rows:
+            self.add(terms, bound)
+
+    def add(self, terms, bound: int) -> None:
+        if not terms:
+            if bound < 0:
+                raise _Refuted(bound)
+            return  # 0 <= nonnegative is vacuous
+        key = tuple(sorted(terms))
+        i = self.keys.get(key)
+        if i is None:
+            self.keys[key] = i = len(self.rows)
+            self.rows.append((terms, bound))
             for name, k in terms:
-                occ.setdefault(name, []).append((i, k))
-        remaining = [v for v in remaining if v in occ]
-        if not remaining:
-            break
-        unit = [v for v in remaining if all(abs(k) == 1 for _, k in occ[v])]
-        var = min(unit or remaining, key=lambda v: _combo_cost(occ[v]))
-        pos = [(work[i], k) for i, k in occ[var] if k > 0]
-        neg = [(work[i], -k) for i, k in occ[var] if k < 0]
-        # one-sided variables project exactly whatever their coefficients;
-        # two-sided ones need the unit guard
-        if pos and neg and var not in unit:
-            exact = False
-        hit = {i for i, _ in occ[var]}
-        kept = [row for i, row in enumerate(work) if i not in hit]
-        for p, cp in pos:
-            for n, cn in neg:
-                kept.append(_combine(p, cn, n, cp))
-                if len(kept) > ROW_BUDGET:
-                    return None
-        work = _dedupe(kept)
-        remaining.remove(var)
-    return work, exact
+                at = self.occ.get(name)
+                if at is None:
+                    self.occ[name] = {i: k}
+                else:
+                    at[i] = k
+            self.size += 1
+        elif bound < self.rows[i][1]:
+            self.rows[i] = (terms, bound)
+
+    def remove(self, i: int) -> Row:
+        """Take row i out of the system."""
+        row = self.rows[i]
+        for name, _ in row[0]:
+            at = self.occ.get(name)
+            if at is not None:  # None for the variable being eliminated
+                del at[i]
+        self.rows[i] = None
+        self.size -= 1
+        return row
+
+    def substitute(self, drop: list[str]) -> None:
+        """Solve equalities away, exactly over the integers.
+
+        An equality is a row whose exact negation, with its bound negated,
+        is also a row; it is taken out of the system as one row
+        sum(coeff * var) = bound.  Equalities are taken in the order of
+        their sorted terms, so the choices depend neither on the order of
+        the conjuncts nor on the other variable-disjoint parts.  Each is
+        solved for its first variable in ``drop`` order with coefficient
+        +-1, and the solution is substituted into only the rows and the
+        equalities holding that variable.  The equalities left without such
+        a variable go back as their two rows, for Fourier-Motzkin.
+        """
+        pairs = []
+        for key, i in self.keys.items():
+            if key[0][1] > 0:
+                neg = tuple([(n, -k) for n, k in key])
+                j = self.keys.get(neg)
+                if j is not None and self.rows[j][1] == -self.rows[i][1]:
+                    pairs.append((key, neg, i, j))
+        if not pairs:
+            return
+        pairs.sort()
+        rank = {v: r for r, v in enumerate(drop)}
+        eqs: list[list | None] = []  # [coeffs, bound]: sum(coeff*var) = bound
+        eq_occ: dict[str, set[int]] = {}
+        for key, neg, i, j in pairs:
+            del self.keys[key], self.keys[neg]
+            self.remove(j)
+            terms, bound = self.remove(i)
+            for name, _ in terms:
+                eq_occ.setdefault(name, set()).add(len(eqs))
+            eqs.append([dict(terms), bound])
+        for e, eq in enumerate(eqs):
+            if eq is None:
+                continue
+            coeffs, bound = eq
+            unit = [rank[n] for n, k in coeffs.items()
+                    if (k == 1 or k == -1) and n in rank]
+            if not unit:
+                continue
+            var = drop[min(unit)]
+            cv = coeffs[var]
+            eqs[e] = None
+            for name in coeffs:
+                eq_occ[name].discard(e)
+            # adding any multiple of an equality keeps a row's solutions;
+            # the multiple -k*cv cancels the row's coefficient k on var
+            row = (tuple(coeffs.items()), bound)
+            for i, k in self.occ.pop(var, {}).items():
+                self.add(*_combine(self.remove(i), 1, row, -k * cv))
+            for o in eq_occ.pop(var):
+                other = eqs[o]
+                f = -other[0][var] * cv
+                for name, k in coeffs.items():
+                    c = other[0].get(name, 0) + f * k
+                    if c:
+                        other[0][name] = c
+                        eq_occ[name].add(o)
+                    else:
+                        del other[0][name]
+                        if name != var:
+                            eq_occ[name].discard(o)
+                other[1] += f * bound
+                if not other[0]:
+                    if other[1]:
+                        raise _Refuted(-abs(other[1]))
+                    eqs[o] = None  # 0 = 0
+        for eq in eqs:
+            if eq is not None:
+                terms, bound = tuple(eq[0].items()), eq[1]
+                self.add(terms, bound)
+                self.add(tuple((n, -k) for n, k in terms), -bound)
+
+    def fourier_motzkin(self, drop: list[str]) -> bool | None:
+        """Eliminate what is left of ``drop``: whether every step was
+        exact; None when the row budget blows."""
+        occ, exact = self.occ, True
+        remaining = [v for v in drop if v in occ]
+        while True:
+            remaining = [v for v in remaining if occ[v]]
+            if not remaining:
+                return exact
+            unit = [v for v in remaining
+                    if all(k == 1 or k == -1 for k in occ[v].values())]
+            candidates = unit or remaining
+            # most systems are tiny; a lone candidate needs no cost
+            var = candidates[0] if len(candidates) == 1 else \
+                min(candidates, key=lambda v: _combo_cost(occ[v]))
+            remaining.remove(var)
+            hit = [(self.remove(i), k) for i, k in occ.pop(var).items()]
+            pos = [(row, k) for row, k in hit if k > 0]
+            neg = [(row, -k) for row, k in hit if k < 0]
+            # one-sided variables project exactly whatever their
+            # coefficients; two-sided ones need the unit guard
+            if pos and neg and var not in unit:
+                exact = False
+            made = self.size
+            for p, cp in pos:
+                for n, cn in neg:
+                    made += 1
+                    if made > ROW_BUDGET:
+                        return None
+                    self.add(*_combine(p, cn, n, cp))
 
 
-def _combo_cost(occurrences: list[tuple[int, int]]) -> int:
-    pos = sum(1 for _, k in occurrences if k > 0)
+def _combo_cost(occurrences: dict[int, int]) -> int:
+    pos = sum(1 for k in occurrences.values() if k > 0)
     return pos * (len(occurrences) - pos)
 
 
@@ -185,26 +334,13 @@ def _combine(a: Row, ka: int, b: Row, kb: int) -> Row:
     return (terms, ka * a[1] + kb * b[1])
 
 
-def _dedupe(rows: list[Row]) -> list[Row]:
-    seen: dict[tuple, Row] = {}
-    for terms, bound in rows:
-        if not terms:
-            if bound < 0:
-                return [((), bound)]  # contradiction dominates
-            continue  # 0 <= nonnegative is vacuous
-        key = tuple(sorted(terms))
-        old = seen.get(key)
-        if old is None or bound < old[1]:
-            seen[key] = (terms, bound)
-    return list(seen.values())
-
-
 def is_satisfiable(c: Constraint) -> TriState:
     """Tri-state integer satisfiability of a conjunction.
 
     ``fails`` answers are certified by a rational refutation; ``holds`` is
-    only answered when every elimination step stayed within the unit
-    coefficient guard, which makes the projection integer-exact.
+    only answered when every Fourier-Motzkin step stayed within the unit
+    coefficient guard (substitutions are exact), which makes the
+    projection integer-exact.
     """
     return _projects_to_true(c, None)
 
@@ -230,6 +366,8 @@ def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
     rows = rows_of(c)
     if rows is None:
         return TriState.UNKNOWN
+    if not rows:
+        return TriState.HOLDS
     names = sorted({n for terms, _ in rows for n, _ in terms} - {keep})
     result = _eliminate(rows, names)
     if result is None:

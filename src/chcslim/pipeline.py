@@ -20,9 +20,11 @@ import json
 import shlex
 import subprocess
 import time
+import types
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .bounded import EvalError, derives_unsafe
 from .cfar import cfar_transform
@@ -95,13 +97,45 @@ class RunRecord:
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":
         """A record from the fields present; a missing classification
-        follows the verdict, every other missing field is its default."""
-        names = {f.name for f in fields(cls)}
-        rec = cls(**{k: v for k, v in data.items() if k in names})
+        follows the verdict, every other missing field is its default.
+        A present field whose value does not fit its type is a
+        ConfigError naming the field."""
+        written = {f.name: f.type for f in fields(cls)}
+        present = {k: v for k, v in data.items() if k in written}
+        for name, value in present.items():
+            if not _fits(value, _FIELD_TYPES[name]):
+                raise ConfigError(f"field {name}: {value!r} is not "
+                                  f"{written[name]}")
+        rec = cls(**present)
         rec.stages = tuple(rec.stages)
         if "classification" not in data:
             rec.classification = classification_for(rec.verdict)
         return rec
+
+
+_FIELD_TYPES = get_type_hints(RunRecord)
+
+
+def _fits(value: object, hint) -> bool:
+    """Whether a JSON value fits a field type: a JSON number is a float,
+    a JSON array a tuple or a list, and a boolean is not a number."""
+    args = get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if hint is type(None):
+        return value is None
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is str:
+        return isinstance(value, str)
+    if get_origin(hint) in (tuple, list):
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if get_origin(hint) is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    raise TypeError(f"no JSON reading for {hint}")
 
 
 def classification_for(verdict: str) -> str:
@@ -287,7 +321,8 @@ def report(records: list[RunRecord], *, json_lines: bool = True) -> str:
 
 def parse_json_lines(text: str) -> list[RunRecord]:
     """Rebuild records from the JSON lines of a previous report; a line
-    that is not JSON or has no record name is a ConfigError naming it."""
+    that is not JSON, has no record name or has a field of the wrong type
+    is a ConfigError naming it."""
     records = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -301,5 +336,8 @@ def parse_json_lines(text: str) -> list[RunRecord]:
             continue
         if "name" not in data:
             raise ConfigError(f"line {number}: run record has no name")
-        records.append(RunRecord.from_json(data))
+        try:
+            records.append(RunRecord.from_json(data))
+        except ConfigError as exc:
+            raise ConfigError(f"line {number}: {exc}") from None
     return records

@@ -110,6 +110,13 @@ def test_budget_exhaustion_raises():
         bounded_least_model(load("interval_loop_safe"), bound=32, budget=50)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_non_positive_budget_is_a_misconfiguration(budget):
+    # not an exhausted budget: nothing has been evaluated
+    with pytest.raises(EvalError, match="budget must be positive"):
+        bounded_least_model(load("chain_safe"), bound=8, budget=budget)
+
+
 def test_array_programs_are_rejected():
     prog = parse_program("p(A,I,V) :- read(A,I,V).\nunsafe :- p(A,I,V).")
     with pytest.raises(EvalError):

@@ -41,6 +41,9 @@ def test_tristate_is_not_a_boolean():
     ("X=Y+1, Y>=3, X=<3", TriState.FAILS),
     ("2*X=<7, 2*X>=7", TriState.UNKNOWN),
     ("true", TriState.HOLDS),
+    # a unit equality is substituted before the non-unit rows are combined
+    ("-2*X>=1, X=-1", TriState.HOLDS),
+    ("2*Y-X=3, 2*Y+2*X<4", TriState.HOLDS),
 ])
 def test_satisfiability_spot_checks(text, expected):
     assert sat(text) is expected
@@ -55,9 +58,19 @@ def test_satisfiability_spot_checks(text, expected):
     ("X", "X>=0", TriState.FAILS),
     ("X", "X=Y+W", TriState.HOLDS),
     ("X", "X=Y, Y=<2", TriState.FAILS),
+    ("Z", "2*Y=<-Z+3, 2*X=-Y-2", TriState.HOLDS),
 ])
 def test_forall_exists_spot_checks(x, text, expected):
     assert valid(x, text) is expected
+
+
+def test_long_equality_chain():
+    # X0 >= 0 and X(i+1) = Xi + 1 up to X999: satisfiable, and X999 is
+    # bounded below, so not every value of it extends to a solution
+    chain = ", ".join(f"X{i + 1}=X{i}+1" for i in range(999))
+    c = parse_constraint(chain + ", X0>=0")
+    assert is_satisfiable(c) is TriState.HOLDS
+    assert forall_exists_valid("X999", c) is TriState.FAILS
 
 
 def test_forall_exists_of_absent_variable_reduces_to_satisfiability():

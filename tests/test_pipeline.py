@@ -325,16 +325,32 @@ def test_cli_pipeline_contradiction_exits_2(tmp_path, fake_solver, capsys):
     ["report", "not_json.jsonl"],
     ["solve", str(CORPUS / "chain_safe.clp"), "--solver-cmd", "true {file}",
      "--timeout", "-1"],
+    ["report", "stages.jsonl"],
+    ["report", "solve_time.jsonl"],
+    ["report", "stage_times.jsonl"],
 ])
 def test_cli_usage_errors_exit_1(tmp_path, monkeypatch, argv, capsys):
     monkeypatch.chdir(tmp_path)
-    Path("no_name.jsonl").write_text('c      0\n{"verdict": "sat"}\n')
-    Path("not_json.jsonl").write_text("{not json\n")
+    # each report input with the line and the field its error names
+    reports = {
+        "no_name.jsonl": ('c      0\n{"verdict": "sat"}\n', 2, None),
+        "not_json.jsonl": ("{not json\n", 1, None),
+        "stages.jsonl": ('{"name": "x", "stages": 5}\n', 1, "stages"),
+        "solve_time.jsonl": ('{"name": "ok"}\n'
+                             '{"name": "x", "solve_time": "fast", '
+                             '"verdict": "sat"}\n', 2, "solve_time"),
+        "stage_times.jsonl": ('{"name": "x", "stage_times": [1]}\n', 1,
+                              "stage_times"),
+    }
+    for name, (text, _, _) in reports.items():
+        Path(name).write_text(text)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error: " in err and "internal error" not in err
     if argv[0] == "report":  # the error names the offending line
-        assert ("line 2" if argv[1] == "no_name.jsonl" else "line 1") in err
+        _, line, field_name = reports[argv[1]]
+        assert f"line {line}" in err
+        assert field_name is None or f"field {field_name}" in err
 
 
 @pytest.mark.parametrize("command", ["pipeline", "solve"])
