@@ -20,7 +20,8 @@ from .pipeline import (ConfigError, PipelineConfig, RunRecord,
                        invariant_failures, report, run_pipeline,
                        solve_external)
 from .syntax import (QUERY, ArrayCon, Atom, Clause, Const, Constraint,
-                     LinExpr, Program, RelCon, Var, programs_isomorphic)
+                     LinExpr, Program, ProgramError, RelCon, Var,
+                     programs_isomorphic)
 
 __version__ = "0.1.0"
 
@@ -28,8 +29,8 @@ __all__ = [
     "ArrayCon", "Atom", "BoundedModel", "CfarReport", "Clause", "ConfigError",
     "Const", "Constraint", "Erasure", "EvalBudgetError",
     "EvalError", "LinExpr", "NlrReport", "ParseError", "Parts", "PipelineConfig",
-    "Program", "QUERY", "RelCon", "RunRecord", "SmtEmitError", "TriState",
-    "Var", "Violation", "bounded_least_model", "cfar_transform",
+    "Program", "ProgramError", "QUERY", "RelCon", "RunRecord", "SmtEmitError",
+    "TriState", "Var", "Violation", "bounded_least_model", "cfar_transform",
     "constrained_to", "derives_unsafe", "emit_clp",
     "emit_smtlib_horn", "erasure_lines", "forall_exists_valid",
     "full_erasure", "invariant_failures", "is_satisfiable", "linkvars",

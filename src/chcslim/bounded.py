@@ -90,9 +90,6 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
         raise EvalError("bound must be positive")
     if budget < 1:
         raise EvalError("budget must be positive")
-    problems = prog.validate()
-    if problems:
-        raise EvalError("invalid program: " + "; ".join(problems))
     for i, clause in enumerate(prog.clauses):
         if clause.constraint.has_arrays():
             raise EvalError(f"clause {i}: array constraints are not evaluable")

@@ -57,16 +57,13 @@ def full_erasure(prog: Program) -> Erasure:
                      for k in range(1, arity + 1))
 
 
-def erase_atom(atom: Atom, e: Erasure, names: dict[str, str] | None = None) -> Atom:
-    """Drop the atom's erased argument positions; rename its predicate via
-    ``names`` when given (predicates with erased positions get new names so
-    the reduced-arity symbol cannot collide with a surviving one)."""
+def erase_atom(atom: Atom, e: Erasure, names: dict[str, str]) -> Atom:
+    """Drop the atom's erased argument positions and rename its predicate
+    via ``names`` (predicates with erased positions get new names so the
+    reduced-arity symbol cannot collide with a surviving one)."""
     args = tuple(t for k, t in enumerate(atom.args, start=1)
                  if (atom.pred, k) not in e)
-    pred = atom.pred
-    if names and len(args) != len(atom.args):
-        pred = names.get(atom.pred, atom.pred)
-    return Atom(pred, args)
+    return Atom(names.get(atom.pred, atom.pred), args)
 
 
 def erased_names(prog: Program, e: Erasure) -> dict[str, str]:
@@ -183,9 +180,6 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     a kept pair then keeps every pair reachable backward from it along
     ``body_edges``, and the erasure is every pair not kept.
     """
-    problems = prog.validate()
-    if problems:
-        raise ValueError("invalid program: " + "; ".join(problems))
     pairs = full_erasure(prog)
     report = CfarReport(pairs_initial=len(pairs), args_before=prog.total_args())
 
@@ -213,9 +207,6 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
         Clause(erase_atom(c.head, erasure, names), c.constraint,
                tuple(erase_atom(a, erasure, names) for a in c.body))
         for c in prog.clauses))
-    problems = out.validate()
-    if problems:
-        raise RuntimeError("erased program invalid: " + "; ".join(problems))
 
     report.pairs_kept = len(erasure)
     report.erasure = erasure_lines(erasure, prog.arities)

@@ -143,14 +143,17 @@ def _write_out(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
+def _print_report(rep, as_json: bool) -> None:
+    """A transform report on stderr, as JSON or as its text."""
+    text = json.dumps(dataclasses.asdict(rep)) if as_json else rep.text()
+    print(text, file=sys.stderr)
+
+
 def cmd_nlr(args) -> int:
     prog = _load(args.file)
     result, rep = nlr_transform(prog)
     _write_out(emit_clp(result), args.out)
-    if args.json:
-        print(json.dumps(dataclasses.asdict(rep)), file=sys.stderr)
-    else:
-        print(rep.text(), file=sys.stderr)
+    _print_report(rep, args.json)
     return 0
 
 
@@ -158,10 +161,7 @@ def cmd_cfar(args) -> int:
     prog = _load(args.file)
     result, _, rep = cfar_transform(prog)
     _write_out(emit_clp(result), args.out)
-    if args.json:
-        print(json.dumps(dataclasses.asdict(rep)), file=sys.stderr)
-    else:
-        print(rep.text(), file=sys.stderr)
+    _print_report(rep, args.json)
     return 0
 
 

@@ -124,9 +124,6 @@ def emit_smtlib_horn(program: Program) -> str:
     ``(Array Int Int)`` variables; predicate argument sorts are inferred
     and must not conflict.
     """
-    problems = program.validate()
-    if problems:
-        raise SmtEmitError("; ".join(problems))
     array_vars, array_positions = _array_sorted(program)
     for i, clause in enumerate(program.clauses):
         names = {n for (j, n) in array_vars if j == i}

@@ -139,9 +139,6 @@ def nlr_transform(prog: Program) -> tuple[Program, NlrReport]:
     and its resolvents registered under its current head.  Every output
     clause is folded once, after the positions are final.
     """
-    problems = prog.validate()
-    if problems:
-        raise ValueError("invalid program: " + "; ".join(problems))
     report = NlrReport(args_before=prog.total_args(), clauses_in=len(prog.clauses),
                        max_arity=max((a.arity for a in prog.atoms()), default=0))
 
@@ -171,9 +168,6 @@ def nlr_transform(prog: Program) -> tuple[Program, NlrReport]:
     out = [fold(c, defs) for c in unsafe_clauses]
     out += [fold(c, defs) for d in defs.values() for c in d.clauses()]
     result = Program(tuple(out))
-    problems = result.validate()
-    if problems:
-        raise RuntimeError("transformed program invalid: " + "; ".join(problems))
 
     report.variant_classes = len(defs)
     report.definitions = [

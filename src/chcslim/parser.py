@@ -24,8 +24,8 @@ import re
 from typing import NamedTuple
 
 from .syntax import (ARRAY_KINDS, RELATIONS, ArrayCon, Atom, AtomicCon, Clause,
-                     Const, Constraint, LinExpr, Program, RelCon, Term, Var,
-                     clause_problems)
+                     Const, Constraint, LinExpr, Program, ProgramError, RelCon,
+                     Term, Var)
 
 _RELATION_TOKENS = frozenset((*RELATIONS, "<="))  # "<=" is read as "=<"
 
@@ -219,41 +219,46 @@ class _Parser:
             return atom
         return self.parse_relcon()
 
+    def body_items(self):
+        """Parse ``,``-separated body items, yielding each one as soon as
+        it is read; ``true`` yields nothing."""
+        while True:
+            item = self.parse_body_item()
+            if item is not None:
+                yield item
+            if not self.at_op(","):
+                return
+            self.advance()
+
     def parse_clause(self) -> Clause:
-        head_tok = self.here
         self.clause_start, self.anonymous = self.pos, None
         head = self.parse_atom()
         conjuncts: list[AtomicCon] = []
         body: list[Atom] = []
         if self.at_op(":-"):
             self.advance()
-            while True:
-                item = self.parse_body_item()
+            for item in self.body_items():
                 if isinstance(item, Atom):
                     body.append(item)
-                elif item is not None:
-                    conjuncts.append(item)
-                if self.at_op(","):
-                    self.advance()
                 else:
-                    break
+                    conjuncts.append(item)
         self.expect("op", ".")
-        if head.pred in ARRAY_KINDS:
-            raise self.fail(f"{head.pred} is reserved for array constraints",
-                            head_tok)
         return Clause(head, Constraint(tuple(conjuncts)), tuple(body))
 
     def parse_program(self) -> Program:
+        """The program, its rules checked once every clause is parsed; a
+        broken rule is reported at the start of the first clause breaking
+        one."""
         clauses: list[Clause] = []
-        arities: dict[str, int] = {}
+        starts: list[_Token] = []
         while self.here.kind != "eof":
-            tok = self.here
-            clause = self.parse_clause()
-            problems = clause_problems(clause, arities)
-            if problems:
-                raise self.fail(problems[0], tok)
-            clauses.append(clause)
-        return Program(tuple(clauses))
+            starts.append(self.here)
+            clauses.append(self.parse_clause())
+        try:
+            return Program(tuple(clauses))
+        except ProgramError as exc:
+            index, problem = exc.problems[0]
+            raise self.fail(problem, starts[index]) from None
 
 
 def parse_program(text: str) -> Program:
@@ -265,16 +270,10 @@ def parse_constraint(text: str) -> Constraint:
     parser = _Parser(text)
     conjuncts: list[AtomicCon] = []
     if parser.here.kind != "eof":
-        while True:
-            item = parser.parse_body_item()
+        for item in parser.body_items():
             if isinstance(item, Atom):
                 raise parser.fail(f"{item.pred} is not a constraint")
-            if item is not None:
-                conjuncts.append(item)
-            if parser.at_op(","):
-                parser.advance()
-            else:
-                break
+            conjuncts.append(item)
     parser.expect("eof")
     return Constraint(tuple(conjuncts))
 

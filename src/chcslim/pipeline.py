@@ -248,8 +248,8 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
 
 
 def _recheck_artifact(path: Path) -> str | None:
-    # parse_program applies the program rules clause by clause, so an
-    # artifact that re-parses is valid
+    # parse_program builds a Program, which checks the program rules, so
+    # an artifact that re-parses is valid
     try:
         parse_program(path.read_text())
     except ParseError as exc:

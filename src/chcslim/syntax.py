@@ -5,14 +5,17 @@ atoms over integer-valued terms and c is a conjunction of linear arithmetic
 constraints (plus opaque array pseudo-constraints).  The distinguished query
 predicate is the nullary ``unsafe``; a program is safe when ``unsafe`` is not
 in its least model.
+
+A ``Program`` is checked when it is built: ``clause_problems`` holds every
+program rule, and a program that breaks one raises ``ProgramError``, so any
+``Program`` in hand is well formed.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 QUERY = "unsafe"
 
@@ -235,17 +238,32 @@ class Clause:
         return f"{self.head} :- {', '.join(items)}."
 
 
+class ProgramError(ValueError):
+    """The program rules a set of clauses breaks, as ``problems``: one
+    ``(clause index, problem)`` pair per broken rule, in clause order."""
+
+    def __init__(self, problems: list[tuple[int, str]]):
+        super().__init__("; ".join(f"clause {i}: {p}" for i, p in problems))
+        self.problems = problems
+
+
 @dataclass(frozen=True)
 class Program:
-    clauses: tuple[Clause, ...] = ()
+    """Clauses that obey the program rules; building one that breaks a
+    rule raises ProgramError.  ``arities`` maps each predicate to its
+    arity, in order of first occurrence, each clause's head before its
+    body."""
 
-    @cached_property
-    def arities(self) -> dict[str, int]:
-        """Predicate -> arity over every head and body occurrence."""
-        out: dict[str, int] = {}
-        for atom in self.atoms():
-            out.setdefault(atom.pred, atom.arity)
-        return out
+    clauses: tuple[Clause, ...] = ()
+    arities: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arities: dict[str, int] = {}
+        problems = [(i, problem) for i, clause in enumerate(self.clauses)
+                    for problem in clause_problems(clause, arities)]
+        if problems:
+            raise ProgramError(problems)
+        object.__setattr__(self, "arities", arities)
 
     def atoms(self):
         for clause in self.clauses:
@@ -254,10 +272,7 @@ class Program:
 
     def predicates(self) -> list[str]:
         """Predicates in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for atom in self.atoms():
-            seen.setdefault(atom.pred, None)
-        return list(seen)
+        return list(self.arities)
 
     def defined_predicates(self) -> set[str]:
         return {c.head.pred for c in self.clauses}
@@ -269,23 +284,19 @@ class Program:
         """Sum of arities over non-query predicates."""
         return sum(a for p, a in self.arities.items() if p != QUERY)
 
-    def validate(self) -> list[str]:
-        """Arity consistency and query discipline; empty list means valid."""
-        arities: dict[str, int] = {}
-        return [f"clause {i}: {problem}" for i, clause in enumerate(self.clauses)
-                for problem in clause_problems(clause, arities)]
-
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.clauses)
 
 
 def clause_problems(clause: Clause, arities: dict[str, int]) -> list[str]:
     """The program rules ``clause`` breaks, given the arities of the clauses
-    before it (``arities`` is extended with its own): one arity per
-    predicate, a nullary query that occurs only in heads, and array
-    constraints of their kind's length."""
-    problems: list[str] = []
-    for atom in (clause.head, *clause.body):
+    before it (``arities`` is extended with its own): no atom over an array
+    constraint name, one arity per predicate, a nullary query that occurs
+    only in heads, and array constraints of their kind's length."""
+    atoms = (clause.head, *clause.body)
+    problems = [f"{atom.pred} is reserved for array constraints"
+                for atom in atoms if atom.pred in ARRAY_KINDS]
+    for atom in atoms:
         known = arities.setdefault(atom.pred, atom.arity)
         if known != atom.arity:
             problems.append(f"{atom.pred} used with arity {atom.arity}, "
@@ -307,10 +318,6 @@ def _subst_term(term: Term, mapping: "dict[str, Term]") -> Term:
     return term
 
 
-def rename_clause(clause: Clause, renaming: "dict[str, str]") -> Clause:
-    return clause.subst({old: Var(new) for old, new in renaming.items()})
-
-
 def rename_apart(clause: Clause, taken: set[str]) -> tuple[Clause, dict[str, str]]:
     """Rename clause variables away from ``taken``, keeping names readable."""
     used = set(taken)
@@ -323,7 +330,7 @@ def rename_apart(clause: Clause, taken: set[str]) -> tuple[Clause, dict[str, str
             fresh = f"{name}_{i}"
         renaming[name] = fresh
         used.add(fresh)
-    return rename_clause(clause, renaming), renaming
+    return clause.subst({old: Var(new) for old, new in renaming.items()}), renaming
 
 
 def atom_variant_key(atom: Atom) -> tuple:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chcslim.syntax import (
-    Atom, Clause, Const, Constraint, LinExpr, Program, RelCon, Var,
+    ArrayCon, Atom, Clause, Const, Constraint, LinExpr, Program, ProgramError,
+    RelCon, Var,
     atom_variant_key, fresh_predicate_counter, mgu_atoms,
     programs_isomorphic, rename_apart,
 )
@@ -110,17 +111,35 @@ def test_fresh_predicate_counter_skips_existing():
     assert next(counter) == 9
 
 
-def test_program_validate_reports_arity_clash():
-    prog = Program((
-        Clause(Atom("p", (Var("X"),)), Constraint(()), ()),
-        Clause(Atom("p", (Var("X"), Var("Y"))), Constraint(()), ()),
-    ))
-    assert any("arity" in problem for problem in prog.validate())
+X, Y, Z = Var("X"), Var("Y"), Var("Z")
+READ = Atom("read", (X, Y, Z))
+WRITE = Atom("write", (X, Y, Z, X))
 
 
-def test_program_validate_rejects_query_with_args():
-    prog = Program((Clause(Atom("unsafe", (Var("X"),)), Constraint(()), ()),))
-    assert prog.validate()
+@pytest.mark.parametrize("clauses, expected", [
+    ((Clause(Atom("p", (X,))), Clause(Atom("p", (X, Y)))),
+     [(1, "p used with arity 2, previously 1")]),
+    ((Clause(Atom("unsafe", (X,))),), [(0, "unsafe must be nullary")]),
+    ((Clause(Atom("p")), Clause(Atom("p"), body=(Atom("unsafe"),))),
+     [(1, "unsafe must be head-only")]),
+    ((Clause(Atom("p", (X,)), Constraint((ArrayCon("read", (X, Y)),))),),
+     [(0, "read expects 3 arguments")]),
+    ((Clause(READ), Clause(Atom("unsafe"), body=(READ,))),
+     [(0, "read is reserved"), (1, "read is reserved")]),
+    ((Clause(WRITE), Clause(Atom("unsafe"), body=(WRITE,))),
+     [(0, "write is reserved"), (1, "write is reserved")]),
+    ((Clause(Atom("p")), Clause(Atom("unsafe"), body=(Atom("p"), Atom("write")))),
+     [(1, "write is reserved")]),
+], ids=["arity-clash", "query-arguments", "query-in-body", "array-arity",
+        "reserved-read", "reserved-write", "reserved-body"])
+def test_program_rules_are_checked_when_built(clauses, expected):
+    with pytest.raises(ProgramError) as info:
+        Program(clauses)
+    problems = info.value.problems
+    assert [i for i, _ in problems] == [i for i, _ in expected]
+    for (_, problem), (_, fragment) in zip(problems, expected):
+        assert fragment in problem
+    assert str(info.value).startswith(f"clause {expected[0][0]}: ")
 
 
 def test_total_args_sums_predicate_arities(counter_p1, counter_p2, counter_p3):
