@@ -15,13 +15,12 @@ from .constraints import (Parts, TriState, constrained_to, forall_exists_valid,
                           is_satisfiable)
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
 from .nlr import NlrReport, linkvars, nlr_transform
-from .parser import ParseError, parse_clause, parse_constraint, parse_program
+from .parser import ParseError, parse_program
 from .pipeline import (ConfigError, PipelineConfig, RunRecord,
                        invariant_failures, report, run_pipeline,
                        solve_external)
 from .syntax import (QUERY, ArrayCon, Atom, Clause, Const, Constraint,
-                     LinExpr, Program, ProgramError, RelCon, Var,
-                     programs_isomorphic)
+                     LinExpr, Program, ProgramError, RelCon, Var)
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,6 @@ __all__ = [
     "constrained_to", "derives_unsafe", "emit_clp",
     "emit_smtlib_horn", "erasure_lines", "forall_exists_valid",
     "full_erasure", "invariant_failures", "is_satisfiable", "linkvars",
-    "nlr_transform",
-    "parse_clause", "parse_constraint", "parse_program", "programs_isomorphic", "report", "run_pipeline",
+    "nlr_transform", "parse_program", "report", "run_pipeline",
     "solve_external", "verify_safe_erasure",
 ]

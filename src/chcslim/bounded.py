@@ -41,7 +41,6 @@ class EvalBudgetError(EvalError):
 class BoundedModel:
     facts: dict[str, set[tuple[int, ...]]]
     clipped: bool
-    bound: int
     rounds: int
 
     def derived(self, pred: str = QUERY) -> bool:
@@ -125,15 +124,13 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
         for pred, new in new_delta.items():
             facts[pred] |= new
         delta = new_delta
-    return BoundedModel(facts, state.clipped, bound, rounds)
+    return BoundedModel(facts, state.clipped, rounds)
 
 
-def derives_unsafe(prog: Program, bound: int = 32, *,
-                   budget: int = 2_000_000) -> TriState:
+def derives_unsafe(prog: Program, bound: int = 32) -> TriState:
     """``BoundedModel.verdict`` of a run that stops once the query is
     derived."""
-    return bounded_least_model(prog, bound, budget=budget,
-                               until_query=True).verdict()
+    return bounded_least_model(prog, bound, until_query=True).verdict()
 
 
 class _Plan(NamedTuple):

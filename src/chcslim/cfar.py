@@ -75,7 +75,7 @@ def erased_names(prog: Program, e: Erasure) -> dict[str, str]:
         positions[pred].append(str(k))
     names: dict[str, str] = {}
     taken = set(prog.arities)
-    for pred in prog.predicates():
+    for pred in prog.arities:
         if pred not in positions:
             continue
         candidate = pred + "__" + "_".join(positions[pred])

@@ -117,7 +117,8 @@ Row = tuple[tuple[tuple[str, int], ...], int]
 def rows_of(c: Constraint) -> list[Row] | None:
     """Compile conjuncts to <=-rows; None when array constraints occur.
 
-    Each conjunct is subtracted once, d = lhs - rhs: ``=``, ``=<`` and ``<``
+    Each conjunct is subtracted once, d = lhs - rhs with ``lhs``'s
+    variables first and zero coefficients dropped: ``=``, ``=<`` and ``<``
     give the row d <= 0, ``=``, ``>=`` and ``>`` give -d <= 0, and a strict
     relation tightens its row's bound by 1.
     """
@@ -125,12 +126,16 @@ def rows_of(c: Constraint) -> list[Row] | None:
     for con in c.conjuncts:
         if isinstance(con, ArrayCon):
             return None
-        d = con.lhs.sub(con.rhs)
+        coeffs = dict(con.lhs.terms)
+        for name, k in con.rhs.terms:
+            coeffs[name] = coeffs.get(name, 0) - k
+        terms = tuple((n, k) for n, k in coeffs.items() if k != 0)
+        const = con.lhs.const - con.rhs.const
         shift = -1 if con.rel in ("<", ">") else 0
         if con.rel in ("=", "=<", "<"):
-            rows.append((d.terms, shift - d.const))
+            rows.append((terms, shift - const))
         if con.rel in ("=", ">=", ">"):
-            rows.append((tuple((n, -k) for n, k in d.terms), shift + d.const))
+            rows.append((tuple((n, -k) for n, k in terms), shift + const))
     return rows
 
 

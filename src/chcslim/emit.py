@@ -9,11 +9,8 @@ from .syntax import (QUERY, ArrayCon, Atom, Clause, Const, LinExpr, Program,
 
 
 class SmtEmitError(Exception):
-    def __init__(self, message: str, clause_index: int | None = None):
-        if clause_index is not None:
-            message = f"clause {clause_index}: {message}"
-        super().__init__(message)
-        self.clause_index = clause_index
+    def __init__(self, message: str, clause_index: int):
+        super().__init__(f"clause {clause_index}: {message}")
 
 
 def emit_clp(program: Program) -> str:
@@ -143,7 +140,7 @@ def emit_smtlib_horn(program: Program) -> str:
                                        f"{k + 1} of {atom.pred}", i)
 
     lines = ["(set-logic HORN)"]
-    for pred in program.predicates():
+    for pred in program.arities:
         if pred != QUERY:
             sig = ["(Array Int Int)" if (pred, k) in array_positions else "Int"
                    for k in range(program.arities[pred])]

@@ -59,12 +59,13 @@ class Definition:
                 for r in self.resolvents]
 
 
-def unfold(atom: Atom, prog: Program) -> list[Clause]:
-    """Resolve ``atom`` against every program clause whose head unifies
-    with it; each resolvent keeps the unified head."""
+def unfold(atom: Atom, clauses: list[Clause]) -> list[Clause]:
+    """Resolve ``atom`` against every clause of ``clauses`` (those with its
+    predicate in the head) whose head unifies with it; each resolvent keeps
+    the unified head."""
     out: list[Clause] = []
     taken = atom.vars()
-    for clause in prog.clauses_for(atom.pred):
+    for clause in clauses:
         renamed, _ = rename_apart(clause, taken)
         mu = mgu_atoms(atom, renamed.head)
         if mu is not None:
@@ -138,27 +139,32 @@ def nlr_transform(prog: Program) -> tuple[Program, NlrReport]:
     on its first turn (resolvents with unsatisfiable constraints dropped),
     and its resolvents registered under its current head.  Every output
     clause is folded once, after the positions are final.
+
+    The loop ends: a definition is processed when it is created and again
+    after each widening, and each widening adds at least one of its at most
+    ``max_arity`` positions, so ``iterations`` is at most the number of
+    variant classes times ``max_arity + 1``.
     """
     report = NlrReport(args_before=prog.total_args(), clauses_in=len(prog.clauses),
-                       max_arity=max((a.arity for a in prog.atoms()), default=0))
+                       max_arity=max(prog.arities.values(), default=0))
 
     counter = fresh_predicate_counter(prog)
     defs: dict[tuple, Definition] = {}
-    unsafe_clauses = [c for c in prog.clauses if c.head.pred == QUERY]
-    defined = prog.defined_predicates()
+    by_head: dict[str, list[Clause]] = {}
+    for clause in prog.clauses:
+        by_head.setdefault(clause.head.pred, []).append(clause)
+    unsafe_clauses = by_head.get(QUERY, [])
 
     for clause in unsafe_clauses:
         report.widenings += register(clause, defs, counter)
     while (defn := next((d for d in defs.values() if d.pending), None)) is not None:
         report.iterations += 1
-        if report.iterations > (len(defs) + 1) * (report.max_arity + 2) + 10:
-            raise RuntimeError("definition unfolding exceeded its budget")
         defn.pending = False
         if defn.resolvents is None:
-            if defn.atom.pred not in defined:
+            if defn.atom.pred not in by_head:
                 report.warnings.append(
                     f"{defn.atom.pred} has no clauses; {defn.name} is empty")
-            resolvents = unfold(defn.atom, prog)
+            resolvents = unfold(defn.atom, by_head.get(defn.atom.pred, []))
             defn.resolvents = [r for r in resolvents
                                if is_satisfiable(r.constraint) is not TriState.FAILS]
             report.dropped_unsat += len(resolvents) - len(defn.resolvents)

@@ -15,6 +15,9 @@ Relations are ``= < =< > >=`` (``<=`` is accepted as an alias of ``=<``).
 pseudo-constraints, ``true`` as the empty constraint.  Constraints and atoms
 may interleave; clauses are normalized to constraint-first form preserving
 the relative order of each kind.
+
+``parse_program`` is the one entry point: a file is read as a whole
+program, its rules checked once every clause is parsed.
 """
 
 from __future__ import annotations
@@ -219,17 +222,6 @@ class _Parser:
             return atom
         return self.parse_relcon()
 
-    def body_items(self):
-        """Parse ``,``-separated body items, yielding each one as soon as
-        it is read; ``true`` yields nothing."""
-        while True:
-            item = self.parse_body_item()
-            if item is not None:
-                yield item
-            if not self.at_op(","):
-                return
-            self.advance()
-
     def parse_clause(self) -> Clause:
         self.clause_start, self.anonymous = self.pos, None
         head = self.parse_atom()
@@ -237,11 +229,15 @@ class _Parser:
         body: list[Atom] = []
         if self.at_op(":-"):
             self.advance()
-            for item in self.body_items():
+            while True:
+                item = self.parse_body_item()
                 if isinstance(item, Atom):
                     body.append(item)
-                else:
+                elif item is not None:  # None is ``true``
                     conjuncts.append(item)
+                if not self.at_op(","):
+                    break
+                self.advance()
         self.expect("op", ".")
         return Clause(head, Constraint(tuple(conjuncts)), tuple(body))
 
@@ -264,23 +260,3 @@ class _Parser:
 def parse_program(text: str) -> Program:
     return _Parser(text).parse_program()
 
-
-def parse_constraint(text: str) -> Constraint:
-    """Parse a comma-separated conjunction, e.g. ``"Z1=X1+1, Z1=<9"``."""
-    parser = _Parser(text)
-    conjuncts: list[AtomicCon] = []
-    if parser.here.kind != "eof":
-        for item in parser.body_items():
-            if isinstance(item, Atom):
-                raise parser.fail(f"{item.pred} is not a constraint")
-            conjuncts.append(item)
-    parser.expect("eof")
-    return Constraint(tuple(conjuncts))
-
-
-def parse_clause(text: str) -> Clause:
-    """Parse a single clause, mainly a convenience for tests and the CLI."""
-    parser = _Parser(text)
-    clause = parser.parse_clause()
-    parser.expect("eof")
-    return clause

@@ -17,6 +17,7 @@ comparable with c and at = tt / c.
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import subprocess
 import time
@@ -143,13 +144,22 @@ def classification_for(verdict: str) -> str:
     return {"sat": "safe", "unsat": "unsafe"}.get(verdict, "undetermined")
 
 
-def _check_solver(command: str | None, timeout: float) -> None:
-    """ConfigError unless the timeout is positive and a given solver
-    command contains the ``{file}`` placeholder."""
-    if timeout <= 0:
-        raise ConfigError("timeout must be positive")
-    if command is not None and "{file}" not in command:
-        raise ConfigError("solver command must contain the {file} placeholder")
+def _check_solver(command: str | None, timeout: float) -> list[str] | None:
+    """The words of a given solver command; ConfigError unless the timeout
+    is a finite positive number and the command splits into shell-style
+    words and contains the ``{file}`` placeholder."""
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ConfigError(f"--timeout must be a finite positive number, "
+                          f"got {timeout}")
+    if command is None:
+        return None
+    if "{file}" not in command:
+        raise ConfigError("--solver-cmd must contain the {file} placeholder")
+    try:
+        return shlex.split(command)
+    except ValueError as exc:
+        raise ConfigError(f"--solver-cmd {command!r} does not split into "
+                          f"words: {exc}") from None
 
 
 def solve_external(smt_path: Path, command: str,
@@ -157,8 +167,8 @@ def solve_external(smt_path: Path, command: str,
     """Run ``command`` (a shell-style template with ``{file}``) on the file
     and classify the first stdout token; returns (verdict, elapsed).  A
     command that cannot be started is a ConfigError."""
-    _check_solver(command, timeout)
-    argv = [tok.replace("{file}", str(smt_path)) for tok in shlex.split(command)]
+    argv = [tok.replace("{file}", str(smt_path))
+            for tok in _check_solver(command, timeout)]
     start = time.perf_counter()
     try:
         proc = subprocess.run(argv, capture_output=True, text=True,

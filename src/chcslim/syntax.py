@@ -9,6 +9,10 @@ in its least model.
 A ``Program`` is checked when it is built: ``clause_problems`` holds every
 program rule, and a program that breaks one raises ``ProgramError``, so any
 ``Program`` in hand is well formed.
+
+Besides the AST, the module holds the clause-level operations the
+transformations run: substitution, renaming apart, variant keys, the
+unifier of two flat atoms and fresh ``newpN`` names.
 """
 
 from __future__ import annotations
@@ -62,18 +66,8 @@ class LinExpr:
             coeffs[name] = coeffs.get(name, 0) + coeff
         return LinExpr(tuple((n, c) for n, c in coeffs.items() if c != 0), const)
 
-    @staticmethod
-    def of(term: Term) -> "LinExpr":
-        if isinstance(term, Var):
-            return LinExpr(((term.name, 1),), 0)
-        return LinExpr((), term.value)
-
     def vars(self) -> set[str]:
         return {name for name, _ in self.terms}
-
-    def sub(self, other: "LinExpr") -> "LinExpr":
-        pairs = list(self.terms) + [(n, -c) for n, c in other.terms]
-        return LinExpr.make(pairs, self.const - other.const)
 
     def subst(self, mapping: "dict[str, Term]") -> "LinExpr":
         pairs: list[tuple[str, int]] = []
@@ -87,9 +81,6 @@ class LinExpr:
             else:
                 const += coeff * image.value
         return LinExpr.make(pairs, const)
-
-    def eval(self, assignment: "dict[str, int]") -> int:
-        return self.const + sum(c * assignment[n] for n, c in self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -125,10 +116,6 @@ class RelCon:
 
     def subst(self, mapping: "dict[str, Term]") -> "RelCon":
         return RelCon(self.rel, self.lhs.subst(mapping), self.rhs.subst(mapping))
-
-    def holds_for(self, assignment: "dict[str, int]") -> bool:
-        a, b = self.lhs.eval(assignment), self.rhs.eval(assignment)
-        return {"=": a == b, "<": a < b, "=<": a <= b, ">": a > b, ">=": a >= b}[self.rel]
 
     def __str__(self) -> str:
         return f"{self.lhs}{self.rel}{self.rhs}"
@@ -265,21 +252,6 @@ class Program:
             raise ProgramError(problems)
         object.__setattr__(self, "arities", arities)
 
-    def atoms(self):
-        for clause in self.clauses:
-            yield clause.head
-            yield from clause.body
-
-    def predicates(self) -> list[str]:
-        """Predicates in first-occurrence order."""
-        return list(self.arities)
-
-    def defined_predicates(self) -> set[str]:
-        return {c.head.pred for c in self.clauses}
-
-    def clauses_for(self, pred: str) -> list[Clause]:
-        return [c for c in self.clauses if c.head.pred == pred]
-
     def total_args(self) -> int:
         """Sum of arities over non-query predicates."""
         return sum(a for p, a in self.arities.items() if p != QUERY)
@@ -346,95 +318,30 @@ def atom_variant_key(atom: Atom) -> tuple:
 
 
 def mgu_atoms(a: Atom, b: Atom) -> "dict[str, Term] | None":
-    """Most general unifier of two atoms over variables and constants.
-
-    With no compound terms this is plain union-find over argument pairs; the
-    returned substitution is idempotent.
-    """
+    """Most general unifier of two atoms over variables and constants, as
+    an idempotent substitution.  Each argument pair is resolved through the
+    bindings so far; a variable of ``a`` is bound to the term of ``b``, so
+    ``b``'s variables represent their classes."""
     if a.pred != b.pred or a.arity != b.arity:
         return None
-    parent: dict[str, str] = {}
-    value: dict[str, int] = {}
+    sub: dict[str, Term] = {}
 
-    def find(name: str) -> str:
-        root = name
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(name, name) != name:
-            parent[name], name = root, parent[name]
-        return root
+    def resolve(t: Term) -> Term:
+        while isinstance(t, Var) and t.name in sub:
+            t = sub[t.name]
+        return t
 
     for ta, tb in zip(a.args, b.args):
-        if isinstance(ta, Const) and isinstance(tb, Const):
-            if ta.value != tb.value:
-                return None
-        elif isinstance(ta, Const):
-            root = find(tb.name)
-            if value.setdefault(root, ta.value) != ta.value:
-                return None
-        elif isinstance(tb, Const):
-            root = find(ta.name)
-            if value.setdefault(root, tb.value) != tb.value:
-                return None
+        ta, tb = resolve(ta), resolve(tb)
+        if ta == tb:
+            continue
+        if isinstance(ta, Var):
+            sub[ta.name] = tb
+        elif isinstance(tb, Var):
+            sub[tb.name] = ta
         else:
-            ra, rb = find(ta.name), find(tb.name)
-            if ra != rb:
-                va, vb = value.get(ra), value.get(rb)
-                if va is not None and vb is not None and va != vb:
-                    return None
-                parent[ra] = rb
-                if va is not None:
-                    value[rb] = va
-    sub: dict[str, Term] = {}
-    for name in set(parent) | set(value):
-        root = find(name)
-        sub[name] = Const(value[root]) if root in value else Var(root)
-    return {n: t for n, t in sub.items() if not (isinstance(t, Var) and t.name == n)}
-
-
-def _canonical_clause(clause: Clause, pred_map: "dict[str, str] | None" = None) -> tuple:
-    numbering: dict[str, int] = {}
-
-    def num(name: str) -> int:
-        return numbering.setdefault(name, len(numbering))
-
-    def canon_term(t: Term):
-        return ("c", t.value) if isinstance(t, Const) else ("v", num(t.name))
-
-    def canon_expr(e: LinExpr):
-        return (tuple((num(n), c) for n, c in e.terms), e.const)
-
-    def canon_atom(a: Atom):
-        pred = pred_map.get(a.pred, a.pred) if pred_map else a.pred
-        return (pred, tuple(canon_term(t) for t in a.args))
-
-    head = canon_atom(clause.head)
-    cons = []
-    for con in clause.constraint.conjuncts:
-        if isinstance(con, RelCon):
-            cons.append((con.rel, canon_expr(con.lhs), canon_expr(con.rhs)))
-        else:
-            cons.append((con.kind, tuple(canon_term(t) for t in con.args)))
-    return (head, tuple(cons), tuple(canon_atom(a) for a in clause.body))
-
-
-def programs_isomorphic(p: Program, q: Program) -> bool:
-    """Clause-by-clause match under a predicate renaming plus per-clause
-    variable renamings.  Clause order is significant; the predicate renaming
-    is fixed incrementally by first use and must stay bijective."""
-    if len(p.clauses) != len(q.clauses):
-        return False
-    fwd: dict[str, str] = {QUERY: QUERY}
-    bwd: dict[str, str] = {QUERY: QUERY}
-    for cp, cq in zip(p.clauses, q.clauses):
-        for ap, aq in zip((cp.head, *cp.body), (cq.head, *cq.body)):
-            if fwd.setdefault(ap.pred, aq.pred) != aq.pred:
-                return False
-            if bwd.setdefault(aq.pred, ap.pred) != ap.pred:
-                return False
-        if _canonical_clause(cp, fwd) != _canonical_clause(cq):
-            return False
-    return True
+            return None
+    return {name: resolve(t) for name, t in sub.items()}
 
 
 _NEWP_RE = re.compile(r"^newp(\d+)$")

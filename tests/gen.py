@@ -1,4 +1,5 @@
-"""Seeded random generators for the property suites.
+"""Seeded random generators for the property suites, and the builders
+the tests write their clauses and constraints with.
 
 The shapes are tuned so that exhaustive box search (for constraints) and
 bounded evaluation at bound 32 (for programs) stay cheap and exact:
@@ -11,18 +12,31 @@ from __future__ import annotations
 
 import random
 
+from chcslim.parser import parse_program
 from chcslim.syntax import (Atom, Clause, Const, Constraint, LinExpr,
                             Program, RelCon, Var)
 
 RELS = ("=", "<", "=<", ">", ">=")
 
 
+def clause_of(text: str) -> Clause:
+    """The one clause of ``text``, parsed as a program."""
+    (clause,) = parse_program(text).clauses
+    return clause
+
+
+def constraint_of(text: str) -> Constraint:
+    """A comma-separated conjunction such as ``"Z1=X1+1, Z1=<9"``, parsed
+    as the body of a nullary clause."""
+    return clause_of(f"p :- {text}.").constraint
+
+
 def _v(name: str) -> LinExpr:
-    return LinExpr.of(Var(name))
+    return LinExpr(((name, 1),))
 
 
 def _n(value: int) -> LinExpr:
-    return LinExpr.of(Const(value))
+    return LinExpr((), value)
 
 
 def random_constraint(rng: random.Random, *, max_vars: int = 5,

@@ -1,15 +1,17 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately brute force: exhaustive search over small
-integer boxes and a naive fixpoint, sharing no code with the package's
-algorithms beyond the AST types.
+integer boxes, a naive fixpoint and a clause-by-clause comparison of
+programs up to renaming, sharing no code with the package's algorithms
+beyond the AST types.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from chcslim.syntax import Const, Constraint, Program, RelCon, Var
+from chcslim.syntax import (QUERY, Atom, Clause, Const, Constraint, LinExpr,
+                            Program, RelCon, Term)
 
 SAT_BOX = 32
 FORALL_BOX = 16
@@ -17,6 +19,58 @@ FORALL_BOX = 16
 
 class SearchBudgetExceeded(Exception):
     pass
+
+
+def holds(con: RelCon, env: dict[str, int]) -> bool:
+    """Whether ``con`` is true under ``env``, which binds its variables."""
+    a, b = (e.const + sum(k * env[n] for n, k in e.terms)
+            for e in (con.lhs, con.rhs))
+    return {"=": a == b, "<": a < b, "=<": a <= b, ">": a > b, ">=": a >= b}[con.rel]
+
+
+def programs_isomorphic(p: Program, q: Program) -> bool:
+    """Clause-by-clause match under a predicate renaming plus per-clause
+    variable renamings.  Clause order is significant; the predicate renaming
+    is fixed incrementally by first use and must stay bijective."""
+    if len(p.clauses) != len(q.clauses):
+        return False
+    fwd: dict[str, str] = {QUERY: QUERY}
+    bwd: dict[str, str] = {QUERY: QUERY}
+    for cp, cq in zip(p.clauses, q.clauses):
+        for ap, aq in zip((cp.head, *cp.body), (cq.head, *cq.body)):
+            if fwd.setdefault(ap.pred, aq.pred) != aq.pred:
+                return False
+            if bwd.setdefault(aq.pred, ap.pred) != ap.pred:
+                return False
+        if _canonical_clause(cp, fwd) != _canonical_clause(cq):
+            return False
+    return True
+
+
+def _canonical_clause(clause: Clause, pred_map: "dict[str, str] | None" = None) -> tuple:
+    numbering: dict[str, int] = {}
+
+    def num(name: str) -> int:
+        return numbering.setdefault(name, len(numbering))
+
+    def canon_term(t: Term):
+        return ("c", t.value) if isinstance(t, Const) else ("v", num(t.name))
+
+    def canon_expr(e: LinExpr):
+        return (tuple((num(n), c) for n, c in e.terms), e.const)
+
+    def canon_atom(a: Atom):
+        pred = pred_map.get(a.pred, a.pred) if pred_map else a.pred
+        return (pred, tuple(canon_term(t) for t in a.args))
+
+    head = canon_atom(clause.head)
+    cons = []
+    for con in clause.constraint.conjuncts:
+        if isinstance(con, RelCon):
+            cons.append((con.rel, canon_expr(con.lhs), canon_expr(con.rhs)))
+        else:
+            cons.append((con.kind, tuple(canon_term(t) for t in con.args)))
+    return (head, tuple(cons), tuple(canon_atom(a) for a in clause.body))
 
 
 def box_satisfiable(con: Constraint, box: int = SAT_BOX, *,
@@ -69,7 +123,7 @@ def _component_satisfiable(conjuncts: list, box: int, node_budget: int) -> bool:
         rest = []
         for c in pending:
             if c.vars() <= env.keys():
-                if not c.holds_for(env):
+                if not holds(c, env):
                     return None
             else:
                 rest.append(c)
@@ -140,7 +194,7 @@ def naive_bounded_model(prog: Program, bound: int) -> dict[str, set[tuple[int, .
                 free = [n for n in clause.vars() if n not in env]
                 for values in itertools.product(domain, repeat=len(free)):
                     full = {**env, **dict(zip(free, values))}
-                    if not all(c.holds_for(full)
+                    if not all(holds(c, full)
                                for c in clause.constraint.conjuncts):
                         continue
                     fact = _ground_atom(clause.head, full)

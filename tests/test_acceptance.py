@@ -14,10 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import conftest
-from chcslim import (
-    TriState, cfar_transform, derives_unsafe, nlr_transform, parse_program,
-    programs_isomorphic,
-)
+from chcslim import TriState, cfar_transform, derives_unsafe, nlr_transform
 from chcslim.cfar import full_erasure, verify_safe_erasure
 from chcslim.cli import main
 from chcslim.constraints import forall_exists_valid, is_satisfiable
@@ -28,7 +25,7 @@ from chcslim.pipeline import (
 
 from conftest import P1_TEXT, P2_TEXT, P3_TEXT
 from gen import random_constraint, random_forall_instance, random_program
-from oracles import box_forall_exists, box_satisfiable
+from oracles import box_forall_exists, box_satisfiable, programs_isomorphic
 
 SUITE_SEED = 777
 SUITE_SIZE = 200

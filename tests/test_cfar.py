@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from chcslim import (
-    TriState, cfar_transform, derives_unsafe, parse_program,
-    programs_isomorphic,
-)
+from chcslim import TriState, cfar_transform, derives_unsafe, parse_program
 from chcslim import constraints
 from chcslim.cfar import erasure_lines, full_erasure, verify_safe_erasure
 from chcslim.corpus import corpus_names, load
 
 from gen import random_program
+from oracles import programs_isomorphic
 
 
 def test_counter_example_erasure(counter_p2, counter_p3):

@@ -14,18 +14,16 @@ from chcslim.constraints import (
     Parts, TriState, constrained_to, forall_exists_valid, is_satisfiable,
     rows_of,
 )
-from chcslim.parser import parse_constraint
-
-from gen import random_constraint, random_forall_instance
+from gen import constraint_of, random_constraint, random_forall_instance
 from oracles import box_forall_exists, box_satisfiable
 
 
 def sat(text):
-    return is_satisfiable(parse_constraint(text))
+    return is_satisfiable(constraint_of(text))
 
 
 def valid(x, text):
-    return forall_exists_valid(x, parse_constraint(text))
+    return forall_exists_valid(x, constraint_of(text))
 
 
 def test_tristate_is_not_a_boolean():
@@ -68,7 +66,7 @@ def test_long_equality_chain():
     # X0 >= 0 and X(i+1) = Xi + 1 up to X999: satisfiable, and X999 is
     # bounded below, so not every value of it extends to a solution
     chain = ", ".join(f"X{i + 1}=X{i}+1" for i in range(999))
-    c = parse_constraint(chain + ", X0>=0")
+    c = constraint_of(chain + ", X0>=0")
     assert is_satisfiable(c) is TriState.HOLDS
     assert forall_exists_valid("X999", c) is TriState.FAILS
 
@@ -87,11 +85,11 @@ def test_forall_exists_of_absent_variable_reduces_to_satisfiability():
     ("X", "Y", "true", False),
 ])
 def test_constrained_to(x, y, text, expected):
-    assert constrained_to(x, y, parse_constraint(text)) is expected
+    assert constrained_to(x, y, constraint_of(text)) is expected
 
 
 def test_parts_split_on_shared_vars():
-    c = parse_constraint("X=Y, Z>=1, 0=<1, W=Z+2")
+    c = constraint_of("X=Y, Z>=1, 0=<1, W=Z+2")
     parts = Parts(c)
     assert [str(p) for p in parts.parts] == ["X=Y", "Z>=1, W=Z+2", "0=<1"]
     assert parts.linked("X") == {"X", "Y"}
@@ -136,8 +134,10 @@ def test_split_agrees_with_forall_exists_on_the_whole():
 ])
 def test_rows_of_each_relation(rel, expected):
     # X+1 rel 2*Y as rows sum(coeff*var) <= bound; strict ones shift by 1
-    rows = rows_of(parse_constraint(f"X+1{rel}2*Y"))
+    rows = rows_of(constraint_of(f"X+1{rel}2*Y"))
     assert [(dict(terms), bound) for terms, bound in rows] == expected
+    # X cancels out of X+Y rel X+1 and leaves no zero coefficient
+    assert rows_of(constraint_of(f"X+Y{rel}X+1")) == rows_of(constraint_of(f"Y{rel}1"))
 
 
 def test_array_constraints_make_satisfiability_unknown():

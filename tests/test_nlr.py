@@ -4,20 +4,18 @@ import random
 
 import pytest
 
-from chcslim import (
-    TriState, derives_unsafe, nlr_transform, parse_program, programs_isomorphic,
-)
+from chcslim import TriState, derives_unsafe, nlr_transform, parse_program
 from chcslim import nlr
 from chcslim.corpus import corpus_dir, load
 from chcslim.nlr import linkvars
-from chcslim.parser import parse_clause
 from chcslim.syntax import Var
 
-from gen import random_program
+from gen import clause_of, random_program
+from oracles import programs_isomorphic
 
 
 def test_linkvars_orders_by_atom_occurrence():
-    clause = parse_clause("p(X,Y) :- X=Z+1, W=V, q(Z,W,U), r(V).")
+    clause = clause_of("p(X,Y) :- X=Z+1, W=V, q(Z,W,U), r(V).")
     assert linkvars(clause, 0) == ["Z", "W"]
     assert linkvars(clause, 1) == ["V"]
 
@@ -29,7 +27,7 @@ def test_linkvars_on_query(counter_p1):
 def test_counter_example_transform(counter_p1, counter_p2):
     out, report = nlr_transform(counter_p1)
     assert programs_isomorphic(out, counter_p2)
-    assert out.predicates() == ["unsafe", "newp3", "newp4"]
+    assert list(out.arities) == ["unsafe", "newp3", "newp4"]
     assert out.arities["newp3"] == 2
     assert out.arities["newp4"] == 3
     assert report.args_before == 10

@@ -9,15 +9,15 @@ import pytest
 from chcslim import (ParseError, TriState, derives_unsafe, emit_clp,
                      emit_smtlib_horn, parse_program)
 from chcslim.corpus import corpus_names, load
-from chcslim.parser import parse_clause, parse_constraint
-from chcslim.syntax import Atom, Const, Constraint, Var, programs_isomorphic
+from chcslim.syntax import Atom, Const, Constraint, Var
 
-from gen import random_program
+from gen import clause_of, random_program
+from oracles import programs_isomorphic
 
 
 def test_parses_counter_example(counter_p1):
     prog = counter_p1
-    assert prog.predicates() == ["unsafe", "newp1", "newp2"]
+    assert list(prog.arities) == ["unsafe", "newp1", "newp2"]
     assert prog.arities == {"unsafe": 0, "newp1": 4, "newp2": 6}
     assert len(prog.clauses) == 4
     query = prog.clauses[0]
@@ -27,7 +27,7 @@ def test_parses_counter_example(counter_p1):
 
 
 def test_parse_clause_terms():
-    clause = parse_clause("p(X,3,-2) :- X=1.")
+    clause = clause_of("p(X,3,-2) :- X=1.")
     assert clause.head.args == (Var("X"), Const(3), Const(-2))
 
 
@@ -79,10 +79,11 @@ def test_errors_carry_position(source, position, fragment):
     assert fragment in message
 
 
-def test_parse_constraint_standalone():
-    c = parse_constraint("X=<1, Y=X+2")
-    assert len(c.conjuncts) == 2
-    assert c.vars() == {"X", "Y"}
+def test_constraint_only_clause():
+    clause = clause_of("p :- X=<1, Y=X+2.")
+    assert clause.body == ()
+    assert [str(c) for c in clause.constraint.conjuncts] == ["X=<1", "Y=X+2"]
+    assert clause.constraint.vars() == {"X", "Y"}
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -111,7 +112,7 @@ def test_anonymous_variables_are_distinct():
 
 
 def test_anonymous_variables_avoid_written_names():
-    clause = parse_clause("p(_,_0,_) :- _0=_+1.")
+    clause = clause_of("p(_,_0,_) :- _0=_+1.")
     assert clause.head.args == (Var("_1"), Var("_0"), Var("_2"))
     assert clause.constraint.vars() == {"_0", "_3"}
 

@@ -14,7 +14,9 @@ from chcslim.pipeline import (
     ConfigError, PipelineConfig, RunRecord, TABLE_LABELS, invariant_failures,
     parse_json_lines, report, run_pipeline, solve_external,
 )
-from chcslim import parse_program, programs_isomorphic, nlr_transform
+from chcslim import parse_program, nlr_transform
+
+from oracles import programs_isomorphic
 
 CORPUS = corpus_dir()
 
@@ -32,6 +34,9 @@ def config(tmp_path, names=("branch_unsafe",), **kw):
     ({"solver_cmd": "z3"}, "{file}"),
     ({"bound": 0}, "bound"),
     ({"inputs": ["a/x.clp", "b/x.clp"]}, "share the name x"),
+    ({"timeout": float("nan")}, "--timeout"),
+    ({"timeout": float("inf")}, "--timeout"),
+    ({"solver_cmd": "z3 '{file}"}, "--solver-cmd"),
 ])
 def test_config_validation(tmp_path, kw, fragment):
     base = dict(inputs=[str(CORPUS / "branch_unsafe.clp")],
@@ -328,6 +333,12 @@ def test_cli_pipeline_contradiction_exits_2(tmp_path, fake_solver, capsys):
     ["report", "stages.jsonl"],
     ["report", "solve_time.jsonl"],
     ["report", "stage_times.jsonl"],
+    ["solve", str(CORPUS / "chain_safe.clp"), "--solver-cmd", "z3 '{file}"],
+    ["solve", str(CORPUS / "chain_safe.clp"), "--solver-cmd", "true {file}",
+     "--timeout", "nan"],
+    ["pipeline", str(CORPUS / "chain_safe.clp"), "--solver-cmd", "z3 '{file}"],
+    ["pipeline", str(CORPUS / "chain_safe.clp"), "--solver-cmd", "true {file}",
+     "--timeout", "inf"],
 ])
 def test_cli_usage_errors_exit_1(tmp_path, monkeypatch, argv, capsys):
     monkeypatch.chdir(tmp_path)
@@ -347,6 +358,7 @@ def test_cli_usage_errors_exit_1(tmp_path, monkeypatch, argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error: " in err and "internal error" not in err
+    assert not [p for p in tmp_path.rglob("*") if p.suffix in (".clp", ".smt2")]
     if argv[0] == "report":  # the error names the offending line
         _, line, field_name = reports[argv[1]]
         assert f"line {line}" in err

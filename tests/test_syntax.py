@@ -1,5 +1,9 @@
-"""Term and clause level building blocks: linear expressions, variants,
-unification, and program isomorphism."""
+"""Term and clause level building blocks: linear expressions, variants and
+unification; and the tests' own readings of constraint truth and program
+isomorphism (``oracles.holds``, ``oracles.programs_isomorphic``)."""
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from chcslim.syntax import (
     ArrayCon, Atom, Clause, Const, Constraint, LinExpr, Program, ProgramError,
     RelCon, Var,
-    atom_variant_key, fresh_predicate_counter, mgu_atoms,
-    programs_isomorphic, rename_apart,
+    atom_variant_key, fresh_predicate_counter, mgu_atoms, rename_apart,
 )
-from chcslim.parser import parse_clause, parse_program
+from chcslim.parser import parse_program
+
+from gen import clause_of
+from oracles import holds, programs_isomorphic
 
 names = st.sampled_from(["X", "Y", "Z", "W", "V1", "V2"])
 pairs = st.lists(st.tuples(names, st.integers(-9, 9)), max_size=6)
@@ -35,18 +41,9 @@ def test_linexpr_str_formats_signs_and_coefficients():
 def test_linexpr_eval_matches_sum(ps, c, env):
     e = LinExpr.make(ps, c)
     full = {n: env.get(n, 0) for n, _ in ps}
-    assert e.eval(full) == c + sum(k * full[n] for n, k in ps)
-
-
-@given(pairs, consts, pairs, consts)
-@settings(deadline=None, max_examples=200)
-def test_linexpr_sub_cancels(p1, c1, p2, c2):
-    a = LinExpr.make(p1, c1)
-    b = LinExpr.make(p2, c2)
-    d = a.sub(b)
-    env = {n: 1 for n in a.vars() | b.vars()}
-    assert d.eval(env) == a.eval(env) - b.eval(env)
-    assert not a.sub(a).vars() and a.sub(a).const == 0
+    value = c + sum(k * full[n] for n, k in ps)
+    assert holds(RelCon("=", e, LinExpr.make((), value)), full)
+    assert not holds(RelCon("=", e, LinExpr.make((), value + 1)), full)
 
 
 def test_linexpr_subst_replaces_var_with_const():
@@ -58,17 +55,17 @@ def test_linexpr_subst_replaces_var_with_const():
 
 def test_relcon_holds_for():
     c = RelCon("=<", LinExpr.make([("X", 1)]), LinExpr.make((), 4))
-    assert c.holds_for({"X": 4})
-    assert not c.holds_for({"X": 5})
+    assert holds(c, {"X": 4})
+    assert not holds(c, {"X": 5})
 
 
 def test_clause_vars_in_first_occurrence_order():
-    clause = parse_clause("p(B,A) :- C=B+1, q(C,A).")
+    clause = clause_of("p(B,A) :- C=B+1, q(C,A).")
     assert clause.vars() == ["B", "A", "C"]
 
 
 def test_rename_apart_avoids_taken_names():
-    clause = parse_clause("p(X,Y) :- X>=1, q(Y).")
+    clause = clause_of("p(X,Y) :- X>=1, q(Y).")
     renamed, mapping = rename_apart(clause, {"X", "Y"})
     assert set(mapping) == {"X", "Y"}
     assert not (set(mapping.values()) & {"X", "Y"})
@@ -97,11 +94,49 @@ def test_mgu_atoms_unifies_and_fails():
     assert mgu_atoms(a, Atom("q", (Var("X"), Const(3)))) is None
 
 
+def _atom(*args):
+    return Atom("p", tuple(Const(t) if isinstance(t, int) else Var(t)
+                           for t in args))
+
+
 def test_mgu_atoms_chains_variables():
-    a = Atom("p", (Var("X"), Var("X")))
-    b = Atom("p", (Var("Y"), Const(2)))
+    a = _atom("X", "X")
+    b = _atom("Y", 2)
     theta = mgu_atoms(a, b)
-    assert a.subst(theta) == b.subst(theta) == Atom("p", (Const(2), Const(2)))
+    assert a.subst(theta) == b.subst(theta) == _atom(2, 2)
+    # a variable of the first atom is bound to the second's, so the second
+    # atom's variables name the classes
+    assert mgu_atoms(_atom("X", "Y", "Z"), _atom("A", "A", "B")) == {
+        "X": Var("A"), "Y": Var("A"), "Z": Var("B")}
+    assert mgu_atoms(_atom("X", "Y", "X"), _atom("Z", "Z", 3)) == {
+        "X": Const(3), "Y": Const(3), "Z": Const(3)}
+    assert mgu_atoms(_atom("X", "X", 1), _atom("Y", 2, "Y")) is None
+    assert mgu_atoms(_atom("X", "Y"), _atom("Y", "X")) == {"X": Var("Y")}
+
+
+def test_mgu_atoms_is_a_most_general_idempotent_unifier():
+    # a grounding that equates the atoms exists iff a unifier is returned,
+    # and then every such grounding is an instance of the unifier
+    rng = random.Random(2718)
+    terms = ["X", "Y", "Z", "W", 0, 1]
+    for _ in range(400):
+        a = _atom(*rng.choices(terms, k=3))
+        b = _atom(*rng.choices(terms, k=3))
+        theta = mgu_atoms(a, b)
+        variables = sorted(a.vars() | b.vars())
+        groundings = [dict(zip(variables, map(Const, values))) for values
+                      in itertools.product(range(4), repeat=len(variables))]
+        unifying = [g for g in groundings if a.subst(g) == b.subst(g)]
+        if theta is None:
+            assert not unifying, (a, b)
+            continue
+        assert a.subst(theta) == b.subst(theta), (a, b, theta)
+        assert all(not (isinstance(t, Var) and t.name in theta)
+                   for t in theta.values()), theta
+        for g in unifying:
+            for n in variables:
+                t = theta.get(n, Var(n))
+                assert (g[t.name] if isinstance(t, Var) else t) == g[n]
 
 
 def test_fresh_predicate_counter_skips_existing():
