@@ -20,7 +20,8 @@ from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
 from .nlr import nlr_transform
 from .parser import ParseError, parse_program
 from .pipeline import (ConfigError, PipelineConfig, invariant_failures,
-                       parse_json_lines, report, run_pipeline, solve_external)
+                       parse_json_lines, read_input, report, run_pipeline,
+                       solve_external)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
 
 
 def _load(path: Path):
-    return parse_program(path.read_text())
+    return parse_program(read_input(path))
 
 
 def cmd_parse(args) -> int:
@@ -221,7 +222,7 @@ def cmd_report(args) -> int:
     if str(args.records) == "-":
         text = sys.stdin.read()
     else:
-        text = args.records.read_text()
+        text = read_input(args.records)
     records = parse_json_lines(text)
     sys.stdout.write(report(records, json_lines=args.json))
     return 0

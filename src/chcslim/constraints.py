@@ -1,18 +1,19 @@
 """Decision procedures over conjunctions of integer linear constraints.
 
-Satisfiability and universal-existential validity are decided by
-projecting variables away over the integers, in two phases.  First each
-equality with a +-1 coefficient on a variable to project is solved for it
-and substituted away, as in the first phase of Pugh's Omega test; this is
-always exact, since the variable is then an integer expression in the
-others.  Then Fourier-Motzkin elimination runs on the rows left.  A step is
-exact when every occurrence of the eliminated variable has coefficient +-1
-(the bounds seen during back-substitution are then integer-valued, so
-rational and integer projections coincide), or when the variable is
-bounded on one side only; otherwise the run is marked inexact and only
-refutations remain trustworthy, because a rationally infeasible system has
-no integer solutions either.  Strict relations are first shifted to closed
-ones (a < b becomes a <= b-1), which is lossless over the integers.
+Satisfiability and universal-existential validity are both answered by
+``_projects_to_true``, which projects variables away over the integers in
+two phases.  First each equality with a +-1 coefficient on a variable to
+project is solved for it and substituted away, as in the first phase of
+Pugh's Omega test; this is always exact, since the variable is then an
+integer expression in the others.  Then Fourier-Motzkin elimination runs
+on the rows left.  A step is exact when every occurrence of the eliminated
+variable has coefficient +-1 (the bounds seen during back-substitution are
+then integer-valued, so rational and integer projections coincide), or
+when the variable is bounded on one side only; otherwise the run is marked
+inexact and only refutations remain trustworthy, because a rationally
+infeasible system has no integer solutions either.  Strict relations are
+first shifted to closed ones (a < b becomes a <= b-1), which is lossless
+over the integers.
 
 ``Parts`` splits a conjunction once into its variable-disjoint parts.  It
 gives each variable's linked set (the constrained-to relation) and its own
@@ -126,11 +127,8 @@ def rows_of(c: Constraint) -> list[Row] | None:
     for con in c.conjuncts:
         if isinstance(con, ArrayCon):
             return None
-        coeffs = dict(con.lhs.terms)
-        for name, k in con.rhs.terms:
-            coeffs[name] = coeffs.get(name, 0) - k
-        terms = tuple((n, k) for n, k in coeffs.items() if k != 0)
-        const = con.lhs.const - con.rhs.const
+        terms, const = _combine((con.lhs.terms, con.lhs.const), 1,
+                                (con.rhs.terms, con.rhs.const), -1)
         shift = -1 if con.rel in ("<", ">") else 0
         if con.rel in ("=", "=<", "<"):
             rows.append((terms, shift - const))
@@ -139,32 +137,8 @@ def rows_of(c: Constraint) -> list[Row] | None:
     return rows
 
 
-def _eliminate(rows: list[Row], drop: list[str]) -> tuple[list[Row], bool] | None:
-    """Project away ``drop``: the rows left and whether the run stayed
-    exact; None when the row budget blows.
-
-    Both phases work on one ``_System``, whose occurrence map is built
-    once.  First each equality with a +-1 coefficient on a variable of
-    ``drop`` is solved for it and substituted away, which is exact.  Then
-    Fourier-Motzkin eliminates what is left of ``drop``: unit-coefficient
-    variables first, keeping the run exact as long as possible, then the
-    fewest pos*neg combinations, the first in ``drop`` order on a tie.  The
-    first refutation derived ends the run as the only row left.
-    """
-    try:
-        system = _System(rows)
-        system.substitute(drop)
-        exact = system.fourier_motzkin(drop)
-    except _Refuted as refuted:
-        return [((), refuted.args[0])], True
-    if exact is None:
-        return None
-    return [row for row in system.rows if row is not None], exact
-
-
 class _Refuted(Exception):
-    """A row 0 <= bound with bound < 0 was derived; the bound is its
-    argument."""
+    """A row without variables that no assignment satisfies was derived."""
 
 
 class _System:
@@ -190,7 +164,7 @@ class _System:
     def add(self, terms, bound: int) -> None:
         if not terms:
             if bound < 0:
-                raise _Refuted(bound)
+                raise _Refuted
             return  # 0 <= nonnegative is vacuous
         key = tuple(sorted(terms))
         i = self.keys.get(key)
@@ -284,7 +258,7 @@ class _System:
                 other[1] += f * bound
                 if not other[0]:
                     if other[1]:
-                        raise _Refuted(-abs(other[1]))
+                        raise _Refuted
                     eqs[o] = None  # 0 = 0
         for eq in eqs:
             if eq is not None:
@@ -366,18 +340,26 @@ def forall_exists_valid(x: str, c: Constraint) -> TriState:
 
 
 def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
-    """Eliminate every variable of c but ``keep``: fails when a row is
-    left, holds when none is and the run was exact."""
+    """Whether eliminating every variable of c but ``keep`` leaves no row,
+    on one ``_System``: equalities are substituted away, then
+    Fourier-Motzkin takes unit-coefficient variables first, to stay exact
+    as long as possible, then the fewest pos*neg combinations, the first
+    in name order on a tie.  Arrays or a blown row budget answer
+    ``unknown``, a refutation or a row left ``fails``; else the answer is
+    ``holds`` if the run was exact and ``unknown`` if not.
+    """
     rows = rows_of(c)
     if rows is None:
         return TriState.UNKNOWN
-    if not rows:
-        return TriState.HOLDS
     names = sorted({n for terms, _ in rows for n, _ in terms} - {keep})
-    result = _eliminate(rows, names)
-    if result is None:
+    try:
+        system = _System(rows)
+        system.substitute(names)
+        exact = system.fourier_motzkin(names)
+    except _Refuted:
+        return TriState.FAILS
+    if exact is None:
         return TriState.UNKNOWN
-    left, exact = result
-    if left:
+    if system.size:
         return TriState.FAILS
     return TriState.HOLDS if exact else TriState.UNKNOWN

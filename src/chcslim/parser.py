@@ -105,6 +105,15 @@ class _Parser:
     def at_op(self, text: str) -> bool:
         return self.here.kind == "op" and self.here.text == text
 
+    def integer(self, tok: _Token) -> int:
+        """The int token's value; a ParseError at it when the literal is
+        too long for Python to convert."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise self.fail(f"integer literal of {len(tok.text)} digits is "
+                            "too long", tok) from None
+
     def var_name(self, tok: _Token) -> str:
         """The token's variable name; each ``_`` gets a fresh one, apart
         from every variable written in its clause."""
@@ -129,11 +138,11 @@ class _Parser:
             return Var(self.var_name(tok))
         if tok.kind == "int":
             self.advance()
-            return Const(int(tok.text))
+            return Const(self.integer(tok))
         if self.at_op("-"):
             self.advance()
             value = self.expect("int")
-            return Const(-int(value.text))
+            return Const(-self.integer(value))
         raise self.fail(f"expected a variable or integer, found {tok.text!r}")
 
     def parse_linexpr(self) -> LinExpr:
@@ -149,7 +158,7 @@ class _Parser:
             tok = self.here
             if tok.kind == "int":
                 self.advance()
-                coeff = sign * int(tok.text)
+                coeff = sign * self.integer(tok)
                 if self.at_op("*"):
                     self.advance()
                     var = self.expect("var")
@@ -162,7 +171,7 @@ class _Parser:
                 if self.at_op("*"):
                     self.advance()
                     num = self.expect("int")
-                    coeff *= int(num.text)
+                    coeff *= self.integer(num)
                 pairs.append((self.var_name(tok), coeff))
             else:
                 raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")

@@ -184,6 +184,15 @@ def solve_external(smt_path: Path, command: str,
     return verdict, elapsed
 
 
+def read_input(path: Path) -> str:
+    """The text of an input file; an OSError when it cannot be read or is
+    not UTF-8, so a caller handles both alike."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8: {exc}") from None
+
+
 def run_pipeline(cfg: PipelineConfig) -> list[RunRecord]:
     """Process every input; per-problem failures are recorded, not raised."""
     cfg.validate()
@@ -199,7 +208,7 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
     for stage in cfg.stages:
         rec.stage_times[stage] = 0.0
     try:
-        text = path.read_text()
+        text = read_input(path)
     except OSError as exc:
         rec.error = f"unreadable input: {exc}"
         return rec
@@ -304,14 +313,11 @@ def report(records: list[RunRecord], *, json_lines: bool = True) -> str:
     tt = t_nlr + t_cfar + st
     at = tt / c if c else None
 
-    rows = [
-        ("c", str(c)), ("s", str(s)), ("u", str(u)), ("to", str(to)),
-        ("n", str(n)),
-        ("t_NLR", f"{t_nlr:.3f}"), ("t_cFAR", f"{t_cfar:.3f}"),
-        ("st", f"{st:.3f}"), ("tt", f"{tt:.3f}"),
-        ("at", f"{at:.3f}" if at is not None else "--"),
-    ]
-    lines = [f"{label:<7}{value}" for label, value in rows]
+    values = dict(zip(TABLE_LABELS, (c, s, u, to, n, t_nlr, t_cfar, st, tt, at)))
+    counts = TABLE_LABELS[:5]  # the labels after them are times in seconds
+    lines = [f"{label:<7}" + (str(v) if label in counts else
+                              "--" if v is None else f"{v:.3f}")
+             for label, v in values.items()]
 
     rerun = [r for r in records if r.cfar_second_erasure is not None]
     if rerun:
@@ -321,10 +327,8 @@ def report(records: list[RunRecord], *, json_lines: bool = True) -> str:
     if json_lines:
         for r in records:
             lines.append(json.dumps(r.to_json(), sort_keys=True))
-        summary = {"c": c, "s": s, "u": u, "to": to, "n": n,
-                   "t_NLR": round(t_nlr, 6), "t_cFAR": round(t_cfar, 6),
-                   "st": round(st, 6), "tt": round(tt, 6),
-                   "at": round(at, 6) if at is not None else None}
+        summary = {label: v if v is None else round(v, 6)  # ints stay ints
+                   for label, v in values.items()}
         lines.append(json.dumps({"summary": summary}, sort_keys=True))
     return "\n".join(lines) + "\n"
 

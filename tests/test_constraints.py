@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chcslim import constraints
 from chcslim.constraints import (
     Parts, TriState, constrained_to, forall_exists_valid, is_satisfiable,
     rows_of,
@@ -42,9 +43,20 @@ def test_tristate_is_not_a_boolean():
     # a unit equality is substituted before the non-unit rows are combined
     ("-2*X>=1, X=-1", TriState.HOLDS),
     ("2*Y-X=3, 2*Y+2*X<4", TriState.HOLDS),
+    # substitution turns the last equality into 0 = -1, or into 0 = 0
+    ("X=Y+1, Y=Z, X=Z+2", TriState.FAILS),
+    ("X=Y+1, Y=Z, X=Z+1", TriState.HOLDS),
 ])
 def test_satisfiability_spot_checks(text, expected):
     assert sat(text) is expected
+
+
+def test_row_budget_makes_answer_unknown(monkeypatch):
+    # one Fourier-Motzkin combination refutes X>=1, X=<0; a budget of no
+    # rows forbids it
+    assert sat("X>=1, X=<0") is TriState.FAILS
+    monkeypatch.setattr(constraints, "ROW_BUDGET", 0)
+    assert sat("X>=1, X=<0") is TriState.UNKNOWN
 
 
 @pytest.mark.parametrize("x, text, expected", [

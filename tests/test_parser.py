@@ -70,6 +70,8 @@ def test_array_constraints_parse_as_constraints():
     ("% c\n\np(X) :- X=1 # 2.", "3:13", "unexpected character '#'"),
     ("p(X) :- X=1. % tail\nq(Y) :- Y=$.", "2:11", "unexpected character '$'"),
     ("p(X) :-\n   q(X", "2:7", "expected ')'"),
+    pytest.param("p(X) :- X=" + "9" * 5000 + ".", "1:11", "too long",
+                 id="huge-literal"),
 ])
 def test_errors_carry_position(source, position, fragment):
     with pytest.raises(ParseError) as info:

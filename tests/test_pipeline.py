@@ -125,14 +125,25 @@ def test_oracle_contradiction_marks_internal_error(tmp_path, fake_solver):
     assert invariant_failures(records)
 
 
-def test_unreadable_input_becomes_error_record(tmp_path, fake_solver):
+# inputs that must become an error record, not end the batch
+BAD_INPUTS = {
+    "no.clp": None,  # missing
+    "bad.clp": b"p(X) :- X=1.\n\xff\xfe unsafe :- p(X).\n",  # not UTF-8
+    "huge.clp": b"p(X) :- X=" + b"9" * 5000 + b".\nunsafe :- p(X).\n",
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_unreadable_input_becomes_error_record(tmp_path, fake_solver, name):
+    if BAD_INPUTS[name] is not None:
+        (tmp_path / name).write_bytes(BAD_INPUTS[name])
     cfg = PipelineConfig(
-        inputs=[str(CORPUS / "branch_unsafe.clp"), str(tmp_path / "no.clp")],
+        inputs=[str(tmp_path / name), str(CORPUS / "branch_unsafe.clp")],
         out_dir=str(tmp_path / "out"), solver_cmd=fake_solver("sat"))
     records = run_pipeline(cfg)
-    assert records[0].verdict == "sat"
-    assert records[1].verdict == "skipped"
-    assert records[1].error
+    assert records[0].verdict == "skipped"
+    assert records[0].error and not records[0].internal_error
+    assert records[1].verdict == "sat"
 
 
 def test_stage_subset_skips_other_transform(tmp_path):
@@ -339,9 +350,15 @@ def test_cli_pipeline_contradiction_exits_2(tmp_path, fake_solver, capsys):
     ["pipeline", str(CORPUS / "chain_safe.clp"), "--solver-cmd", "z3 '{file}"],
     ["pipeline", str(CORPUS / "chain_safe.clp"), "--solver-cmd", "true {file}",
      "--timeout", "inf"],
+    ["eval", "bad.input"],
+    ["parse", "bad.input"],
+    ["eval", "huge.input"],
+    ["parse", "huge.input"],
 ])
 def test_cli_usage_errors_exit_1(tmp_path, monkeypatch, argv, capsys):
     monkeypatch.chdir(tmp_path)
+    for name in ("bad", "huge"):
+        Path(f"{name}.input").write_bytes(BAD_INPUTS[f"{name}.clp"])
     # each report input with the line and the field its error names
     reports = {
         "no_name.jsonl": ('c      0\n{"verdict": "sat"}\n', 2, None),
