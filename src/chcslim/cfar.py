@@ -25,6 +25,17 @@ Each clause's constraint is split once into its variable-disjoint parts
 (``constraints.Parts``).  Condition (i) holds when X_k's own part projects
 to true and every other part is satisfiable, each part decided at most
 once per clause; (ii) and the body edges read the parts' linked sets.
+
+The erased program then gets each clause's constraint projected onto its
+live variables, those of the erased head and of the erased body atoms
+(``constraints.project``, on the same split and its part answers).  The
+other variables are existential in the clause, and every step taken is
+exact over the integers: a part without a live variable is deleted when
+satisfiable and kept when the oracle cannot say, a clause with an
+unsatisfiable part is deleted (it derives nothing), unit equalities are
+solved away and one-sided variables dropped.  So the least model, and
+every surviving-atom projection with it, is unchanged; the erasure is
+computed first and does not depend on the projection.
 """
 
 from __future__ import annotations
@@ -32,7 +43,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .constraints import Parts, TriState, constrained_to, forall_exists_valid
+from .constraints import (Parts, TriState, constrained_to, forall_exists_valid,
+                          project)
 from .syntax import Atom, Clause, Const, Program, Var
 
 Pair = tuple[str, int]
@@ -148,6 +160,11 @@ class CfarReport:
     args_after: int = 0
     renamed: dict = field(default_factory=dict)
     erasure: list = field(default_factory=list)
+    # the projection: conjuncts gone from the clauses left (a rewritten one
+    # stays), their local variables gone, and the clauses left out
+    conjuncts_dropped: int = 0
+    vars_eliminated: int = 0
+    clauses_dropped: int = 0
 
     def text(self) -> str:
         lines = [
@@ -163,6 +180,9 @@ class CfarReport:
         for old, new in self.renamed.items():
             lines.append(f"renamed: {old} -> {new}")
         lines.append(f"arguments: {self.args_before} -> {self.args_after}")
+        lines += [f"conjuncts dropped: {self.conjuncts_dropped}",
+                  f"variables eliminated: {self.vars_eliminated}",
+                  f"clauses dropped: {self.clauses_dropped}"]
         return "\n".join(lines)
 
 
@@ -174,17 +194,19 @@ def erasure_lines(e: Erasure, arities: dict[str, int]) -> list[str]:
 def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     """Greatest safe erasure of ``prog`` and the erased program.
 
-    Each clause with head arguments is split once into the parts of its
-    constraint, and the splits are grouped by head predicate; each pair is
-    checked once for its local violations against its predicate's splits;
-    a kept pair then keeps every pair reachable backward from it along
-    ``body_edges``, and the erasure is every pair not kept.
+    Each clause is split once into the parts of its constraint, and the
+    splits are grouped by head predicate; each pair is checked once for its
+    local violations against its predicate's splits; a kept pair then keeps
+    every pair reachable backward from it along ``body_edges``, and the
+    erasure is every pair not kept.  Each erased clause's constraint is
+    then projected onto the clause's live variables, and a clause whose
+    constraint the projection finds unsatisfiable is left out.
     """
     pairs = full_erasure(prog)
     report = CfarReport(pairs_initial=len(pairs), args_before=prog.total_args())
 
     splits = [(index, clause, Parts(clause.constraint))
-              for index, clause in enumerate(prog.clauses) if clause.head.args]
+              for index, clause in enumerate(prog.clauses)]
     by_head: dict[str, list[Split]] = defaultdict(list)
     for split in splits:
         by_head[split[1].head.pred].append(split)
@@ -203,10 +225,22 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     report.removals_by_condition = {c: counts[c] for c in CONDITIONS if counts[c]}
     erasure = pairs.difference(kept)
     names = erased_names(prog, erasure)
-    out = Program(tuple(
-        Clause(erase_atom(c.head, erasure, names), c.constraint,
-               tuple(erase_atom(a, erasure, names) for a in c.body))
-        for c in prog.clauses))
+    clauses = []
+    for _, clause, parts in splits:
+        head = erase_atom(clause.head, erasure, names)
+        body = tuple(erase_atom(a, erasure, names) for a in clause.body)
+        live = head.vars().union(*(a.vars() for a in body))
+        constraint = project(parts, live)
+        if constraint is None:
+            report.clauses_dropped += 1
+            continue
+        if constraint is not clause.constraint:
+            report.conjuncts_dropped += (len(clause.constraint.conjuncts)
+                                         - len(constraint.conjuncts))
+            report.vars_eliminated += len(clause.constraint.vars()
+                                          - constraint.vars() - live)
+        clauses.append(Clause(head, constraint, body))
+    out = Program(tuple(clauses))
 
     report.pairs_kept = len(erasure)
     report.erasure = erasure_lines(erasure, prog.arities)

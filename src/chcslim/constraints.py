@@ -21,15 +21,26 @@ part, and decides each part's satisfiability at most once, so a caller
 asking about every variable of one conjunction runs the eliminator on each
 part once, not on the rest of the conjunction once per variable.
 
+``project`` rewrites a split conjunction c into one with the same
+solutions on a given set of live variables: for every assignment of the
+live variables, c has a solution for the others exactly when the result
+has.  It uses only steps that are exact over the integers, part by part.
+A part without a live variable is a closed formula, so its oracle answer
+settles it.  A unit equality is a substitution, as in the Omega test's
+first phase.  A variable bounded on one side only, in inequalities alone,
+can always be pushed far enough to satisfy them, so they go with it.
+Whatever the rules do not reach is kept as it was, never approximated.
+
 Array pseudo-constraints are opaque: they connect their variables for the
-constrained-to relation and force ``unknown`` answers from the oracle.
+constrained-to relation, force ``unknown`` answers from the oracle and
+keep their variables out of ``project``'s reach.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .syntax import ArrayCon, Constraint
+from .syntax import ArrayCon, Constraint, LinExpr, RelCon
 
 # Safety valve for Fourier-Motzkin blowup; conjunctions in verification
 # conditions stay far below this.
@@ -50,8 +61,9 @@ class Parts:
 
     Two conjuncts share a part when a chain of conjuncts sharing variables
     links them; a conjunct without variables is a part of its own.  Each
-    part keeps the conjunct order of the whole, and its satisfiability is
-    decided at most once, when an answer first needs it.
+    part keeps the conjunct order of the whole, ``part_of`` gives each
+    conjunct's part, ``names`` each part's variables, and each part's
+    satisfiability is decided at most once, when an answer first needs it.
     """
 
     def __init__(self, c: Constraint) -> None:
@@ -69,22 +81,29 @@ class Parts:
             for n in group:
                 parent.setdefault(n, n)
                 parent[find(n)] = find(first)
-        groups: dict[object, list] = {}
+        index: dict[object, int] = {}
+        groups: list[list] = []
+        self.whole = c
+        self.part_of: list[int] = []
         for i, (con, group) in enumerate(zip(c.conjuncts, names)):
             # a conjunct without variables is keyed by its own position
-            groups.setdefault(find(min(group)) if group else i, []).append(con)
-        self.parts = [Constraint(tuple(cons)) for cons in groups.values()]
+            j = index.setdefault(find(min(group)) if group else i, len(groups))
+            if j == len(groups):
+                groups.append([])
+            groups[j].append(con)
+            self.part_of.append(j)
+        self.parts = [Constraint(tuple(cons)) for cons in groups]
+        self.names = [frozenset(part.vars()) for part in self.parts]
         self._part: dict[str, int] = {}
-        self._linked: dict[str, frozenset[str]] = {}
-        for i, part in enumerate(self.parts):
-            linked = frozenset(part.vars())
+        for i, linked in enumerate(self.names):
             for n in linked:
-                self._part[n], self._linked[n] = i, linked
-        self._satisfiable: dict[int, bool] = {}
+                self._part[n] = i
+        self._answers: dict[int, TriState] = {}
 
     def linked(self, x: str) -> frozenset[str]:
         """The variables of x's part; just x when x does not occur."""
-        return self._linked.get(x, frozenset((x,)))
+        i = self._part.get(x)
+        return frozenset((x,)) if i is None else self.names[i]
 
     def own(self, x: str) -> Constraint:
         """x's part; empty when x does not occur."""
@@ -94,12 +113,157 @@ class Parts:
     def others_satisfiable(self, x: str) -> bool:
         """True when every part without x is satisfiable (``holds``)."""
         own = self._part.get(x)
-        return all(self._decide(i) for i in range(len(self.parts)) if i != own)
+        return all(self.decide(i) is TriState.HOLDS
+                   for i in range(len(self.parts)) if i != own)
 
-    def _decide(self, i: int) -> bool:
-        if i not in self._satisfiable:
-            self._satisfiable[i] = is_satisfiable(self.parts[i]) is TriState.HOLDS
-        return self._satisfiable[i]
+    def decide(self, i: int) -> TriState:
+        """``is_satisfiable`` of part i, asked at most once."""
+        if i not in self._answers:
+            self._answers[i] = is_satisfiable(self.parts[i])
+        return self._answers[i]
+
+
+def project(parts: Parts, live: set[str]) -> Constraint | None:
+    """The conjunction split by ``parts`` with the variables outside
+    ``live`` projected away where that is exact over the integers; None
+    when the conjunction is unsatisfiable.
+
+    Each part is taken alone.  A part whose variables are all live is kept
+    as it is.  A part without a live variable is a closed existential
+    formula: its ``decide`` answer deletes it (``holds``), makes the whole
+    unsatisfiable (``fails``) or keeps it (``unknown``).  In any other
+    part, the local variables (not live, in no array constraint) go by two
+    rules, each exact:
+
+    - an ``=`` conjunct in which a local variable has coefficient +-1 is
+      solved for it, the solution (an integer expression) is substituted
+      into the part's other conjuncts and the conjunct is deleted, until
+      no such conjunct is left; a conjunct the substitution leaves without
+      variables is deleted when true and makes the whole unsatisfiable
+      when false;
+    - a local variable that then occurs only in inequalities bounding it
+      on one side is deleted with them, since a value far enough to that
+      side satisfies them all, until no such variable is left.
+
+    No Fourier-Motzkin step runs, so a variable in two-sided inequalities
+    or in a non-unit equality alone stays.  Every conjunct keeps its place
+    in the input order; one the substitution rewrote is written with its
+    positive terms on the left.  With nothing to project the result is
+    the input itself.
+    """
+    projected: dict[int, list] = {}  # part -> its conjuncts, None if deleted
+    for i, names in enumerate(parts.names):
+        conjuncts = parts.parts[i].conjuncts
+        if names.isdisjoint(live):
+            answer = parts.decide(i)
+            if answer is TriState.FAILS:
+                return None
+            if answer is TriState.HOLDS:
+                projected[i] = [None] * len(conjuncts)
+            continue
+        if names <= live:
+            continue
+        cons: list = list(conjuncts)
+        local = set(names - live)
+        # lhs - rhs of each relational conjunct left, as [{var: coeff}, const]
+        rows: list = []
+        for con in conjuncts:
+            if isinstance(con, ArrayCon):
+                local -= con.vars()
+                rows.append(None)
+            else:
+                terms, const = _difference(con)
+                rows.append([dict(terms), const])
+        rewritten = set()
+        solved = True
+        while solved:
+            solved = False
+            for j, row in enumerate(rows):
+                if row is None or cons[j].rel != "=":
+                    continue
+                coeffs, const = row
+                var = next((n for n, k in coeffs.items()
+                            if n in local and (k == 1 or k == -1)), None)
+                if var is None:
+                    continue
+                cons[j] = rows[j] = None
+                local.discard(var)
+                solved = True
+                for o, other in enumerate(rows):
+                    if other is None or var not in other[0]:
+                        continue
+                    # adding f times the solved row cancels var, as f*k = -c
+                    f = -other[0][var] * coeffs[var]
+                    for n, k in coeffs.items():
+                        k = other[0].get(n, 0) + f * k
+                        if k:
+                            other[0][n] = k
+                        else:
+                            del other[0][n]
+                    other[1] += f * const
+                    rewritten.add(o)
+                    if not other[0]:
+                        if not _ZERO_TEST[cons[o].rel](other[1]):
+                            return None
+                        cons[o] = rows[o] = None
+        dropped = True
+        while dropped:
+            dropped = False
+            for var in sorted(local):
+                sides, at = set(), []
+                for j, row in enumerate(rows):
+                    if row is None or var not in row[0]:
+                        continue
+                    if cons[j].rel == "=":
+                        break
+                    sides.add((row[0][var] > 0) == (cons[j].rel in ("<", "=<")))
+                    at.append(j)
+                else:
+                    if len(sides) == 1:
+                        for j in at:
+                            cons[j] = rows[j] = None
+                        local.discard(var)
+                        dropped = True
+        for j in rewritten:
+            if cons[j] is not None:
+                cons[j] = _written(cons[j].rel, *rows[j])
+        if rewritten or None in cons:
+            projected[i] = cons
+    if not projected:
+        return parts.whole
+    out, taken = [], dict.fromkeys(projected, 0)
+    for con, i in zip(parts.whole.conjuncts, parts.part_of):
+        if i in projected:
+            con = projected[i][taken[i]]
+            taken[i] += 1
+        if con is not None:
+            out.append(con)
+    return Constraint(tuple(out))
+
+
+# whether d rel 0 holds, for a conjunct lhs rel rhs with d = lhs - rhs
+_ZERO_TEST = {"=": lambda d: d == 0, "<": lambda d: d < 0,
+              "=<": lambda d: d <= 0, ">": lambda d: d > 0,
+              ">=": lambda d: d >= 0}
+_MIRRORED = {"=": "=", "<": ">", "=<": ">=", ">": "<", ">=": "=<"}
+
+
+def _difference(con: RelCon) -> Row:
+    """lhs - rhs of a relational conjunct, as (terms, constant)."""
+    return _combine((con.lhs.terms, con.lhs.const), 1,
+                    (con.rhs.terms, con.rhs.const), -1)
+
+
+def _written(rel: str, coeffs: dict[str, int], const: int) -> RelCon:
+    """The conjunct sum(coeff * var) + const rel 0, with the positive terms
+    on the left and the rest on the right; negated first when no term is
+    positive."""
+    if all(k < 0 for k in coeffs.values()):
+        coeffs = {n: -k for n, k in coeffs.items()}
+        const, rel = -const, _MIRRORED[rel]
+    return RelCon(rel, LinExpr(tuple((n, k) for n, k in coeffs.items() if k > 0)),
+                  LinExpr(tuple((n, -k) for n, k in coeffs.items() if k < 0),
+                          -const))
 
 
 def constrained_to(x: str, y: str, c: Constraint) -> bool:
@@ -127,8 +291,7 @@ def rows_of(c: Constraint) -> list[Row] | None:
     for con in c.conjuncts:
         if isinstance(con, ArrayCon):
             return None
-        terms, const = _combine((con.lhs.terms, con.lhs.const), 1,
-                                (con.rhs.terms, con.rhs.const), -1)
+        terms, const = _difference(con)
         shift = -1 if con.rel in ("<", ">") else 0
         if con.rel in ("=", "=<", "<"):
             rows.append((terms, shift - const))

@@ -259,7 +259,12 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
     rec.classification = classification_for(rec.verdict)
 
     if cfg.bound is not None:
-        rec.oracle = _oracle_verdict(current, cfg.bound)
+        try:
+            rec.oracle = _oracle_verdict(current, cfg.bound)
+        except Exception as exc:  # an evaluator bug, not an input problem
+            rec.internal_error = (f"evaluation failed: "
+                                  f"{type(exc).__name__}: {exc}")
+            return rec
         clash = _contradiction(rec.verdict, rec.oracle)
         if clash:
             rec.internal_error = clash

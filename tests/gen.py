@@ -211,3 +211,60 @@ def _query_clause(rng, pred, arity) -> Clause:
                            _n(rng.randint(-8, 8))))
     return Clause(Atom("unsafe", ()), Constraint(tuple(cons)),
                   (Atom(pred, tuple(body_vars)),))
+
+
+# closed parts over a step's own local variables, by the oracle's answer
+DEAD_PARTS = {
+    "holds": ("Z{i}>=0, Z{i}=<2", "Z{i}=W{i}+1, W{i}>=0, W{i}=<1"),
+    "fails": ("Z{i}>=1, Z{i}=<0",),
+    "unknown": ("2*Z{i}=7",),
+}
+
+
+def frame_program(rng: random.Random) -> Program:
+    """Translator-shaped chain ``p0 -> p1 -> ... -> pD`` threading a frame
+    of 2 to 4 positions, for the model-level cfar suite.
+
+    Position 1 starts in a small box and each step updates it through a
+    clause-local equality chain ``T0=X1, T1=..., Y1=Tn`` (copies, shifts
+    and negations) with a guard on a middle link; the other positions are
+    pinned at the start and copied or shifted at every step.  A step may
+    carry a dead part over its own local variables whose satisfiability
+    holds, fails or is beyond the oracle (``2*Z=7``), or a one-sided local
+    variable.  A link changes the size of position 1 by at most one, so most
+    programs evaluate exactly at bound 8; a long run of links, a one-sided
+    variable or a frame position left free (which cfar erases) makes them
+    clip.
+    """
+    width = rng.randint(2, 4)
+    depth = rng.randint(1, 3)
+    xs = [f"X{j}" for j in range(1, width + 1)]
+    ys = [f"Y{j}" for j in range(1, width + 1)]
+    start = ["X1>=0", f"X1=<{rng.randint(0, 2)}"]
+    start += [f"X{j}={rng.randint(-3, 3)}" for j in range(2, width + 1)
+              if rng.random() < 0.85]
+    lines = [f"p0({','.join(xs)}) :- {', '.join(start)}."]
+    for i in range(depth):
+        steps = rng.randint(1, 5)
+        cons = ["T0=X1"]
+        for k in range(1, steps + 1):
+            shift = rng.randint(-1, 1)
+            link = f"-T{k - 1}" if rng.random() < 0.3 else f"T{k - 1}"
+            cons.append(f"T{k}={link}{shift:+d}" if shift else f"T{k}={link}")
+            if k == (steps + 1) // 2:
+                cons.append(f"T{k}{rng.choice(('=<', '>='))}{rng.randint(-2, 4)}")
+        cons.append(f"Y1=T{steps}")
+        for j in range(2, width + 1):
+            shift = rng.choice((0, 0, 0, -1, 1))
+            cons.append(f"Y{j}=X{j}{shift:+d}" if shift else f"Y{j}=X{j}")
+        roll = rng.random()
+        if roll < 0.6:
+            answer = rng.choice(("holds", "holds", "fails", "unknown"))
+            cons.append(rng.choice(DEAD_PARTS[answer]).format(i=i))
+        elif roll < 0.7:
+            cons.append(f"V{i}>=X{rng.randint(1, width)}")
+        rng.shuffle(cons)
+        lines.append(f"p{i + 1}({','.join(ys)}) :- {', '.join(cons)}, "
+                     f"p{i}({','.join(xs)}).")
+    lines.append(f"unsafe :- X1>={rng.randint(-2, 5)}, p{depth}({','.join(xs)}).")
+    return parse_program("\n".join(lines))

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from chcslim import TriState, cfar_transform, derives_unsafe, parse_program
+from chcslim import (EvalError, TriState, bounded_least_model, cfar_transform,
+                     derives_unsafe, emit_clp, parse_program)
 from chcslim import constraints
 from chcslim.cfar import erasure_lines, full_erasure, verify_safe_erasure
 from chcslim.corpus import corpus_names, load
 
-from gen import random_program
+from gen import frame_program, random_program
 from oracles import programs_isomorphic
 
 
@@ -155,3 +156,81 @@ def test_query_verdict_preserved():
         assert before is after
         compared += 1
     assert compared >= 10
+
+
+BLOCK = """\
+unsafe :- Y>=3, b1(Y).
+b1(Y) :- T0=X, T1=T0+4, T2=T1-7, T3=T2-T1+T0+4, T4=T3, T4>=-2, T5=-T4+1, Y=T5, b0(X).
+b0(A) :- A>=0, A=<2, P=7.
+"""
+
+
+def test_block_chain_collapses_to_one_equality_and_its_guard():
+    out, erasure, report = cfar_transform(parse_program(BLOCK))
+    assert erasure == frozenset()
+    assert [str(c) for c in out.clauses] == [
+        "unsafe :- Y>=3, b1(Y).",
+        "b1(Y) :- X>=1, Y+X=4, b0(X).",
+        "b0(A) :- A>=0, A=<2."]
+    assert (report.conjuncts_dropped, report.vars_eliminated,
+            report.clauses_dropped) == (7, 7, 0)
+
+
+def test_dead_part_that_fails_drops_its_clause():
+    prog = parse_program("unsafe :- p(X).\n"
+                         "p(X) :- X=0.\n"
+                         "p(Y) :- Y=X+1, Z>=1, Z=<0, p(X).")
+    out, erasure, report = cfar_transform(prog)
+    assert [str(c) for c in out.clauses] == ["unsafe :- p(X).", "p(X) :- X=0."]
+    assert report.clauses_dropped == 1
+    assert erasure == frozenset()
+
+
+def _slimming_inputs():
+    rng, frames = random.Random(606), random.Random(707)
+    return ([load(name) for name in corpus_names()] + [parse_program(BLOCK)]
+            + [random_program(rng) for _ in range(100)]
+            + [frame_program(frames) for _ in range(120)])
+
+
+def test_cfar_is_idempotent_on_its_output():
+    # the projection leaves nothing for a second run to project; a program
+    # that lost clauses may lose predicates and so gain erasable positions,
+    # which only the first run's erasure is blind to
+    again_dropped = 0
+    for prog in _slimming_inputs():
+        out, _, report = cfar_transform(prog)
+        if report.clauses_dropped:
+            again_dropped += 1
+            continue
+        assert emit_clp(cfar_transform(out)[0]) == emit_clp(out), prog
+    assert again_dropped > 0
+
+
+def _exact_facts(prog):
+    try:
+        model = bounded_least_model(prog, 8, budget=200_000)
+    except EvalError:
+        return None
+    return None if model.clipped else model.facts
+
+
+def test_slimmed_facts_are_projections_of_source_facts():
+    # wherever the input and the output both evaluate exactly at bound 8,
+    # each predicate's facts after cfar are its facts before, without the
+    # erased positions: nothing the projection drops changes the model
+    compared = projected = 0
+    for prog in _slimming_inputs():
+        out, erasure, report = cfar_transform(prog)
+        before, after = _exact_facts(prog), _exact_facts(out)
+        if before is None or after is None:
+            continue
+        for pred, arity in prog.arities.items():
+            kept = [k for k in range(arity) if (pred, k + 1) not in erasure]
+            expected = {tuple(fact[k] for k in kept)
+                        for fact in before.get(pred, ())}
+            name = report.renamed.get(pred, pred)
+            assert after.get(name, set()) == expected, (pred, prog)
+        compared += 1
+        projected += report.vars_eliminated + report.clauses_dropped > 0
+    assert compared >= 100 and projected >= 50

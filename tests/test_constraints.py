@@ -5,6 +5,7 @@ of integer assignments; UNKNOWN is permitted whenever elimination had to
 go through a non-unit coefficient.
 """
 
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from chcslim import constraints
 from chcslim.constraints import (
     Parts, TriState, constrained_to, forall_exists_valid, is_satisfiable,
-    rows_of,
+    project, rows_of,
 )
 from gen import constraint_of, random_constraint, random_forall_instance
 from oracles import box_forall_exists, box_satisfiable
@@ -109,6 +110,62 @@ def test_parts_split_on_shared_vars():
     assert parts.linked("Q") == {"Q"}
     assert str(parts.own("W")) == "Z>=1, W=Z+2"
     assert parts.own("Q") == type(c)()
+
+
+@pytest.mark.parametrize("text, live, expected", [
+    # a dead part that holds is deleted
+    ("X>=0, Z>=1, Z=<3", "X", "X>=0"),
+    # a dead part that fails leaves the conjunction unsatisfiable
+    ("X>=0, Z>=1, Z=<0", "X", None),
+    # a dead part the oracle cannot decide is kept
+    ("X>=0, 2*Z=7", "X", "X>=0, 2*Z=7"),
+    # a variable of an array constraint stays, and so does one with only a
+    # non-unit equality
+    ("read(A,I,V), V=Y+1", "A I Y", "read(A,I,V), V=Y+1"),
+    ("2*Y=X, X>=0", "X", "2*Y=X, X>=0"),
+    # one-sided inequalities go with their variable, two-sided ones stay
+    ("W>=X, W>=Y+1, X=<5", "X Y", "X=<5"),
+    ("W>=X, W=<Y", "X Y", "W>=X, W=<Y"),
+    ("W>=X, V=<W, V<Y", "X Y", ""),
+    # a solved equality is substituted; every conjunct keeps its place
+    ("X>=0, T=X+1, Y=<T, Z>=1, Y>=X", "X Y", "X>=0, Y=<X+1, Y>=X"),
+    ("Y=-T, T=X", "X Y", "X+Y=0"),
+    # a rewritten conjunct left without variables is decided on the spot
+    ("T=X, T>=X-1, Y=X", "X Y", "Y=X"),
+    ("T=X, T=X+1", "X", None),
+])
+def test_projection_rules(text, live, expected):
+    result = project(Parts(constraint_of(text)), set(live.split()))
+    assert (None if result is None else str(result)) == expected
+
+
+def test_projection_keeps_a_live_conjunction_as_it_is():
+    c = constraint_of("X>=0, Y=X+1, Z=<Y")
+    assert project(Parts(c), {"X", "Y", "Z"}) is c
+
+
+def test_projection_agrees_with_box_search():
+    # the projection is exact: under each pin of the live variables, the
+    # input has a witness for the rest exactly when the output does
+    rng = random.Random(2718)
+    changed = 0
+    for i in range(200):
+        c = random_constraint(rng, max_vars=4, max_conjuncts=4)
+        live = sorted(c.vars())[:1 + i % 2]
+        out = project(Parts(c), set(live))
+        if out is c:
+            continue
+        changed += 1
+        if out is None:
+            assert not box_satisfiable(c), c
+            continue
+        assert out.vars() <= c.vars()
+        for values in itertools.product(range(-2, 3), repeat=len(live)):
+            pin = [f"{n}={v}" for n, v in zip(live, values)]
+            assert box_satisfiable(constraint_of(", ".join([str(c)] + pin))) is \
+                box_satisfiable(constraint_of(", ".join(
+                    [str(out)] * bool(out.conjuncts) + pin))), (c, out)
+    assert changed > 60
 
 
 def _split_verdict(x, c):

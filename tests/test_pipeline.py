@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chcslim import pipeline
 from chcslim.cli import main
 from chcslim.corpus import corpus_dir, corpus_names
 from chcslim.pipeline import (
@@ -258,12 +259,55 @@ def test_deep_clause_does_not_abort_the_batch(tmp_path):
     assert not invariant_failures(records)
 
 
+def test_evaluation_crash_does_not_abort_the_batch(tmp_path, monkeypatch,
+                                                  capsys):
+    # an exception from the evaluator other than EvalError is a bug in it:
+    # the problem records it and the batch goes on
+    evaluate, calls = pipeline.derives_unsafe, []
+
+    def crash_first(prog, bound):
+        calls.append(bound)
+        if len(calls) == 1:
+            raise RuntimeError("evaluator bug")
+        return evaluate(prog, bound)
+
+    monkeypatch.setattr(pipeline, "derives_unsafe", crash_first)
+    records = run_pipeline(config(tmp_path, names=("branch_unsafe",
+                                                   "always_safe"), bound=32))
+    assert [r.name for r in records] == ["branch_unsafe", "always_safe"]
+    assert records[0].internal_error == ("evaluation failed: RuntimeError: "
+                                         "evaluator bug")
+    assert records[1].oracle == "fails" and not records[1].internal_error
+    calls.clear()
+    rc = main(["pipeline", str(CORPUS / "branch_unsafe.clp"),
+               str(CORPUS / "always_safe.clp"), "--out-dir",
+               str(tmp_path / "cli"), "--bound", "32", "--json"])
+    assert rc == 2
+    assert len(parse_json_lines(capsys.readouterr().out)) == 2
+
+
 def test_cli_cfar_prints_erasure_on_stderr(capsys):
     rc = main(["cfar", str(CORPUS / "dead_argument.clp")])
     assert rc == 0
     out = capsys.readouterr()
     assert out.err.count("p/2 2") == 1
     assert parse_program(out.out)
+
+
+def test_cli_cfar_reports_the_projection(tmp_path, capsys):
+    path = tmp_path / "chain.clp"
+    path.write_text("unsafe :- p(Y), Y>=2.\n"
+                    "p(Y) :- T=X+1, Y=T, Z>=0, Z=<1, q(X).\n"
+                    "q(X) :- X=1.\n")
+    assert main(["cfar", str(path)]) == 0
+    out = capsys.readouterr()
+    assert "p(Y) :- Y=X+1, q(X)." in out.out
+    assert ("conjuncts dropped: 3\nvariables eliminated: 2\n"
+            "clauses dropped: 0") in out.err
+    assert main(["cfar", str(path), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().err)
+    assert (rep["conjuncts_dropped"], rep["vars_eliminated"],
+            rep["clauses_dropped"]) == (3, 2, 0)
 
 
 @pytest.mark.parametrize("name, bound, verdict, clipped, rounds", [
