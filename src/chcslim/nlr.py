@@ -66,10 +66,11 @@ def unfold(atom: Atom, clauses: list[Clause]) -> list[Clause]:
     out: list[Clause] = []
     taken = atom.vars()
     for clause in clauses:
-        renamed, _ = rename_apart(clause, taken)
-        mu = mgu_atoms(atom, renamed.head)
+        renaming = rename_apart(clause, taken)
+        mu = mgu_atoms(atom, clause.head.subst(renaming))
         if mu is not None:
-            out.append(renamed.subst(mu))
+            out.append(clause.subst({old: mu.get(new.name, new)
+                                     for old, new in renaming.items()}))
     return out
 
 
@@ -118,7 +119,9 @@ class NlrReport:
     def text(self) -> str:
         lines = [f"definitions: {len(self.definitions)}"]
         for d in self.definitions:
-            lines.append(f"  {d['name']}/{d['arity']} abstracts {d['body_atom']}")
+            kept = ",".join(map(str, d["positions"])) or "none"
+            lines.append(f"  {d['name']}/{d['arity']} abstracts {d['body_atom']} "
+                         f"keeping {kept}")
         lines += [
             f"widenings: {self.widenings}",
             f"iterations: {self.iterations}",
@@ -178,7 +181,8 @@ def nlr_transform(prog: Program) -> tuple[Program, NlrReport]:
     report.variant_classes = len(defs)
     report.definitions = [
         {"name": d.name, "arity": len(d.positions), "pred": d.atom.pred,
-         "pred_arity": d.atom.arity, "body_atom": str(d.atom)}
+         "pred_arity": d.atom.arity, "body_atom": str(d.atom),
+         "positions": [k + 1 for k in d.positions]}
         for d in defs.values()
     ]
     report.args_after = result.total_args()

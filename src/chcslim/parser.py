@@ -18,6 +18,12 @@ the relative order of each kind.
 
 ``parse_program`` is the one entry point: a file is read as a whole
 program, its rules checked once every clause is parsed.
+
+A token is a (kind, text, offset) triple.  Variables, identifiers and
+integers have the kinds ``var``, ``ident`` and ``int``; an operator is its
+own kind, so the parser matches every token by kind alone.  ``<=`` gets
+the kind ``=<`` and keeps its text, so error messages quote the token as
+written.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from typing import NamedTuple
 from .syntax import (ARRAY_KINDS, RELATIONS, ArrayCon, Atom, AtomicCon, Clause,
                      Const, Constraint, LinExpr, Program, ProgramError, RelCon,
                      Term, Var)
-
-_RELATION_TOKENS = frozenset((*RELATIONS, "<="))  # "<=" is read as "=<"
 
 
 class ParseError(Exception):
@@ -64,13 +68,18 @@ def _error(message: str, text: str, offset: int) -> ParseError:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, ending with an ``eof`` token; an operator's
+    kind is the operator itself, ``<=`` being read as ``=<``."""
     tokens: list[_Token] = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _error(f"unexpected character {m.group()!r}", text, m.start())
-        if kind != "ws" and kind != "comment":
-            tokens.append(_Token(kind, m.group(), m.start()))
+        kind, word = m.lastgroup, m.group()
+        if kind == "op":
+            kind = "=<" if word == "<=" else word
+        elif kind == "bad":
+            raise _error(f"unexpected character {word!r}", text, m.start())
+        elif kind == "ws" or kind == "comment":
+            continue
+        tokens.append(_Token(kind, word, m.start()))
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 
@@ -80,30 +89,31 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.here = self.tokens[0]
         self.clause_start, self.anonymous = 0, None
 
-    @property
-    def here(self) -> _Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.here
         self.pos += 1
+        self.here = self.tokens[self.pos]
         return tok
+
+    def accept(self, kind: str) -> bool:
+        """Step past the current token if it has ``kind``."""
+        if self.here.kind != kind:
+            return False
+        self.advance()
+        return True
 
     def fail(self, message: str, tok: _Token | None = None) -> ParseError:
         """A ParseError at ``tok``, by default the current token."""
         return _error(message, self.text, (tok or self.here).offset)
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.here
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise self.fail(f"expected {want!r}, found {tok.text or 'end of input'!r}")
+    def expect(self, kind: str) -> _Token:
+        if self.here.kind != kind:
+            raise self.fail(f"expected {kind!r}, found "
+                            f"{self.here.text or 'end of input'!r}")
         return self.advance()
-
-    def at_op(self, text: str) -> bool:
-        return self.here.kind == "op" and self.here.text == text
 
     def integer(self, tok: _Token) -> int:
         """The int token's value; a ParseError at it when the literal is
@@ -121,7 +131,7 @@ class _Parser:
             return tok.text
         if self.anonymous is None:
             end = self.clause_start
-            while self.tokens[end].text not in (".", ""):  # "" is end of input
+            while self.tokens[end].kind not in (".", "eof"):
                 end += 1
             written = {t.text for t in self.tokens[self.clause_start:end]
                        if t.kind == "var"}
@@ -139,47 +149,36 @@ class _Parser:
         if tok.kind == "int":
             self.advance()
             return Const(self.integer(tok))
-        if self.at_op("-"):
-            self.advance()
-            value = self.expect("int")
-            return Const(-self.integer(value))
+        if self.accept("-"):
+            return Const(-self.integer(self.expect("int")))
         raise self.fail(f"expected a variable or integer, found {tok.text!r}")
 
     def parse_linexpr(self) -> LinExpr:
         pairs: list[tuple[str, int]] = []
         const = 0
-        sign = 1
-        if self.at_op("-"):
-            self.advance()
-            sign = -1
-        elif self.at_op("+"):
-            self.advance()
+        sign = -1 if self.accept("-") else 1
+        if sign == 1:
+            self.accept("+")
         while True:
             tok = self.here
             if tok.kind == "int":
                 self.advance()
                 coeff = sign * self.integer(tok)
-                if self.at_op("*"):
-                    self.advance()
-                    var = self.expect("var")
-                    pairs.append((self.var_name(var), coeff))
+                if self.accept("*"):
+                    pairs.append((self.var_name(self.expect("var")), coeff))
                 else:
                     const += coeff
             elif tok.kind == "var":
                 self.advance()
                 coeff = sign
-                if self.at_op("*"):
-                    self.advance()
-                    num = self.expect("int")
-                    coeff *= self.integer(num)
+                if self.accept("*"):
+                    coeff *= self.integer(self.expect("int"))
                 pairs.append((self.var_name(tok), coeff))
             else:
                 raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
-            if self.at_op("+"):
-                self.advance()
+            if self.accept("+"):
                 sign = 1
-            elif self.at_op("-"):
-                self.advance()
+            elif self.accept("-"):
                 sign = -1
             else:
                 return LinExpr.make(pairs, const)
@@ -187,37 +186,34 @@ class _Parser:
     def parse_relcon(self) -> RelCon:
         lhs = self.parse_linexpr()
         tok = self.here
-        if tok.kind != "op" or tok.text not in _RELATION_TOKENS:
+        if tok.kind not in RELATIONS:
             raise self.fail(f"expected a relation, found {tok.text or 'end of input'!r}")
         self.advance()
-        rel = "=<" if tok.text == "<=" else tok.text
-        rhs = self.parse_linexpr()
-        return RelCon(rel, lhs, rhs)
+        return RelCon(tok.kind, lhs, self.parse_linexpr())
 
     # --- atoms and clauses ------------------------------------------------
 
     def parse_args(self) -> tuple[Term, ...]:
-        self.expect("op", "(")
+        self.expect("(")
         args = [self.parse_term()]
-        while self.at_op(","):
-            self.advance()
+        while self.accept(","):
             args.append(self.parse_term())
-        self.expect("op", ")")
+        self.expect(")")
         return tuple(args)
 
     def parse_atom(self) -> Atom:
         name = self.expect("ident")
-        if self.at_op("("):
+        if self.here.kind == "(":
             return Atom(name.text, self.parse_args())
         return Atom(name.text)
 
     def parse_body_item(self) -> "AtomicCon | Atom | None":
         tok = self.here
         if tok.kind == "ident":
-            if tok.text == "true" and not self.tokens[self.pos + 1].text == "(":
+            if tok.text == "true" and self.tokens[self.pos + 1].kind != "(":
                 self.advance()
                 return None
-            if tok.text in ARRAY_KINDS and self.tokens[self.pos + 1].text == "(":
+            if tok.text in ARRAY_KINDS and self.tokens[self.pos + 1].kind == "(":
                 self.advance()
                 args = self.parse_args()
                 if len(args) != ARRAY_KINDS[tok.text]:
@@ -225,8 +221,7 @@ class _Parser:
                                     f"arguments, got {len(args)}", tok)
                 return ArrayCon(tok.text, args)
             atom = self.parse_atom()
-            if self.here.kind == "op" and (self.here.text in _RELATION_TOKENS
-                                           or self.here.text in ("+", "-", "*")):
+            if self.here.kind in RELATIONS or self.here.kind in ("+", "-", "*"):
                 raise self.fail("compound terms are not supported")
             return atom
         return self.parse_relcon()
@@ -236,18 +231,16 @@ class _Parser:
         head = self.parse_atom()
         conjuncts: list[AtomicCon] = []
         body: list[Atom] = []
-        if self.at_op(":-"):
-            self.advance()
+        if self.accept(":-"):
             while True:
                 item = self.parse_body_item()
                 if isinstance(item, Atom):
                     body.append(item)
                 elif item is not None:  # None is ``true``
                     conjuncts.append(item)
-                if not self.at_op(","):
+                if not self.accept(","):
                     break
-                self.advance()
-        self.expect("op", ".")
+        self.expect(".")
         return Clause(head, Constraint(tuple(conjuncts)), tuple(body))
 
     def parse_program(self) -> Program:

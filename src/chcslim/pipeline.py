@@ -58,11 +58,11 @@ class PipelineConfig:
         _check_solver(self.solver_cmd, self.timeout)
         bad = [s for s in self.stages if s not in STAGES]
         if bad:
-            raise ConfigError(f"unknown stages: {', '.join(bad)}")
+            raise ConfigError(f"unknown stages: {', '.join(map(repr, bad))}")
         if len(set(self.stages)) != len(self.stages):
             raise ConfigError("duplicate stages")
-        if self.bound is not None and self.bound < 1:
-            raise ConfigError("bound must be positive")
+        if self.bound is not None and (type(self.bound) is not int or self.bound < 1):
+            raise ConfigError(f"bound must be a positive integer, got {self.bound!r}")
         stems = Counter(Path(p).stem for p in self.inputs)
         shared = sorted(stem for stem, n in stems.items() if n > 1)
         if shared:
@@ -146,11 +146,11 @@ def classification_for(verdict: str) -> str:
 
 def _check_solver(command: str | None, timeout: float) -> list[str] | None:
     """The words of a given solver command; ConfigError unless the timeout
-    is a finite positive number and the command splits into shell-style
-    words and contains the ``{file}`` placeholder."""
-    if not (math.isfinite(timeout) and timeout > 0):
+    is a finite positive int or float (not a bool) and the command splits
+    into shell-style words and contains the ``{file}`` placeholder."""
+    if not (type(timeout) in (int, float) and math.isfinite(timeout) and timeout > 0):
         raise ConfigError(f"--timeout must be a finite positive number, "
-                          f"got {timeout}")
+                          f"got {timeout!r}")
     if command is None:
         return None
     if "{file}" not in command:

@@ -290,19 +290,20 @@ def _subst_term(term: Term, mapping: "dict[str, Term]") -> Term:
     return term
 
 
-def rename_apart(clause: Clause, taken: set[str]) -> tuple[Clause, dict[str, str]]:
-    """Rename clause variables away from ``taken``, keeping names readable."""
+def rename_apart(clause: Clause, taken: set[str]) -> dict[str, Var]:
+    """A renaming of the clause's variables away from ``taken``, each to a
+    readable fresh name, as a substitution."""
     used = set(taken)
-    renaming: dict[str, str] = {}
+    renaming: dict[str, Var] = {}
     for name in clause.vars():
         fresh = name
         i = 0
         while fresh in used:
             i += 1
             fresh = f"{name}_{i}"
-        renaming[name] = fresh
+        renaming[name] = Var(fresh)
         used.add(fresh)
-    return clause.subst({old: Var(new) for old, new in renaming.items()}), renaming
+    return renaming
 
 
 def atom_variant_key(atom: Atom) -> tuple:

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from chcslim import TriState, derives_unsafe, nlr_transform, parse_program
+from chcslim import (EvalError, TriState, bounded_least_model, derives_unsafe,
+                     nlr_transform, parse_program)
 from chcslim import nlr
-from chcslim.corpus import corpus_dir, load
+from chcslim.corpus import corpus_dir, corpus_names, load
 from chcslim.nlr import linkvars
-from chcslim.syntax import Var
+from chcslim.syntax import Const, Var
 
-from gen import clause_of, random_program
+from gen import clause_of, frame_program, random_program
 from oracles import programs_isomorphic
 
 
@@ -161,3 +162,48 @@ def test_query_verdict_preserved():
         assert before is after
         compared += 1
     assert compared >= 10
+
+
+def _exact_facts(prog):
+    try:
+        model = bounded_least_model(prog, 8, budget=200_000)
+    except EvalError:
+        return None
+    return None if model.clipped else model.facts
+
+
+def _instance_of(fact, atom):
+    """Whether ``fact`` has ``atom``'s constants and equal values at its
+    repeated variables."""
+    values = {}
+    for value, term in zip(fact, atom.args):
+        if isinstance(term, Const):
+            if term.value != value:
+                return False
+        elif values.setdefault(term.name, value) != value:
+            return False
+    return True
+
+
+def test_definition_facts_are_projections_of_source_facts():
+    # wherever the input and the output both evaluate exactly at bound 8,
+    # each newpN's facts are the facts of its source predicate that are
+    # instances of its definition's atom, projected onto the kept positions
+    rng, frames = random.Random(1), random.Random(707)
+    inputs = ([load(name) for name in corpus_names()]
+              + [random_program(rng) for _ in range(300)]
+              + [frame_program(frames) for _ in range(60)])
+    compared = 0
+    for prog in inputs:
+        out, report = nlr_transform(prog)
+        before, after = _exact_facts(prog), _exact_facts(out)
+        if before is None or after is None:
+            continue
+        for d in report.definitions:
+            atom = clause_of(f"{d['body_atom']}.").head
+            expected = {tuple(fact[k - 1] for k in d["positions"])
+                        for fact in before.get(d["pred"], ())
+                        if _instance_of(fact, atom)}
+            assert after.get(d["name"], set()) == expected, (d, prog)
+        compared += 1
+    assert compared >= 100

@@ -8,7 +8,7 @@ import pytest
 
 from chcslim import (ParseError, TriState, derives_unsafe, emit_clp,
                      emit_smtlib_horn, parse_program)
-from chcslim.corpus import corpus_names, load
+from chcslim.corpus import corpus_dir, corpus_names, load
 from chcslim.syntax import Atom, Const, Constraint, Var
 
 from gen import clause_of, random_program
@@ -61,6 +61,7 @@ def test_array_constraints_parse_as_constraints():
     ("p(f(X)) :- true.", "1:3", "expected a variable or integer"),
     ("p(x) :- true.", "1:3", "expected a variable or integer"),
     ("p(X) :- X >< 1.", "1:12", "expected a term"),
+    ("p(X) :- X <= <= 1.", "1:14", "found '<='"),
     ("unsafe(X) :- X=1.", "1:1", "must be nullary"),
     ("unsafe :- p(X).\np(X) :- unsafe.", "2:1", "head-only"),
     ("p(X) :- q(X).\nq(X,Y) :- p(X).", "2:1", "arity 2, previously 1"),
@@ -79,6 +80,30 @@ def test_errors_carry_position(source, position, fragment):
     message = str(info.value)
     assert message.startswith(position)
     assert fragment in message
+
+
+def test_edited_corpus_texts_give_a_program_or_a_parse_error():
+    # one hostile input never ends a batch: a text one character edit away
+    # from a corpus file parses or raises ParseError, and nothing else
+    rng = random.Random(1202)
+    texts = [(corpus_dir() / f"{name}.clp").read_text() for name in corpus_names()]
+    outcomes = set()
+    for _ in range(2000):
+        chars = list(rng.choice(texts))
+        i, j = rng.randrange(len(chars)), rng.randrange(len(chars))
+        edit = rng.choice(("insert", "delete", "swap"))
+        if edit == "insert":
+            chars.insert(i, rng.choice("()<=>-+*,.:_%#XYZabtrue019 \n"))
+        elif edit == "delete":
+            del chars[i]
+        else:
+            chars[i], chars[j] = chars[j], chars[i]
+        try:
+            parse_program("".join(chars))
+            outcomes.add("program")
+        except ParseError:
+            outcomes.add("error")
+    assert outcomes == {"program", "error"}
 
 
 def test_constraint_only_clause():

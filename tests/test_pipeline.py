@@ -38,6 +38,12 @@ def config(tmp_path, names=("branch_unsafe",), **kw):
     ({"timeout": float("nan")}, "--timeout"),
     ({"timeout": float("inf")}, "--timeout"),
     ({"solver_cmd": "z3 '{file}"}, "--solver-cmd"),
+    ({"bound": 2.5}, "bound"),
+    ({"bound": True}, "bound"),
+    ({"bound": "8"}, "bound"),
+    ({"timeout": "5"}, "--timeout"),
+    ({"timeout": True}, "--timeout"),
+    ({"stages": ("nlr", "")}, "''"),
 ])
 def test_config_validation(tmp_path, kw, fragment):
     base = dict(inputs=[str(CORPUS / "branch_unsafe.clp")],

@@ -66,9 +66,10 @@ def test_clause_vars_in_first_occurrence_order():
 
 def test_rename_apart_avoids_taken_names():
     clause = clause_of("p(X,Y) :- X>=1, q(Y).")
-    renamed, mapping = rename_apart(clause, {"X", "Y"})
-    assert set(mapping) == {"X", "Y"}
-    assert not (set(mapping.values()) & {"X", "Y"})
+    renaming = rename_apart(clause, {"X", "Y"})
+    assert set(renaming) == {"X", "Y"}
+    assert not ({v.name for v in renaming.values()} & {"X", "Y"})
+    renamed = clause.subst(renaming)
     assert programs_isomorphic(Program((clause,)), Program((renamed,)))
 
 
