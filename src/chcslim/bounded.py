@@ -5,10 +5,30 @@ grounds every clause with at least one body atom matched against the facts
 new in the previous round.  Each clause is compiled once per evaluation:
 its variables in clause order and each conjunct as the integer <=-rows of
 the constraint oracle (``constraints.rows_of``), so the evaluator has no
-reading of the relations of its own.  Constraint variables are enumerated
-lazily: a conjunct is checked once all its variables are bound, and one
-pass over the pending conjuncts gives each conjunct's last unbound
-variable its interval, from which the narrowest is enumerated next.
+reading of the relations of its own.
+
+For each body position that takes the last round's facts, the clause gets
+a join plan on first use.  The atoms are joined most-bound first: from the
+delta atom followed by the others in body order, each step stably sorts
+the atoms left by their unbound argument positions and joins the first.
+Which variables are bound depends only on that order, so the plan holds,
+per atom, its probe key (its constants and already-bound positions), the
+variables it binds, the repeated-variable checks and the conjuncts that
+become checkable once it is matched.  A probe looks its key up in a hash
+index of the predicate's facts, one per (predicate, key positions) pair,
+built on first probe and extended with each round's new facts; the last
+round's facts get their own indexes each round.
+
+Constraint variables left unbound by the atoms are enumerated one at a
+time, and a conjunct is checked once all its variables are bound.  The
+pending conjuncts with exactly one unbound variable give that variable an
+interval, and the narrowest is enumerated next.  After the atoms, those
+conjuncts are known from the plan; deeper down they are found by a pass
+over the pending conjuncts.
+
+The step budget counts one step per fact a probe stands for, that is the
+whole fact set a linear scan of it would walk, one per conjunct checked
+and one per value enumerated.
 
 The ``clipped`` flag records possible incompleteness with respect to the
 unbounded least model: it is set when a satisfying assignment touches the
@@ -21,12 +41,16 @@ only certifies derivations, not their absence.
 from __future__ import annotations
 
 import sys
+from collections.abc import Set
 from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple
 
 from .constraints import Row, TriState, rows_of
-from .syntax import QUERY, Atom, Clause, Const, Constraint, Program, Var
+from .syntax import QUERY, Clause, Const, Constraint, Program, Term, Var
+
+Fact = tuple[int, ...]
+Facts = dict[str, set[Fact]]
 
 
 class EvalError(Exception):
@@ -39,9 +63,10 @@ class EvalBudgetError(EvalError):
 
 @dataclass
 class BoundedModel:
-    facts: dict[str, set[tuple[int, ...]]]
+    facts: Facts
     clipped: bool
     rounds: int
+    steps: int  # grounding work done, in the units of the step budget
 
     def derived(self, pred: str = QUERY) -> bool:
         return bool(self.facts.get(pred))
@@ -94,37 +119,31 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
             raise EvalError(f"clause {i}: array constraints are not evaluable")
 
     state = _State(budget, bound)
-    facts: dict[str, set[tuple[int, ...]]] = {p: set() for p in prog.arities}
-
-    plans = [_compile(c) for c in prog.clauses]
-    base = [p for p in plans if not p.clause.body]
-    recursive = [p for p in plans if p.clause.body]
-
-    delta: dict[str, set[tuple[int, ...]]] = {p: set() for p in prog.arities}
-    for plan in base:
-        pred = plan.clause.head.pred
-        for fact in _ground(plan, facts, None, None, state):
-            if fact not in facts[pred]:
-                facts[pred].add(fact)
-                delta[pred].add(fact)
+    rules = [_Compiled(c) for c in prog.clauses]
+    facts: Facts = {p: set() for p in prog.arities}
+    for rule in rules:
+        if not rule.clause.body:
+            new = _ground(rule, None, None, None, state)
+            facts[rule.clause.head.pred].update(new)
+    delta = {p: set(fs) for p, fs in facts.items()}
+    everything = _Indexes(facts)
     rounds = 0
     while any(delta.values()):
         rounds += 1
         if until_query and facts.get(QUERY):
             break
-        new_delta: dict[str, set[tuple[int, ...]]] = {p: set() for p in prog.arities}
-        for plan in recursive:
-            pred = plan.clause.head.pred
-            for i, atom in enumerate(plan.clause.body):
-                if not delta[atom.pred]:
-                    continue
-                for fact in _ground(plan, facts, i, delta, state):
-                    if fact not in facts[pred] and fact not in new_delta[pred]:
-                        new_delta[pred].add(fact)
+        last = _Indexes(delta)
+        new_delta: Facts = {p: set() for p in prog.arities}
+        for rule in rules:
+            new = new_delta[rule.clause.head.pred]
+            for i, atom in enumerate(rule.clause.body):
+                if delta[atom.pred]:
+                    new.update(_ground(rule, i, everything, last, state))
         for pred, new in new_delta.items():
-            facts[pred] |= new
+            new -= facts[pred]
+            everything.add(pred, new)
         delta = new_delta
-    return BoundedModel(facts, state.clipped, rounds)
+    return BoundedModel(facts, state.clipped, rounds, state.steps)
 
 
 def derives_unsafe(prog: Program, bound: int = 32) -> TriState:
@@ -133,161 +152,266 @@ def derives_unsafe(prog: Program, bound: int = 32) -> TriState:
     return bounded_least_model(prog, bound, until_query=True).verdict()
 
 
-class _Plan(NamedTuple):
-    """A clause compiled once per evaluation: its variables in clause order
-    and, per arithmetic conjunct, the conjunct's variables and <=-rows."""
-    clause: Clause
-    variables: list[str]
-    conjuncts: list[tuple[frozenset[str], list[Row]]]
+class _Indexes:
+    """A fact table with hash indexes by key positions: one per (predicate,
+    key positions) pair, built on first probe and extended by ``add``."""
+
+    def __init__(self, table: Facts):
+        self.table = table
+        self.maps: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Fact]]] = {}
+
+    def index(self, pred: str, key: tuple[int, ...]) -> dict[tuple, list[Fact]]:
+        found = self.maps.get((pred, key))
+        if found is None:
+            found = self.maps[pred, key] = {}
+            _extend(found, key, self.table[pred])
+        return found
+
+    def add(self, pred: str, new: set[Fact]) -> None:
+        self.table[pred] |= new
+        for (p, key), found in self.maps.items():
+            if p == pred:
+                _extend(found, key, new)
 
 
-def _compile(clause: Clause) -> _Plan:
-    return _Plan(clause, clause.vars(),
-                 [(frozenset(con.vars()), rows_of(Constraint((con,))))
-                  for con in clause.constraint.conjuncts])
+def _extend(index: dict, key: tuple[int, ...], facts) -> None:
+    for fact in facts:
+        index.setdefault(tuple([fact[p] for p in key]), []).append(fact)
 
 
-def _ground(plan: _Plan, facts: dict, delta_index: int | None,
-            delta: dict | None, state: _State):
-    """Yield head tuples for every satisfying clause instantiation; the
-    atom at delta_index (when given) matches only last-round facts."""
-    clause = plan.clause
-    assignment: dict[str, int] = {}
+Conjunct = tuple[frozenset[str], list[Row]]
 
-    atoms = list(enumerate(clause.body))
-    if delta_index is not None:
-        atoms.sort(key=lambda pair: pair[0] != delta_index)
 
-    def check_ready(pending: list) -> "list | None":
-        remaining = []
-        for con in pending:
-            names, rows = con
-            if names <= assignment.keys():
-                state.tick()
-                for terms, bound in rows:
-                    if sum(c * assignment[n] for n, c in terms) > bound:
-                        return None
-            else:
-                remaining.append(con)
-        return remaining
+class _Probe(NamedTuple):
+    """One body atom of a join plan."""
+    pred: str
+    delta: bool                      # matches the last round's facts only
+    key: tuple[int, ...]             # positions of constants and bound variables
+    terms: tuple[int | str, ...]     # their values or names (``_code``)
+    binds: tuple[tuple[str, int], ...]   # (variable, position) bound here
+    same: tuple[tuple[int, int], ...]    # positions of a repeated new variable
+    ready: tuple[list[Row], ...]     # conjuncts checkable after it, in order
 
-    def match_atoms(todo: list, pending: list):
-        if not todo:
-            yield from enumerate_vars(pending)
-            return
+
+class _Join(NamedTuple):
+    """A clause's grounding with one body position as the delta atom."""
+    initial: tuple[list[Row], ...]   # conjuncts without variables
+    probes: tuple[_Probe, ...]
+    free: list[str]                  # variables the atoms leave unbound
+    pending: list[Conjunct]          # conjuncts left after the atoms
+    # what bounds the free variables once the atoms are matched
+    # (``_bounding``), from which the first one to enumerate is chosen
+    first: list[tuple[str, list[tuple[int, tuple, int]]]]
+
+
+class _Compiled:
+    """A clause compiled once per evaluation: its variables in clause order,
+    per arithmetic conjunct the conjunct's variables and <=-rows, and a
+    join plan per delta position, compiled on first use."""
+    __slots__ = ("clause", "head", "variables", "conjuncts", "joins")
+
+    def __init__(self, clause: Clause):
+        self.clause = clause
+        self.head = tuple(_code(t) for t in clause.head.args)
+        self.variables = clause.vars()
+        self.conjuncts: list[Conjunct] = [
+            (frozenset(con.vars()), rows_of(Constraint((con,))))
+            for con in clause.constraint.conjuncts]
+        self.joins: dict[int | None, _Join] = {}
+
+    def join(self, delta_index: int | None) -> _Join:
+        plan = self.joins.get(delta_index)
+        if plan is None:
+            plan = self.joins[delta_index] = _plan(self, delta_index)
+        return plan
+
+
+def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
+    bound: set[str] = set()
+    initial, pending = _ready(compiled.conjuncts, bound)
+    todo = list(enumerate(compiled.clause.body))
+    if delta_index:
+        todo.insert(0, todo.pop(delta_index))
+    probes = []
+    while todo:
         # most-bound atom first keeps the join narrow
-        todo = sorted(todo, key=lambda pair: _unbound_count(pair[1], assignment))
-        (index, atom), rest = todo[0], todo[1:]
-        source = delta[atom.pred] if (delta is not None and index == delta_index) \
-            else facts[atom.pred]
-        for fact in source:
-            state.tick()
-            bound_here: list[str] = []
-            ok = True
-            for t, value in zip(atom.args, fact):
-                if isinstance(t, Const):
-                    if t.value != value:
-                        ok = False
-                        break
-                elif t.name in assignment:
-                    if assignment[t.name] != value:
-                        ok = False
-                        break
-                else:
-                    assignment[t.name] = value
-                    bound_here.append(t.name)
-            if ok:
-                after = check_ready(pending)
-                if after is not None:
-                    yield from match_atoms(rest, after)
-            for name in bound_here:
-                del assignment[name]
+        todo.sort(key=lambda pair: sum(1 for t in pair[1].args
+                                       if isinstance(t, Var)
+                                       and t.name not in bound))
+        index, atom = todo.pop(0)
+        key, terms, binds, same = [], [], {}, []
+        for p, t in enumerate(atom.args):
+            if isinstance(t, Const) or t.name in bound:
+                key.append(p)
+                terms.append(_code(t))
+            elif t.name in binds:
+                same.append((binds[t.name], p))
+            else:
+                binds[t.name] = p
+        bound |= binds.keys()
+        ready, pending = _ready(pending, bound)
+        probes.append(_Probe(atom.pred, index == delta_index, tuple(key),
+                             tuple(terms), tuple(binds.items()), tuple(same),
+                             ready))
+    free = [name for name in compiled.variables if name not in bound]
+    return _Join(initial, tuple(probes), free, pending,
+                 _bounding(pending, bound, free))
 
-    def enumerate_vars(pending: list):
-        unbound = [name for name in plan.variables if name not in assignment]
-        if not unbound:
-            if not pending:
-                yield _head_tuple()
+
+def _code(t: Term) -> int | str:
+    """A term as a constant's value or a variable's name."""
+    return t.value if isinstance(t, Const) else t.name
+
+
+def _ready(pending: list[Conjunct], bound: Set[str]) \
+        -> tuple[tuple[list[Row], ...], list[Conjunct]]:
+    """The rows of the conjuncts checkable once ``bound`` is bound, in
+    clause order, and the conjuncts left pending."""
+    return (tuple(rows for names, rows in pending if names <= bound),
+            [con for con in pending if not con[0] <= bound])
+
+
+def _bounding(pending: list[Conjunct], bound: Set[str], order: list[str]) \
+        -> list[tuple[str, list[tuple[int, tuple, int]]]]:
+    """The variables of ``order``, in that order, that a pending conjunct
+    with no other variable left unbound bounds, each with the rows of those
+    conjuncts it occurs in, split into (its coefficient, the rest, the
+    bound)."""
+    split: dict[str, list[tuple[int, tuple, int]]] = {}
+    for names, rows in pending:
+        missing = names - bound
+        if len(missing) == 1:
+            (name,) = missing
+            for terms, r in rows:
+                for n, a in terms:
+                    if n == name:
+                        rest = tuple((m, c) for m, c in terms if m != name)
+                        split.setdefault(name, []).append((a, rest, r))
+    return [(name, split[name]) for name in order if name in split]
+
+
+def _ground(compiled: _Compiled, delta_index: int | None,
+            everything: _Indexes | None, last: _Indexes | None,
+            state: _State) -> list[Fact]:
+    """Head tuples of every satisfying clause instantiation; the body atom
+    at ``delta_index`` (when given) matches only the facts of ``last``."""
+    join = compiled.join(delta_index)
+    probes = join.probes
+    assignment: dict[str, int] = {}
+    out: list[Fact] = []
+
+    def holds(conjuncts: tuple[list[Row], ...]) -> bool:
+        for rows in conjuncts:
+            state.tick()
+            for terms, r in rows:
+                for n, c in terms:
+                    r -= c * assignment[n]
+                if r < 0:
+                    return False
+        return True
+
+    def match(i: int) -> None:
+        if i == len(probes):
+            if not join.free:
+                out.append(head_tuple())
+                return
+            first = _choose(join.first, join.free[0], assignment, state)
+            enumerate_var(*first, *_ready(join.pending,
+                                          assignment.keys() | {first[0]}))
             return
-        name, lo, hi = choose_var(unbound, pending)
+        probe = probes[i]
+        facts = last if probe.delta else everything
+        table = facts.table[probe.pred]
+        state.tick(len(table))
+        if probe.key:
+            key = tuple([assignment[t] if t.__class__ is str else t
+                         for t in probe.terms])
+            candidates = facts.index(probe.pred, probe.key).get(key, ())
+        else:
+            candidates = table
+        same, binds, ready = probe.same, probe.binds, probe.ready
+        for fact in candidates:
+            if same and any(fact[p] != fact[q] for p, q in same):
+                continue
+            for name, p in binds:
+                assignment[name] = fact[p]
+            if holds(ready):
+                match(i + 1)
+        for name, _ in binds:
+            assignment.pop(name, None)
+
+    def enumerate_var(name: str, lo: int, hi: int, ready: tuple[list[Row], ...],
+                      pending: list[Conjunct]) -> None:
+        """Bind ``name`` to each value of [lo, hi] in turn, check the
+        conjuncts of ``ready``, then go on to the next variable."""
         for value in range(lo, hi + 1):
             state.tick()
             assignment[name] = value
-            after = check_ready(pending)
-            if after is not None:
-                yield from enumerate_vars(after)
-            del assignment[name]
-
-    def choose_var(unbound: list[str], pending: list) -> tuple[str, int, int]:
-        """The unbound variable with the narrowest interval.  One pass over
-        the pending conjuncts narrows each conjunct's last unbound variable
-        x by its rows: a*x <= r gives x <= floor(r/a) when a > 0 and
-        x >= ceil(r/a) when a < 0.  A variable left with no value is chosen
-        at once: it enumerates nothing, so no value is lost to the cut."""
-        intervals: dict[str, tuple[float, float]] = {}
-        for names, rows in pending:
-            missing = names - assignment.keys()
-            if len(missing) != 1:
+            if not holds(ready):
                 continue
-            (name,) = missing
-            lo, hi = -inf, inf
-            for terms, r in rows:
-                a = 0
-                for n, c in terms:
-                    if n == name:
-                        a = c
-                    else:
-                        r -= c * assignment[n]
-                if a > 0:
-                    hi = min(hi, r // a)
-                elif a < 0:
-                    lo = max(lo, -(-r // a))
-            if lo > -inf or hi < inf:
-                seen = intervals.get(name, (-inf, inf))
-                intervals[name] = (max(seen[0], lo), min(seen[1], hi))
-        best: tuple[int, str, int, int, bool] | None = None
-        for name in unbound:
-            if name not in intervals:
+            unbound = [n for n in compiled.variables if n not in assignment]
+            if not unbound:
+                out.append(head_tuple())
                 continue
-            lo, hi = intervals[name]
-            if lo > hi:
-                return name, lo, hi
-            truncated = lo < -state.bound or hi > state.bound
-            lo, hi = max(lo, -state.bound), min(hi, state.bound)
-            if best is None or hi - lo < best[0]:
-                best = (hi - lo, name, lo, hi, truncated)
-        if best is None:
-            # no conjunct pins any variable down; take the first in clause
-            # order over the whole domain
-            return unbound[0], -state.bound, state.bound
-        _, name, lo, hi, truncated = best
-        if truncated:
-            state.clipped = True
-        return name, lo, hi
+            bound = assignment.keys()
+            after = _choose(_bounding(pending, bound, unbound), unbound[0],
+                            assignment, state)
+            enumerate_var(*after, *_ready(pending, bound | {after[0]}))
+        assignment.pop(name, None)
 
-    def _head_tuple() -> tuple[int, ...]:
-        values = []
-        touched = any(abs(v) == state.bound for v in assignment.values())
-        for t in clause.head.args:
-            v = t.value if isinstance(t, Const) else assignment[t.name]
-            values.append(v)
-            if abs(v) >= state.bound:
-                touched = True
-        if touched:
+    def head_tuple() -> Fact:
+        edge = state.bound
+        values = tuple([assignment[t] if t.__class__ is str else t
+                        for t in compiled.head])
+        assigned = assignment.values()
+        if (max(map(abs, values), default=0) >= edge
+                or edge in assigned or -edge in assigned):
             state.clipped = True
-        return tuple(values)
+        return values
 
-    initial = check_ready(plan.conjuncts)
-    if initial is None:
-        return
     try:
-        yield from match_atoms(atoms, initial)
+        if holds(join.initial):
+            match(0)
     except RecursionError:
-        # one generator frame per bound atom and variable
-        raise EvalError(f"grounding {clause.head} nests deeper than the "
-                        f"recursion limit ({sys.getrecursionlimit()})") from None
+        # one frame per atom and per enumerated variable
+        raise EvalError(f"grounding {compiled.clause.head} nests deeper "
+                        f"than the recursion limit "
+                        f"({sys.getrecursionlimit()})") from None
+    finally:
+        # match and enumerate_var reach themselves through their closures;
+        # the cycle would keep the fact indexes alive until a full collection
+        del match, enumerate_var
+    return out
 
 
-def _unbound_count(atom: Atom, assignment: dict) -> int:
-    return sum(1 for t in atom.args
-               if isinstance(t, Var) and t.name not in assignment)
+def _choose(bounding: list[tuple[str, list[tuple[int, tuple, int]]]],
+            default: str, assignment: dict[str, int],
+            state: _State) -> tuple[str, int, int]:
+    """The variable with the narrowest interval among those of
+    ``bounding`` (``_bounding``), or ``default`` over the whole domain when
+    there are none.  A row a*x + rest <= r gives x <= floor((r-rest)/a)
+    when a > 0 and x >= ceil((r-rest)/a) when a < 0.  A variable left with
+    no value is chosen at once: it enumerates nothing, so no value is lost
+    to the cut."""
+    best: tuple[int, str, int, int, bool] | None = None
+    for name, rows in bounding:
+        lo, hi = -inf, inf
+        for a, rest, r in rows:
+            for n, c in rest:
+                r -= c * assignment[n]
+            if a > 0:
+                hi = min(hi, r // a)
+            else:
+                lo = max(lo, -(-r // a))
+        if lo > hi:
+            return name, lo, hi
+        truncated = lo < -state.bound or hi > state.bound
+        lo, hi = max(lo, -state.bound), min(hi, state.bound)
+        if best is None or hi - lo < best[0]:
+            best = (hi - lo, name, lo, hi, truncated)
+    if best is None:
+        return default, -state.bound, state.bound
+    _, name, lo, hi, truncated = best
+    if truncated:
+        state.clipped = True
+    return name, lo, hi

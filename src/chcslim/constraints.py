@@ -2,18 +2,20 @@
 
 Satisfiability and universal-existential validity are both answered by
 ``_projects_to_true``, which projects variables away over the integers in
-two phases.  First each equality with a +-1 coefficient on a variable to
-project is solved for it and substituted away, as in the first phase of
-Pugh's Omega test; this is always exact, since the variable is then an
-integer expression in the others.  Then Fourier-Motzkin elimination runs
-on the rows left.  A step is exact when every occurrence of the eliminated
-variable has coefficient +-1 (the bounds seen during back-substitution are
-then integer-valued, so rational and integer projections coincide), or
-when the variable is bounded on one side only; otherwise the run is marked
-inexact and only refutations remain trustworthy, because a rationally
-infeasible system has no integer solutions either.  Strict relations are
-first shifted to closed ones (a < b becomes a <= b-1), which is lossless
-over the integers.
+two phases.  Every row is kept divided by the gcd of its coefficients, its
+bound rounded down, as the Omega test normalises rows; that keeps its
+integer solutions and turns 2*X=7 into a contradiction.  First each
+equality with a +-1 coefficient on a variable to project is solved for it
+and substituted away, as in the first phase of Pugh's Omega test; this is
+always exact, since the variable is then an integer expression in the
+others.  Then Fourier-Motzkin elimination runs on the rows left.  A step
+is exact when every occurrence of the eliminated variable has coefficient
++-1 (the bounds seen during back-substitution are then integer-valued, so
+rational and integer projections coincide), or when the variable is
+bounded on one side only; otherwise the run is marked inexact and only
+refutations remain trustworthy, because a rationally infeasible system has
+no integer solutions either.  Strict relations are first shifted to closed
+ones (a < b becomes a <= b-1), which is lossless over the integers.
 
 ``Parts`` splits a conjunction once into its variable-disjoint parts.  It
 gives each variable's linked set (the constrained-to relation) and its own
@@ -39,6 +41,7 @@ keep their variables out of ``project``'s reach.
 from __future__ import annotations
 
 import enum
+from math import gcd
 
 from .syntax import ArrayCon, Constraint, LinExpr, RelCon
 
@@ -307,11 +310,15 @@ class _Refuted(Exception):
 class _System:
     """Rows under projection, with one occurrence map kept up to date.
 
-    Rows with equal terms are merged into the least bound, through their
-    sorted terms as keys; a constant row is dropped when vacuous and raises
-    ``_Refuted`` otherwise.  ``occ`` maps each variable to its {row index:
-    coefficient}.  A removed row leaves None behind and keeps its key: it
-    held the variable just eliminated, so no later row has that key.
+    Each row is divided by the gcd g of its coefficients, its bound
+    rounded down: sum(a*x) <= b becomes sum((a/g)*x) <= floor(b/g), which
+    has the same integer solutions (the normalisation step of Pugh's Omega
+    test).  Rows with equal terms are then merged into the least bound,
+    through their sorted terms as keys; a constant row is dropped when
+    vacuous and raises ``_Refuted`` otherwise.  ``occ`` maps each variable
+    to its {row index: coefficient}.  A removed row leaves None behind and
+    keeps its key: it held the variable just eliminated, so no later row
+    has that key.
     """
 
     __slots__ = ("rows", "keys", "occ", "size")
@@ -329,6 +336,14 @@ class _System:
             if bound < 0:
                 raise _Refuted
             return  # 0 <= nonnegative is vacuous
+        g = 0
+        for _, k in terms:  # most rows stop at their first, unit, coefficient
+            g = gcd(g, k)
+            if g == 1:
+                break
+        else:
+            terms = tuple([(name, k // g) for name, k in terms])
+            bound //= g
         key = tuple(sorted(terms))
         i = self.keys.get(key)
         if i is None:

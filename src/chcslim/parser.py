@@ -84,6 +84,10 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# token kinds named in words; the others are quoted as they are written
+_KIND_WORDS = {"var": "a variable", "int": "an integer", "ident": "a name"}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -109,10 +113,14 @@ class _Parser:
         """A ParseError at ``tok``, by default the current token."""
         return _error(message, self.text, (tok or self.here).offset)
 
+    def unexpected(self, wanted: str) -> ParseError:
+        """A ParseError at the current token, which is not ``wanted``."""
+        return self.fail(f"expected {wanted}, found "
+                         f"{self.here.text or 'end of input'!r}")
+
     def expect(self, kind: str) -> _Token:
         if self.here.kind != kind:
-            raise self.fail(f"expected {kind!r}, found "
-                            f"{self.here.text or 'end of input'!r}")
+            raise self.unexpected(_KIND_WORDS.get(kind) or repr(kind))
         return self.advance()
 
     def integer(self, tok: _Token) -> int:
@@ -151,7 +159,7 @@ class _Parser:
             return Const(self.integer(tok))
         if self.accept("-"):
             return Const(-self.integer(self.expect("int")))
-        raise self.fail(f"expected a variable or integer, found {tok.text!r}")
+        raise self.unexpected("a variable or integer")
 
     def parse_linexpr(self) -> LinExpr:
         pairs: list[tuple[str, int]] = []
@@ -175,7 +183,7 @@ class _Parser:
                     coeff *= self.integer(self.expect("int"))
                 pairs.append((self.var_name(tok), coeff))
             else:
-                raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+                raise self.unexpected("a term")
             if self.accept("+"):
                 sign = 1
             elif self.accept("-"):
@@ -187,7 +195,7 @@ class _Parser:
         lhs = self.parse_linexpr()
         tok = self.here
         if tok.kind not in RELATIONS:
-            raise self.fail(f"expected a relation, found {tok.text or 'end of input'!r}")
+            raise self.unexpected("a relation")
         self.advance()
         return RelCon(tok.kind, lhs, self.parse_linexpr())
 

@@ -9,7 +9,7 @@ from chcslim import (
     EvalBudgetError, EvalError, TriState, bounded_least_model, derives_unsafe,
     parse_program,
 )
-from chcslim.corpus import load
+from chcslim.corpus import corpus_names, load
 
 from gen import random_program
 from oracles import naive_bounded_model
@@ -30,6 +30,58 @@ def test_corpus_models(name, bound, size, clipped, unsafe):
     assert model.size() == size
     assert model.clipped is clipped
     assert model.derived("unsafe") is unsafe
+
+
+# (size(), rounds, clipped, steps) of every corpus program at bounds 8 and
+# 32, or None where the default budget runs out.  The figures are those of
+# the evaluator that scanned every fact set linearly, before joins were
+# planned and probed by hash index: steps count in the budget's units, so
+# the table pins the work charged as well as the model.
+CORPUS_RUNS = {
+    ("always_safe", 8): (0, 0, False, 1),
+    ("always_safe", 32): (0, 0, False, 1),
+    ("always_unsafe", 8): (1, 1, False, 0),
+    ("always_unsafe", 32): (1, 1, False, 0),
+    ("branch_unsafe", 8): (10, 5, True, 63),
+    ("branch_unsafe", 32): (10, 5, False, 63),
+    ("chain_safe", 8): (12, 2, False, 36),
+    ("chain_safe", 32): (12, 2, False, 36),
+    ("constant_args", 8): (5, 5, False, 22),
+    ("constant_args", 32): (5, 5, False, 22),
+    ("count_up_safe", 8): (0, 0, True, 0),
+    ("count_up_safe", 32): (278785, 43, True, 1465341),
+    ("count_up_unsafe", 8): (0, 0, True, 0),
+    ("count_up_unsafe", 32): (278786, 43, True, 1465341),
+    ("dead_argument", 8): (290, 13, True, 1574),
+    ("dead_argument", 32): (4226, 37, True, 21638),
+    ("interval_loop_safe", 8): (25, 5, True, 227),
+    ("interval_loop_safe", 32): (102, 12, False, 849),
+    ("mutual_recursion", 8): (154, 9, True, 750),
+    ("mutual_recursion", 32): (2146, 33, True, 10662),
+    ("nonlinking_call", 8): (4914, 9, True, 105367),
+    ("nonlinking_call", 32): None,
+    ("repeated_head_vars", 8): (17, 1, True, 52),
+    ("repeated_head_vars", 32): (65, 1, True, 196),
+    ("two_counters", 8): (20, 5, True, 216),
+    ("two_counters", 32): (25, 7, False, 260),
+    ("widening", 8): (3757, 1, True, 26546),
+    ("widening", 32): (156325, 1, True, 1096754),
+}
+
+
+def test_every_corpus_program_is_pinned():
+    assert {name for name, _ in CORPUS_RUNS} == set(corpus_names())
+
+
+@pytest.mark.parametrize("name, bound", sorted(CORPUS_RUNS))
+def test_corpus_runs_are_pinned(name, bound):
+    expected = CORPUS_RUNS[name, bound]
+    if expected is None:
+        with pytest.raises(EvalBudgetError):
+            bounded_least_model(load(name), bound=bound)
+        return
+    model = bounded_least_model(load(name), bound=bound)
+    assert (model.size(), model.rounds, model.clipped, model.steps) == expected
 
 
 @pytest.mark.parametrize("name, bound, verdict", [
@@ -139,6 +191,33 @@ def test_matches_brute_force_on_micro_programs():
         got = {p: fs for p, fs in model.facts.items() if fs}
         want = {p: fs for p, fs in brute.items() if fs}
         assert got == want, source
+
+
+@pytest.mark.parametrize("source", [
+    # r's index by X is built in the first round and must take r's facts
+    # of later rounds: p(2) needs q(2), new in round 2, and r(2)
+    "q(X) :- X=0.\nq(Y) :- Y=X+1, X<3, q(X).\n"
+    "r(X) :- X=1.\nr(Y) :- Y=X+1, X<3, r(X).\n"
+    "p(X) :- q(X), r(X).\nunsafe :- p(X).",
+    # a variable repeated inside one atom, unbound and then bound
+    "q(X,Y) :- X>=0, X=<2, Y>=1, Y=<2.\n"
+    "p(X,Y) :- q(X,X), q(Y,Y), q(X,Y).\nunsafe :- p(X,Y).",
+    # constants in body atoms, alone and beside a bound variable
+    "q(X,Y) :- X>=0, X=<2, Y=X+1.\n"
+    "p(Y) :- q(1,Y).\ns(X) :- q(X,Y), q(Y,3).\nunsafe :- p(X), s(X).",
+    # the second atom shares no variable with the first: its probe has no
+    # key position and walks the whole fact set
+    "q(X) :- X>=-1, X=<1.\nr(Y) :- Y>=2, Y=<3.\n"
+    "p(X,Y) :- q(X), r(Y).\nunsafe :- p(X,Y).",
+], ids=["index-extension", "repeated-variable", "body-constant", "keyless"])
+def test_indexed_joins_match_brute_force(source):
+    prog = parse_program(source)
+    model = bounded_least_model(prog, bound=3)
+    brute = naive_bounded_model(prog, 3)
+    got = {p: fs for p, fs in model.facts.items() if fs}
+    want = {p: fs for p, fs in brute.items() if fs}
+    assert got == want
+    assert got["p"]
 
 
 def test_matches_brute_force_on_random_programs():

@@ -39,7 +39,7 @@ def test_tristate_is_not_a_boolean():
     ("X=2*W", TriState.HOLDS),
     ("X<X", TriState.FAILS),
     ("X=Y+1, Y>=3, X=<3", TriState.FAILS),
-    ("2*X=<7, 2*X>=7", TriState.UNKNOWN),
+    ("2*X=<7, 2*X>=7", TriState.FAILS),
     ("true", TriState.HOLDS),
     # a unit equality is substituted before the non-unit rows are combined
     ("-2*X>=1, X=-1", TriState.HOLDS),
@@ -117,8 +117,10 @@ def test_parts_split_on_shared_vars():
     ("X>=0, Z>=1, Z=<3", "X", "X>=0"),
     # a dead part that fails leaves the conjunction unsatisfiable
     ("X>=0, Z>=1, Z=<0", "X", None),
+    # so does one with rational but no integer solutions
+    ("X>=0, 2*Z=7", "X", None),
     # a dead part the oracle cannot decide is kept
-    ("X>=0, 2*Z=7", "X", "X>=0, 2*Z=7"),
+    ("X>=0, 2*Z=3*W+1", "X", "X>=0, 2*Z=3*W+1"),
     # a variable of an array constraint stays, and so does one with only a
     # non-unit equality
     ("read(A,I,V), V=Y+1", "A I Y", "read(A,I,V), V=Y+1"),

@@ -82,6 +82,22 @@ def test_errors_carry_position(source, position, fragment):
     assert fragment in message
 
 
+@pytest.mark.parametrize("source, message", [
+    ("p(X) :- X = 2*.", "1:15: expected a variable, found '.'"),
+    ("p(X) :- X = Y*.", "1:15: expected an integer, found '.'"),
+    ("1 :- true.", "1:1: expected a name, found '1'"),
+    ("p(", "1:3: expected a variable or integer, found 'end of input'"),
+    ("p(X) :- q(X", "1:12: expected ')', found 'end of input'"),
+    ("p(X) :- X", "1:10: expected a relation, found 'end of input'"),
+    ("p(X) :- X=", "1:11: expected a term, found 'end of input'"),
+])
+def test_error_messages_name_what_was_expected(source, message):
+    # token kinds read as words, and the end of the text as 'end of input'
+    with pytest.raises(ParseError) as info:
+        parse_program(source)
+    assert str(info.value) == message
+
+
 def test_edited_corpus_texts_give_a_program_or_a_parse_error():
     # one hostile input never ends a batch: a text one character edit away
     # from a corpus file parses or raises ParseError, and nothing else

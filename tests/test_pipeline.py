@@ -246,8 +246,9 @@ def test_cli_nlr_writes_output(tmp_path, capsys):
 
 
 def test_deep_clause_does_not_abort_the_batch(tmp_path):
-    # the evaluator nests one generator per variable; a chain longer than
-    # the recursion limit leaves its problem undecided, not the batch dead
+    # the evaluator nests one call per enumerated variable; a chain longer
+    # than the recursion limit leaves its problem undecided, not the batch
+    # dead
     n = 300
     chain = ", ".join(f"X{i}=X{i - 1}" for i in range(1, n))
     deep = tmp_path / "deep.clp"
