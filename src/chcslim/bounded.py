@@ -22,9 +22,10 @@ round's facts get their own indexes each round.
 Constraint variables left unbound by the atoms are enumerated one at a
 time, and a conjunct is checked once all its variables are bound.  The
 pending conjuncts with exactly one unbound variable give that variable an
-interval, and the narrowest is enumerated next.  After the atoms, those
-conjuncts are known from the plan; deeper down they are found by a pass
-over the pending conjuncts.
+interval, and the narrowest is enumerated next.  Which conjuncts are
+pending and what they bound depends only on the variables bound so far, so
+each level of this phase is built once per evaluation, on the first path
+that reaches it, and the plan holds the level after the atoms.
 
 The step budget counts one step per fact a probe stands for, that is the
 whole fact set a linear scan of it would walk, one per conjunct checked
@@ -193,15 +194,24 @@ class _Probe(NamedTuple):
     ready: tuple[list[Row], ...]     # conjuncts checkable after it, in order
 
 
+class _Level(NamedTuple):
+    """The variable phase once the atoms' variables and those chosen on the
+    way down are bound, built by ``_level``."""
+    free: list[str]                  # unbound variables, in clause order
+    # the free variables, in that order, that a pending conjunct bounds
+    # alone, each with its rows split into (coefficient, rest, bound)
+    bounding: list[tuple[str, list[tuple[int, tuple, int]]]]
+    pending: list[Conjunct]          # conjuncts not yet checkable
+    # per variable chosen here: the conjuncts it makes checkable, in order,
+    # and the level below, filled on first choice
+    after: dict[str, tuple[tuple[list[Row], ...], _Level]]
+
+
 class _Join(NamedTuple):
     """A clause's grounding with one body position as the delta atom."""
     initial: tuple[list[Row], ...]   # conjuncts without variables
     probes: tuple[_Probe, ...]
-    free: list[str]                  # variables the atoms leave unbound
-    pending: list[Conjunct]          # conjuncts left after the atoms
-    # what bounds the free variables once the atoms are matched
-    # (``_bounding``), from which the first one to enumerate is chosen
-    first: list[tuple[str, list[tuple[int, tuple, int]]]]
+    level: _Level                    # the variable phase after the atoms
 
 
 class _Compiled:
@@ -253,9 +263,9 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
         probes.append(_Probe(atom.pred, index == delta_index, tuple(key),
                              tuple(terms), tuple(binds.items()), tuple(same),
                              ready))
-    free = [name for name in compiled.variables if name not in bound]
-    return _Join(initial, tuple(probes), free, pending,
-                 _bounding(pending, bound, free))
+    return _Join(initial, tuple(probes), _level(
+        pending, bound, [name for name in compiled.variables
+                         if name not in bound]))
 
 
 def _code(t: Term) -> int | str:
@@ -271,12 +281,10 @@ def _ready(pending: list[Conjunct], bound: Set[str]) \
             [con for con in pending if not con[0] <= bound])
 
 
-def _bounding(pending: list[Conjunct], bound: Set[str], order: list[str]) \
-        -> list[tuple[str, list[tuple[int, tuple, int]]]]:
-    """The variables of ``order``, in that order, that a pending conjunct
-    with no other variable left unbound bounds, each with the rows of those
-    conjuncts it occurs in, split into (its coefficient, the rest, the
-    bound)."""
+def _level(pending: list[Conjunct], bound: Set[str],
+           free: list[str]) -> _Level:
+    """The level at which ``bound`` is bound, ``free`` is not and the
+    conjuncts of ``pending`` are left to check."""
     split: dict[str, list[tuple[int, tuple, int]]] = {}
     for names, rows in pending:
         missing = names - bound
@@ -287,7 +295,8 @@ def _bounding(pending: list[Conjunct], bound: Set[str], order: list[str]) \
                     if n == name:
                         rest = tuple((m, c) for m, c in terms if m != name)
                         split.setdefault(name, []).append((a, rest, r))
-    return [(name, split[name]) for name in order if name in split]
+    return _Level(free, [(v, split[v]) for v in free if v in split],
+                  pending, {})
 
 
 def _ground(compiled: _Compiled, delta_index: int | None,
@@ -312,12 +321,7 @@ def _ground(compiled: _Compiled, delta_index: int | None,
 
     def match(i: int) -> None:
         if i == len(probes):
-            if not join.free:
-                out.append(head_tuple())
-                return
-            first = _choose(join.first, join.free[0], assignment, state)
-            enumerate_var(*first, *_ready(join.pending,
-                                          assignment.keys() | {first[0]}))
+            descend(join.level)
             return
         probe = probes[i]
         facts = last if probe.delta else everything
@@ -340,23 +344,27 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         for name, _ in binds:
             assignment.pop(name, None)
 
-    def enumerate_var(name: str, lo: int, hi: int, ready: tuple[list[Row], ...],
-                      pending: list[Conjunct]) -> None:
-        """Bind ``name`` to each value of [lo, hi] in turn, check the
-        conjuncts of ``ready``, then go on to the next variable."""
+    def descend(level: _Level) -> None:
+        """Emit the head once every variable is bound; else bind the
+        narrowest variable to each value of its interval in turn, check
+        the conjuncts that become checkable, then go a level down."""
+        if not level.free:
+            out.append(head_tuple())
+            return
+        name, lo, hi = _choose(level.bounding, level.free[0], assignment,
+                               state)
+        step = level.after.get(name)
+        if step is None:
+            bound = assignment.keys() | {name}
+            ready, pending = _ready(level.pending, bound)
+            step = level.after[name] = ready, _level(
+                pending, bound, [n for n in level.free if n != name])
+        ready, below = step
         for value in range(lo, hi + 1):
             state.tick()
             assignment[name] = value
-            if not holds(ready):
-                continue
-            unbound = [n for n in compiled.variables if n not in assignment]
-            if not unbound:
-                out.append(head_tuple())
-                continue
-            bound = assignment.keys()
-            after = _choose(_bounding(pending, bound, unbound), unbound[0],
-                            assignment, state)
-            enumerate_var(*after, *_ready(pending, bound | {after[0]}))
+            if holds(ready):
+                descend(below)
         assignment.pop(name, None)
 
     def head_tuple() -> Fact:
@@ -378,9 +386,9 @@ def _ground(compiled: _Compiled, delta_index: int | None,
                         f"than the recursion limit "
                         f"({sys.getrecursionlimit()})") from None
     finally:
-        # match and enumerate_var reach themselves through their closures;
-        # the cycle would keep the fact indexes alive until a full collection
-        del match, enumerate_var
+        # match and descend reach themselves through their closures; the
+        # cycle would keep the fact indexes alive until a full collection
+        del match, descend
     return out
 
 
@@ -388,8 +396,8 @@ def _choose(bounding: list[tuple[str, list[tuple[int, tuple, int]]]],
             default: str, assignment: dict[str, int],
             state: _State) -> tuple[str, int, int]:
     """The variable with the narrowest interval among those of
-    ``bounding`` (``_bounding``), or ``default`` over the whole domain when
-    there are none.  A row a*x + rest <= r gives x <= floor((r-rest)/a)
+    ``bounding`` (``_Level.bounding``), or ``default`` over the whole domain
+    when there are none.  A row a*x + rest <= r gives x <= floor((r-rest)/a)
     when a > 0 and x >= ceil((r-rest)/a) when a < 0.  A variable left with
     no value is chosen at once: it enumerates nothing, so no value is lost
     to the cut."""

@@ -191,13 +191,15 @@ def cmd_eval(args) -> int:
     counts = {p: len(f) for p, f in sorted(model.facts.items())}
     if args.json:
         print(json.dumps({"unsafe": verdict, "facts": counts,
-                          "clipped": model.clipped, "rounds": model.rounds}))
+                          "clipped": model.clipped, "rounds": model.rounds,
+                          "steps": model.steps}))
     else:
         print(f"unsafe: {verdict}")
         for pred, count in counts.items():
             print(f"  {pred}: {count}")
         print(f"clipped: {str(model.clipped).lower()}")
         print(f"rounds: {model.rounds}")
+        print(f"steps: {model.steps}")
     return 0
 
 

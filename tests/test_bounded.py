@@ -209,7 +209,12 @@ def test_matches_brute_force_on_micro_programs():
     # key position and walks the whole fact set
     "q(X) :- X>=-1, X=<1.\nr(Y) :- Y>=2, Y=<3.\n"
     "p(X,Y) :- q(X), r(Y).\nunsafe :- p(X,Y).",
-], ids=["index-extension", "repeated-variable", "body-constant", "keyless"])
+    # the narrowest variable after q(A) depends on A: X (width 2) when
+    # A=-1, Y (width 0) when A=3, so one level leads to two below it
+    "q(A) :- A>=-1, A=<3.\n"
+    "p(X,Y) :- q(A), X>=A-1, X=<A+1, Y>=A, Y=<3.\nunsafe :- p(X,Y).",
+], ids=["index-extension", "repeated-variable", "body-constant", "keyless",
+        "path-dependent-order"])
 def test_indexed_joins_match_brute_force(source):
     prog = parse_program(source)
     model = bounded_least_model(prog, bound=3)

@@ -317,18 +317,25 @@ def test_cli_cfar_reports_the_projection(tmp_path, capsys):
             rep["clauses_dropped"]) == (3, 2, 0)
 
 
-@pytest.mark.parametrize("name, bound, verdict, clipped, rounds", [
-    ("branch_unsafe", 32, "holds", "false", 5),
-    ("always_safe", 32, "fails", "false", 0),
-    ("count_up_safe", 8, "unknown", "true", 0),
+@pytest.mark.parametrize("name, bound, verdict, clipped, rounds, steps", [
+    ("branch_unsafe", 32, "holds", "false", 5, 63),
+    ("always_safe", 32, "fails", "false", 0, 1),
+    ("count_up_safe", 8, "unknown", "true", 0, 0),
 ])
-def test_cli_eval_output(name, bound, verdict, clipped, rounds, capsys):
+def test_cli_eval_output(name, bound, verdict, clipped, rounds, steps,
+                         capsys):
     rc = main(["eval", str(CORPUS / f"{name}.clp"), "--bound", str(bound)])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"unsafe: {verdict}"
     assert f"rounds: {rounds}" in lines
     assert f"clipped: {clipped}" in lines
+    assert f"steps: {steps}" in lines
+    assert main(["eval", str(CORPUS / f"{name}.clp"), "--bound", str(bound),
+                 "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["unsafe"], report["rounds"], report["steps"]) == (
+        verdict, rounds, steps)
 
 
 def test_cli_eval_budget_exhaustion(capsys):
