@@ -25,6 +25,8 @@ Each clause's constraint is split once into its variable-disjoint parts
 (``constraints.Parts``).  Condition (i) holds when X_k's own part projects
 to true and every other part is satisfiable, each part decided at most
 once per clause; (ii) and the body edges read the parts' linked sets.
+The oracle answers each question once per transform
+(``constraints.answers_once``), since one part recurs across clauses.
 
 The erased program then gets each clause's constraint projected onto its
 live variables, those of the erased head and of the erased body atoms
@@ -43,8 +45,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .constraints import (Parts, TriState, constrained_to, forall_exists_valid,
-                          project)
+from .constraints import (Parts, TriState, answers_once, constrained_to,
+                          forall_exists_valid, project)
 from .syntax import Atom, Clause, Const, Program, Var
 
 Pair = tuple[str, int]
@@ -191,6 +193,7 @@ def erasure_lines(e: Erasure, arities: dict[str, int]) -> list[str]:
     return [f"{pred}/{arities[pred]} {k}" for pred, k in sorted(e)]
 
 
+@answers_once()
 def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     """Greatest safe erasure of ``prog`` and the erased program.
 
@@ -200,7 +203,8 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     every pair reachable backward from it along ``body_edges``, and the
     erasure is every pair not kept.  Each erased clause's constraint is
     then projected onto the clause's live variables, and a clause whose
-    constraint the projection finds unsatisfiable is left out.
+    constraint the projection finds unsatisfiable is left out.  One
+    ``answers_once`` table serves the whole call, or the caller's if open.
     """
     pairs = full_erasure(prog)
     report = CfarReport(pairs_initial=len(pairs), args_before=prog.total_args())
@@ -253,7 +257,8 @@ def verify_safe_erasure(prog: Program, e: Erasure) -> list[Violation]:
     """Re-validate every erased pair against the original program,
     written as a direct restatement of the erasability conditions rather
     than through the fixpoint machinery.  Returns all violations found;
-    an empty list certifies the erasure."""
+    an empty list certifies the erasure.  It opens no ``answers_once``
+    table, so outside one its certification asks the oracle afresh."""
     violations: list[Violation] = []
     for index, clause in enumerate(prog.clauses):
         head = clause.head

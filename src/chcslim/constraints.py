@@ -17,6 +17,12 @@ refutations remain trustworthy, because a rationally infeasible system has
 no integer solutions either.  Strict relations are first shifted to closed
 ones (a < b becomes a <= b-1), which is lossless over the integers.
 
+Inside an ``answers_once`` block (one per problem in the pipeline, one
+per ``cfar_transform`` call, never longer) each question is answered once.
+The key is the rows ``rows_of`` compiles and the variable kept, all that
+``_eliminate``, the one uncached routine, reads; it is exact, not taken
+up to renaming, since the elimination order breaks ties by name.
+
 ``Parts`` splits a conjunction once into its variable-disjoint parts.  It
 gives each variable's linked set (the constrained-to relation) and its own
 part, and decides each part's satisfiability at most once, so a caller
@@ -41,6 +47,7 @@ keep their variables out of ``project``'s reach.
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from math import gcd
 
 from .syntax import ArrayCon, Constraint, LinExpr, RelCon
@@ -518,17 +525,30 @@ def forall_exists_valid(x: str, c: Constraint) -> TriState:
 
 
 def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
-    """Whether eliminating every variable of c but ``keep`` leaves no row,
-    on one ``_System``: equalities are substituted away, then
-    Fourier-Motzkin takes unit-coefficient variables first, to stay exact
-    as long as possible, then the fewest pos*neg combinations, the first
-    in name order on a tie.  Arrays or a blown row budget answer
-    ``unknown``, a refutation or a row left ``fails``; else the answer is
-    ``holds`` if the run was exact and ``unknown`` if not.
-    """
+    """``unknown`` when c has arrays, else ``_eliminate`` on c's rows;
+    inside ``answers_once``, each (rows, keep) question is answered once."""
     rows = rows_of(c)
     if rows is None:
         return TriState.UNKNOWN
+    table = _table  # read once: another thread's block may close it
+    if table is None:
+        return _eliminate(rows, keep)
+    key = (tuple(rows), keep)
+    answer = table.get(key)
+    if answer is None:
+        answer = table[key] = _eliminate(rows, keep)
+    return answer
+
+
+def _eliminate(rows: list[Row], keep: str | None) -> TriState:
+    """Whether eliminating every variable of the rows but ``keep`` leaves
+    no row, on one ``_System``: equalities are substituted away, then
+    Fourier-Motzkin takes unit-coefficient variables first, to stay exact
+    as long as possible, then the fewest pos*neg combinations, the first
+    in name order on a tie.  A blown row budget answers ``unknown``, a
+    refutation or a row left ``fails``; else the answer is ``holds`` if
+    the run was exact and ``unknown`` if not.
+    """
     names = sorted({n for terms, _ in rows for n, _ in terms} - {keep})
     try:
         system = _System(rows)
@@ -541,3 +561,21 @@ def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
     if system.size:
         return TriState.FAILS
     return TriState.HOLDS if exact else TriState.UNKNOWN
+
+
+_table: dict[tuple, TriState] | None = None  # (rows, keep) -> answer
+
+
+@contextmanager
+def answers_once():
+    """Answer each oracle question once in the block; a nested block shares
+    the outermost one's table, which is dropped on exit, raised or not."""
+    global _table
+    if _table is not None:
+        yield
+        return
+    _table = {}
+    try:
+        yield
+    finally:
+        _table = None

@@ -29,6 +29,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .bounded import EvalError, derives_unsafe
 from .cfar import cfar_transform
+from .constraints import answers_once
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
 from .nlr import nlr_transform
 from .parser import ParseError, parse_program
@@ -203,6 +204,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[RunRecord]:
     return records
 
 
+@answers_once()  # one answer table per problem
 def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
     rec = RunRecord(path.stem, stages=tuple(cfg.stages))
     for stage in cfg.stages:

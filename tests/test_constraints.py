@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from chcslim import constraints
 from chcslim.constraints import (
-    Parts, TriState, constrained_to, forall_exists_valid, is_satisfiable,
-    project, rows_of,
+    Parts, TriState, answers_once, constrained_to, forall_exists_valid,
+    is_satisfiable, project, rows_of,
 )
 from gen import constraint_of, random_constraint, random_forall_instance
 from oracles import box_forall_exists, box_satisfiable
@@ -259,3 +259,62 @@ def test_unit_constraints_rarely_unknown():
         if is_satisfiable(random_constraint(rng, unit=True)) is TriState.UNKNOWN:
             unknown += 1
     assert unknown <= 30
+
+
+def _oracle_questions():
+    # satisfiability and forall-exists questions on 2,000 constraints and
+    # 1,000 forall instances, a third of them with non-unit coefficients
+    rng = random.Random(2718)
+    questions = []
+    for i in range(3000):
+        unit = i % 3 != 0
+        if i < 2000:
+            c = random_constraint(rng, max_vars=4, unit=unit)
+            x = rng.choice(sorted(c.vars()))
+        else:
+            x, c = random_forall_instance(rng, unit=unit)
+        questions += [(is_satisfiable, c),
+                      (lambda c, x=x: forall_exists_valid(x, c), c)]
+    return questions
+
+
+def test_answer_table_gives_the_uncached_answers(monkeypatch):
+    questions = _oracle_questions()
+    expected = [ask(c) for ask, c in questions]
+    eliminate, fresh = constraints._eliminate, []
+
+    def counted(rows, keep):
+        fresh.append(keep)
+        return eliminate(rows, keep)
+
+    monkeypatch.setattr(constraints, "_eliminate", counted)
+    for order in (1, -1):
+        fresh.clear()
+        with answers_once():
+            for _ in range(2):
+                answers = [ask(c) for ask, c in questions[::order]]
+                assert answers == expected[::order]
+            # each question was answered fresh once, the repeats from the table
+            assert len(fresh) == len(constraints._table) < len(questions)
+
+
+def test_nested_answer_tables_are_one():
+    with answers_once():
+        outer = constraints._table
+        sat("X>=1")
+        with answers_once():
+            assert constraints._table is outer
+            sat("X>=2")
+        assert constraints._table is outer and len(outer) == 2
+    assert constraints._table is None
+
+
+def test_no_answer_table_outlives_its_block():
+    sat("X>=1")
+    assert constraints._table is None
+    with pytest.raises(RuntimeError):
+        with answers_once():
+            with answers_once():
+                sat("X>=1")
+                raise RuntimeError("inside")
+    assert constraints._table is None

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chcslim import pipeline
+from chcslim import constraints, pipeline
 from chcslim.cli import main
 from chcslim.corpus import corpus_dir, corpus_names
 from chcslim.pipeline import (
@@ -291,6 +291,76 @@ def test_evaluation_crash_does_not_abort_the_batch(tmp_path, monkeypatch,
                str(tmp_path / "cli"), "--bound", "32", "--json"])
     assert rc == 2
     assert len(parse_json_lines(capsys.readouterr().out)) == 2
+
+
+def _count_oracle_work(monkeypatch):
+    """The distinct (rows, keep) questions asked of the oracle and the
+    answers computed fresh, from here on."""
+    ask, eliminate = constraints._projects_to_true, constraints._eliminate
+    asked, fresh = set(), []
+
+    def asking(c, keep):
+        rows = constraints.rows_of(c)
+        if rows is not None:
+            asked.add((tuple(rows), keep))
+        return ask(c, keep)
+
+    def eliminating(rows, keep):
+        fresh.append((tuple(rows), keep))
+        return eliminate(rows, keep)
+
+    monkeypatch.setattr(constraints, "_projects_to_true", asking)
+    monkeypatch.setattr(constraints, "_eliminate", eliminating)
+    return asked, fresh
+
+
+def test_oracle_answers_once_per_problem(tmp_path, monkeypatch):
+    # count_up_safe asks 20 questions, 9 of them distinct
+    text = (CORPUS / "count_up_safe.clp").read_text()
+    inputs = []
+    for name in ("first", "second"):
+        inputs.append(tmp_path / f"{name}.clp")
+        inputs[-1].write_text(text)
+    asked, fresh = _count_oracle_work(monkeypatch)
+    run_pipeline(PipelineConfig(inputs=inputs[:1], out_dir=tmp_path / "one"))
+    assert len(fresh) == len(asked) == 9
+    # the same text as a second problem of one batch shares no answer
+    fresh.clear()
+    run_pipeline(PipelineConfig(inputs=inputs, out_dir=tmp_path / "two"))
+    assert len(fresh) == 18 and len(set(fresh)) == 9
+    # cfar_transform alone keeps its own table: 18 questions, 11 distinct
+    asked.clear()
+    fresh.clear()
+    pipeline.cfar_transform(parse_program(text))
+    assert len(fresh) == len(asked) == 11
+
+
+def test_failed_transform_leaves_no_answers_behind(tmp_path, monkeypatch):
+    transform, read = pipeline.cfar_transform, pipeline.read_input
+    asked, fresh = _count_oracle_work(monkeypatch)
+    starts = []
+
+    def crash_first(prog):
+        result = transform(prog)
+        if len(starts) == 1:
+            raise RuntimeError("cfar bug")
+        return result
+
+    def reading(path):
+        starts.append((dict(constraints._table), len(fresh)))
+        return read(path)
+
+    monkeypatch.setattr(pipeline, "cfar_transform", crash_first)
+    monkeypatch.setattr(pipeline, "read_input", reading)
+    records = run_pipeline(config(tmp_path, names=("count_up_safe",
+                                                   "count_up_unsafe")))
+    assert records[0].internal_error == "transform failed: cfar bug"
+    assert not records[1].internal_error
+    # each problem opens its own table, empty, and none is left after
+    assert [table for table, _ in starts] == [{}, {}]
+    assert constraints._table is None
+    # the second problem computes every one of its answers afresh
+    assert len(fresh) - starts[1][1] == 9
 
 
 def test_cli_cfar_prints_erasure_on_stderr(capsys):
