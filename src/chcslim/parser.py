@@ -19,18 +19,20 @@ the relative order of each kind.
 ``parse_program`` is the one entry point: a file is read as a whole
 program, its rules checked once every clause is parsed.
 
-A token is a (kind, text, offset) triple.  Variables, identifiers and
-integers have the kinds ``var``, ``ident`` and ``int``; an operator is its
-own kind, so the parser matches every token by kind alone.  ``<=`` gets
-the kind ``=<`` and keeps its text, so error messages quote the token as
-written.
+Tokens are read in one scan: a single pattern skips whitespace and
+comments and returns the next token's text, the empty text at the end of
+the input standing for ``eof``.  A token's kind follows from its text.
+Variables, identifiers and integers have the kinds ``var``, ``ident`` and
+``int``; an operator is its own kind, so the parser matches every token by
+kind alone.  ``<=`` gets the kind ``=<`` and keeps its text, so error
+messages quote the token as written.  Token offsets are worked out only
+for an error, by scanning the text again.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import NamedTuple
 
 from .syntax import (ARRAY_KINDS, RELATIONS, ArrayCon, Atom, AtomicCon, Clause,
                      Const, Constraint, LinExpr, Program, ProgramError, RelCon,
@@ -44,44 +46,38 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int
-
-
+# Whitespace and comments, then one token: a name, an integer, an
+# operator, any other character (which is an error) or the end of the
+# text.  Names are ASCII; ``\d`` is any Unicode decimal digit.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<var>[A-Z_][A-Za-z0-9_]*)
-  | (?P<ident>[a-z][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<op>:-|=<|<=|>=|[=<>.,()*+-])
-  | (?P<bad>.)
+    (?: \s+ | %[^\n]* )*
+    ( [A-Za-z_][A-Za-z0-9_]* | \d+ | :- | =< | <= | >= | [=<>.,()*+-] | . | \Z )
 """, re.VERBOSE | re.DOTALL)
 
+# the kinds of the operators, and of the end of the text
+_OPERATORS = {op: op for op in ":- =< >= = < > . , ( ) * + -".split()}
+_OPERATORS.update({"<=": "=<", "": "eof"})
 
-def _error(message: str, text: str, offset: int) -> ParseError:
-    """A ParseError at ``offset``, with its line and column counted from 1."""
+
+def _kind(word: str) -> str:
+    """The kind of a token that is not an operator, from its first
+    character and by the pattern's classes: ASCII letters and ``_`` start
+    names, and ``isdecimal`` is true exactly for ``\\d`` (Unicode category
+    Nd), where ``isdigit`` would also take ``\u00b2``."""
+    first = word[0]
+    if "a" <= first <= "z":
+        return "ident"
+    if "A" <= first <= "Z" or first == "_":
+        return "var"
+    return "int" if first.isdecimal() else "bad"
+
+
+def _error(message: str, text: str, index: int) -> ParseError:
+    """A ParseError at the ``index``-th token of ``text``, with its line
+    and column counted from 1."""
+    offset = next(itertools.islice(_TOKEN_RE.finditer(text), index, None)).start(1)
     bol = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - bol + 1)
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text``, ending with an ``eof`` token; an operator's
-    kind is the operator itself, ``<=`` being read as ``=<``."""
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, word = m.lastgroup, m.group()
-        if kind == "op":
-            kind = "=<" if word == "<=" else word
-        elif kind == "bad":
-            raise _error(f"unexpected character {word!r}", text, m.start())
-        elif kind == "ws" or kind == "comment":
-            continue
-        tokens.append(_Token(kind, word, m.start()))
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
 
 
 # token kinds named in words; the others are quoted as they are written
@@ -89,60 +85,71 @@ _KIND_WORDS = {"var": "a variable", "int": "an integer", "ident": "a name"}
 
 
 class _Parser:
+    """Reads the tokens of ``text`` by index: ``words[pos]`` is the text
+    of the current token and ``kinds[pos]`` its kind.  The token lists
+    may end in more than one ``eof``; nothing reads past the first."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.words = words = _TOKEN_RE.findall(text)
+        known = dict(_OPERATORS)  # then each word once, as it is first seen
+        self.kinds = kinds = [known.get(w) or known.setdefault(w, _kind(w))
+                              for w in words]
+        if "bad" in kinds:
+            bad = kinds.index("bad")
+            raise _error(f"unexpected character {words[bad]!r}", text, bad)
         self.pos = 0
-        self.here = self.tokens[0]
         self.clause_start, self.anonymous = 0, None
-
-    def advance(self) -> _Token:
-        tok = self.here
-        self.pos += 1
-        self.here = self.tokens[self.pos]
-        return tok
 
     def accept(self, kind: str) -> bool:
         """Step past the current token if it has ``kind``."""
-        if self.here.kind != kind:
+        if self.kinds[self.pos] != kind:
             return False
-        self.advance()
+        self.pos += 1
         return True
 
-    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
-        """A ParseError at ``tok``, by default the current token."""
-        return _error(message, self.text, (tok or self.here).offset)
+    def fail(self, message: str, pos: int | None = None) -> ParseError:
+        """A ParseError at token ``pos``, by default the current token."""
+        return _error(message, self.text, self.pos if pos is None else pos)
 
     def unexpected(self, wanted: str) -> ParseError:
         """A ParseError at the current token, which is not ``wanted``."""
         return self.fail(f"expected {wanted}, found "
-                         f"{self.here.text or 'end of input'!r}")
+                         f"{self.words[self.pos] or 'end of input'!r}")
 
-    def expect(self, kind: str) -> _Token:
-        if self.here.kind != kind:
+    def expect(self, kind: str) -> str:
+        """The current token's text, stepping past it; a ParseError unless
+        it has ``kind``."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
             raise self.unexpected(_KIND_WORDS.get(kind) or repr(kind))
-        return self.advance()
+        self.pos = pos + 1
+        return self.words[pos]
 
-    def integer(self, tok: _Token) -> int:
-        """The int token's value; a ParseError at it when the literal is
-        too long for Python to convert."""
+    def integer(self) -> int:
+        """The value of the current token, an int, stepping past it; a
+        ParseError at it when the literal is too long for Python to
+        convert."""
+        pos = self.pos
+        word = self.expect("int")
         try:
-            return int(tok.text)
+            return int(word)
         except ValueError:
-            raise self.fail(f"integer literal of {len(tok.text)} digits is "
-                            "too long", tok) from None
+            raise self.fail(f"integer literal of {len(word)} digits is "
+                            "too long", pos) from None
 
-    def var_name(self, tok: _Token) -> str:
-        """The token's variable name; each ``_`` gets a fresh one, apart
-        from every variable written in its clause."""
-        if tok.text != "_":
-            return tok.text
+    def var_name(self, word: str) -> str:
+        """The name of a variable written ``word``; each ``_`` gets a fresh
+        one, apart from every variable written in its clause."""
+        if word != "_":
+            return word
         if self.anonymous is None:
-            end = self.clause_start
-            while self.tokens[end].kind not in (".", "eof"):
+            kinds, start = self.kinds, self.clause_start
+            end = start
+            while kinds[end] not in (".", "eof"):
                 end += 1
-            written = {t.text for t in self.tokens[self.clause_start:end]
-                       if t.kind == "var"}
+            written = {w for k, w in zip(kinds[start:end], self.words[start:end])
+                       if k == "var"}
             self.anonymous = (f"_{i}" for i in itertools.count()
                               if f"_{i}" not in written)
         return next(self.anonymous)
@@ -150,54 +157,54 @@ class _Parser:
     # --- terms and expressions -------------------------------------------
 
     def parse_term(self) -> Term:
-        tok = self.here
-        if tok.kind == "var":
-            self.advance()
-            return Var(self.var_name(tok))
-        if tok.kind == "int":
-            self.advance()
-            return Const(self.integer(tok))
+        kind = self.kinds[self.pos]
+        if kind == "var":
+            return Var(self.var_name(self.expect("var")))
+        if kind == "int":
+            return Const(self.integer())
         if self.accept("-"):
-            return Const(-self.integer(self.expect("int")))
+            return Const(-self.integer())
         raise self.unexpected("a variable or integer")
 
     def parse_linexpr(self) -> LinExpr:
+        kinds, words = self.kinds, self.words
         pairs: list[tuple[str, int]] = []
         const = 0
-        sign = -1 if self.accept("-") else 1
-        if sign == 1:
-            self.accept("+")
+        kind = kinds[self.pos]
+        sign = -1 if kind == "-" else 1
+        if kind == "-" or kind == "+":
+            self.pos += 1
         while True:
-            tok = self.here
-            if tok.kind == "int":
-                self.advance()
-                coeff = sign * self.integer(tok)
+            kind = kinds[self.pos]
+            if kind == "int":
+                coeff = sign * self.integer()
                 if self.accept("*"):
                     pairs.append((self.var_name(self.expect("var")), coeff))
                 else:
                     const += coeff
-            elif tok.kind == "var":
-                self.advance()
-                coeff = sign
-                if self.accept("*"):
-                    coeff *= self.integer(self.expect("int"))
-                pairs.append((self.var_name(tok), coeff))
+            elif kind == "var":
+                word = words[self.pos]
+                self.pos += 1
+                coeff = sign * self.integer() if self.accept("*") else sign
+                pairs.append((self.var_name(word), coeff))
             else:
                 raise self.unexpected("a term")
-            if self.accept("+"):
+            kind = kinds[self.pos]
+            if kind == "+":
                 sign = 1
-            elif self.accept("-"):
+            elif kind == "-":
                 sign = -1
             else:
                 return LinExpr.make(pairs, const)
+            self.pos += 1
 
     def parse_relcon(self) -> RelCon:
         lhs = self.parse_linexpr()
-        tok = self.here
-        if tok.kind not in RELATIONS:
+        rel = self.kinds[self.pos]
+        if rel not in RELATIONS:
             raise self.unexpected("a relation")
-        self.advance()
-        return RelCon(tok.kind, lhs, self.parse_linexpr())
+        self.pos += 1
+        return RelCon(rel, lhs, self.parse_linexpr())
 
     # --- atoms and clauses ------------------------------------------------
 
@@ -211,25 +218,27 @@ class _Parser:
 
     def parse_atom(self) -> Atom:
         name = self.expect("ident")
-        if self.here.kind == "(":
-            return Atom(name.text, self.parse_args())
-        return Atom(name.text)
+        if self.kinds[self.pos] == "(":
+            return Atom(name, self.parse_args())
+        return Atom(name)
 
     def parse_body_item(self) -> "AtomicCon | Atom | None":
-        tok = self.here
-        if tok.kind == "ident":
-            if tok.text == "true" and self.tokens[self.pos + 1].kind != "(":
-                self.advance()
+        pos = self.pos
+        if self.kinds[pos] == "ident":
+            word, call = self.words[pos], self.kinds[pos + 1] == "("
+            if word == "true" and not call:
+                self.pos = pos + 1
                 return None
-            if tok.text in ARRAY_KINDS and self.tokens[self.pos + 1].kind == "(":
-                self.advance()
+            if word in ARRAY_KINDS and call:
+                self.pos = pos + 1
                 args = self.parse_args()
-                if len(args) != ARRAY_KINDS[tok.text]:
-                    raise self.fail(f"{tok.text} expects {ARRAY_KINDS[tok.text]} "
-                                    f"arguments, got {len(args)}", tok)
-                return ArrayCon(tok.text, args)
+                if len(args) != ARRAY_KINDS[word]:
+                    raise self.fail(f"{word} expects {ARRAY_KINDS[word]} "
+                                    f"arguments, got {len(args)}", pos)
+                return ArrayCon(word, args)
             atom = self.parse_atom()
-            if self.here.kind in RELATIONS or self.here.kind in ("+", "-", "*"):
+            after = self.kinds[self.pos]
+            if after in RELATIONS or after in ("+", "-", "*"):
                 raise self.fail("compound terms are not supported")
             return atom
         return self.parse_relcon()
@@ -256,9 +265,9 @@ class _Parser:
         broken rule is reported at the start of the first clause breaking
         one."""
         clauses: list[Clause] = []
-        starts: list[_Token] = []
-        while self.here.kind != "eof":
-            starts.append(self.here)
+        starts: list[int] = []
+        while self.kinds[self.pos] != "eof":
+            starts.append(self.pos)
             clauses.append(self.parse_clause())
         try:
             return Program(tuple(clauses))

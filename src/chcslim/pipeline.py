@@ -234,7 +234,7 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
             clp_path = cfg.out_dir / f"{rec.name}.{stage}.clp"
             clp_path.write_text(emit_clp(current))
             rec.artifacts.append(str(clp_path))
-            problem = _recheck_artifact(clp_path)
+            problem = _recheck_artifact(clp_path, current)
             if problem:
                 rec.internal_error = problem
                 return rec
@@ -273,13 +273,16 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
     return rec
 
 
-def _recheck_artifact(path: Path) -> str | None:
+def _recheck_artifact(path: Path, written: Program) -> str | None:
     # parse_program builds a Program, which checks the program rules, so
-    # an artifact that re-parses is valid
+    # an artifact that re-parses is valid; it must also read back as the
+    # program written
     try:
-        parse_program(path.read_text())
+        again = parse_program(path.read_text())
     except ParseError as exc:
         return f"artifact {path.name} does not re-parse: {exc}"
+    if again != written:
+        return f"artifact {path.name} re-parses to a different program"
     return None
 
 

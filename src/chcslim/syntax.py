@@ -61,9 +61,13 @@ class LinExpr:
     @staticmethod
     def make(pairs: "list[tuple[str, int]] | tuple[tuple[str, int], ...]" = (),
              const: int = 0) -> "LinExpr":
-        coeffs: dict[str, int] = {}
-        for name, coeff in pairs:
-            coeffs[name] = coeffs.get(name, 0) + coeff
+        coeffs = dict(pairs)
+        if len(coeffs) < len(pairs):  # a variable repeats: sum its coefficients
+            coeffs = {}
+            for name, coeff in pairs:
+                coeffs[name] = coeffs.get(name, 0) + coeff
+        elif 0 not in coeffs.values():
+            return LinExpr(tuple(pairs), const)
         return LinExpr(tuple((n, c) for n, c in coeffs.items() if c != 0), const)
 
     def vars(self) -> set[str]:

@@ -1,8 +1,10 @@
 """Concrete syntax: parsing, error positions, and the print/parse
 round trip."""
 
+import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,7 @@ from chcslim import (ParseError, TriState, derives_unsafe, emit_clp,
 from chcslim.corpus import corpus_dir, corpus_names, load
 from chcslim.syntax import Atom, Const, Constraint, Var
 
-from gen import clause_of, random_program
+from gen import clause_of, frame_program, random_program
 from oracles import programs_isomorphic
 
 
@@ -73,6 +75,15 @@ def test_array_constraints_parse_as_constraints():
     ("p(X) :-\n   q(X", "2:7", "expected ')'"),
     pytest.param("p(X) :- X=" + "9" * 5000 + ".", "1:11", "too long",
                  id="huge-literal"),
+    # letters are ASCII, and a digit is a decimal one, which '\u00b2' is not
+    pytest.param("p(X) :- X=\u00b2.", "1:11", "unexpected character '\u00b2'",
+                 id="superscript-two"),
+    pytest.param("p(X) :- X=\u00e9.", "1:11", "unexpected character '\u00e9'",
+                 id="e-acute"),
+    pytest.param("p(X) :-\r\n  X=1 #.", "2:7", "unexpected character '#'",
+                 id="crlf"),
+    pytest.param("p(X) :-\u00a0X=1\u00a0#.", "1:13", "unexpected character '#'",
+                 id="nbsp"),
 ])
 def test_errors_carry_position(source, position, fragment):
     with pytest.raises(ParseError) as info:
@@ -98,12 +109,19 @@ def test_error_messages_name_what_was_expected(source, message):
     assert str(info.value) == message
 
 
+# the SHA-256 of the 2,000 outcomes below, each the program's text or
+# the full error message with its position: a change to the tokenizer or
+# the parser must change none of them
+EDITED_OUTCOMES = "5437d9fc6f7810e8985da4b01f6ad4c9a780a57ef17fdf47981ba0d1aae52dc7"
+
+
 def test_edited_corpus_texts_give_a_program_or_a_parse_error():
     # one hostile input never ends a batch: a text one character edit away
-    # from a corpus file parses or raises ParseError, and nothing else
+    # from a corpus file parses or raises ParseError, and nothing else;
+    # which one, and the message and position, are pinned
     rng = random.Random(1202)
     texts = [(corpus_dir() / f"{name}.clp").read_text() for name in corpus_names()]
-    outcomes = set()
+    outcomes, digest = Counter(), hashlib.sha256()
     for _ in range(2000):
         chars = list(rng.choice(texts))
         i, j = rng.randrange(len(chars)), rng.randrange(len(chars))
@@ -115,11 +133,67 @@ def test_edited_corpus_texts_give_a_program_or_a_parse_error():
         else:
             chars[i], chars[j] = chars[j], chars[i]
         try:
-            parse_program("".join(chars))
-            outcomes.add("program")
-        except ParseError:
-            outcomes.add("error")
-    assert outcomes == {"program", "error"}
+            outcome = "program\n" + emit_clp(parse_program("".join(chars)))
+            outcomes["program"] += 1
+        except ParseError as exc:
+            outcome = f"error {exc}\n"
+            outcomes["error"] += 1
+        digest.update(outcome.encode())
+    assert outcomes == {"program": 1246, "error": 754}
+    assert digest.hexdigest() == EDITED_OUTCOMES
+
+
+@pytest.mark.parametrize("source", [
+    "p(X) :- X=\u0663.",  # ARABIC-INDIC DIGIT THREE, a decimal digit
+    "p(X) :-\u00a0X=3.",
+    "p(X) :-\r\n  X=3.\r\n",
+    "p(X) :- X=3. % a comment at the end, with no newline",
+    "p(X) :- X=3.%",
+])
+def test_lexical_edge_cases_that_parse(source):
+    assert emit_clp(parse_program(source)) == "p(X) :- X=3.\n"
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of an emitted text, split without the parser."""
+    return re.findall(r":-|=<|>=|\w+|\S", text)
+
+
+def _noisy(text: str, rng: random.Random) -> str:
+    """``text`` respelled: whitespace and ``%`` comments between its
+    tokens, ``<=`` for some ``=<``, and a ``+`` before some expressions
+    that do not start with ``-``."""
+    tokens = _tokens(text)
+    out, depth = [], 0
+    for i, tok in enumerate(tokens):
+        after = tokens[i + 1] if i + 1 < len(tokens) else ""
+        out.append("<=" if tok == "=<" and rng.random() < 0.5 else tok)
+        depth += (tok == "(") - (tok == ")")
+        # an expression follows a relation, or a ':-' or ',' outside an
+        # atom when no predicate name does
+        starts_expr = tok in ("=", "<", "=<", ">", ">=") or (
+            depth == 0 and tok in (":-", ",") and not after[0].islower())
+        if starts_expr and after != "-" and rng.random() < 0.5:
+            out.append("+")
+        out.append(rng.choice(("", "", " ", "\n", "\t", "\r\n", "\u00a0",
+                               "  % a comment :- p(X). \u00e9\n")))
+    if rng.random() < 0.5:
+        out.append("% a last comment, with no newline")
+    return "".join(out)
+
+
+def test_round_trip_under_lexical_noise():
+    rng = random.Random(1603)
+    programs = [random_program(rng) for _ in range(150)]
+    programs += [frame_program(rng) for _ in range(50)]
+    texts = []
+    for prog in programs:
+        noisy = _noisy(emit_clp(prog), rng)
+        assert parse_program(noisy) == prog, noisy
+        texts.append(noisy)
+    for respelling in ("<=", "=+", ":-+", ",+", "% a comment", "\u00a0",
+                       "\r\n"):
+        assert any(respelling in text for text in texts), respelling
 
 
 def test_constraint_only_clause():

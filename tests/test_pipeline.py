@@ -4,6 +4,7 @@ the command line front end."""
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from chcslim.pipeline import (
     parse_json_lines, report, run_pipeline, solve_external,
 )
 from chcslim import parse_program, nlr_transform
+from chcslim.syntax import Constraint, Program
 
 from oracles import programs_isomorphic
 
@@ -118,6 +120,32 @@ def test_artifacts_reparse_and_preserve_arity_sums(tmp_path, fake_solver):
         (CORPUS / "dead_argument.clp").read_text()))
     assert programs_isomorphic(nlr_prog, expected)
     assert open(smt).read().startswith("(set-logic HORN)")
+
+
+def test_artifact_that_reads_back_as_another_program_fails(tmp_path,
+                                                          monkeypatch, capsys):
+    # an emitter that drops a conjunct writes an artifact that parses, but
+    # not as the program written: an internal error, and the batch goes on
+    emit = pipeline.emit_clp
+
+    def dropping(prog):
+        clauses = list(prog.clauses)
+        i = next(i for i, c in enumerate(clauses) if c.constraint.conjuncts)
+        conjuncts = clauses[i].constraint.conjuncts[1:]
+        clauses[i] = replace(clauses[i], constraint=Constraint(conjuncts))
+        return emit(Program(tuple(clauses)))
+
+    monkeypatch.setattr(pipeline, "emit_clp", dropping)
+    records = run_pipeline(config(tmp_path, names=("branch_unsafe",
+                                                   "always_safe")))
+    assert [r.internal_error for r in records] == [
+        f"artifact {name}.nlr.clp re-parses to a different program"
+        for name in ("branch_unsafe", "always_safe")]
+    assert [len(r.artifacts) for r in records] == [1, 1]
+    rc = main(["pipeline", str(CORPUS / "branch_unsafe.clp"), "--out-dir",
+               str(tmp_path / "cli"), "--json"])
+    assert rc == 2
+    assert "re-parses to a different program" in capsys.readouterr().err
 
 
 def test_oracle_contradiction_marks_internal_error(tmp_path, fake_solver):
