@@ -2,26 +2,29 @@
 
 Satisfiability and universal-existential validity are both answered by
 ``_projects_to_true``, which projects variables away over the integers in
-two phases.  Every row is kept divided by the gcd of its coefficients, its
-bound rounded down, as the Omega test normalises rows; that keeps its
-integer solutions and turns 2*X=7 into a contradiction.  First each
-equality with a +-1 coefficient on a variable to project is solved for it
-and substituted away, as in the first phase of Pugh's Omega test; this is
-always exact, since the variable is then an integer expression in the
-others.  Then Fourier-Motzkin elimination runs on the rows left.  A step
-is exact when every occurrence of the eliminated variable has coefficient
-+-1 (the bounds seen during back-substitution are then integer-valued, so
-rational and integer projections coincide), or when the variable is
-bounded on one side only; otherwise the run is marked inexact and only
-refutations remain trustworthy, because a rationally infeasible system has
-no integer solutions either.  Strict relations are first shifted to closed
-ones (a < b becomes a <= b-1), which is lossless over the integers.
+two phases.  First each equality with a +-1 coefficient on a variable to
+project is solved for it and substituted away (``_solve_units``, the first
+phase of Pugh's Omega test); this is always exact, since the variable is
+then an integer expression in the others.  Each equality is divided by
+the gcd of its coefficients first, which turns 2*X=7 into a
+contradiction, and the equalities are taken in the order of their terms.
+Then Fourier-Motzkin elimination runs on the <=-rows left, each kept
+divided by the gcd of its coefficients with its bound rounded down, as
+the Omega test normalises rows.  A step is exact when every occurrence of
+the eliminated variable has coefficient +-1 (the bounds seen during
+back-substitution are then integer-valued, so rational and integer
+projections coincide), or when the variable is bounded on one side only;
+otherwise the run is marked inexact and only refutations remain
+trustworthy, because a rationally infeasible system has no integer
+solutions either.  Strict relations are shifted to closed ones (a < b
+becomes a <= b-1), which is lossless over the integers.
 
 Inside an ``answers_once`` block (one per problem in the pipeline, one
 per ``cfar_transform`` call, never longer) each question is answered once.
-The key is the rows ``rows_of`` compiles and the variable kept, all that
-``_eliminate``, the one uncached routine, reads; it is exact, not taken
-up to renaming, since the elimination order breaks ties by name.
+The key is the constraint as asked and the variable kept.  It is exact:
+not taken up to renaming, since the elimination order breaks ties by
+name, nor up to the <=-rows, since the first phase reads each conjunct's
+relation (X=3 is solved, X=<3, X>=3 is not).
 
 ``Parts`` splits a conjunction once into its variable-disjoint parts.  It
 gives each variable's linked set (the constrained-to relation) and its own
@@ -32,12 +35,12 @@ part once, not on the rest of the conjunction once per variable.
 ``project`` rewrites a split conjunction c into one with the same
 solutions on a given set of live variables: for every assignment of the
 live variables, c has a solution for the others exactly when the result
-has.  It uses only steps that are exact over the integers, part by part.
-A part without a live variable is a closed formula, so its oracle answer
-settles it.  A unit equality is a substitution, as in the Omega test's
-first phase.  A variable bounded on one side only, in inequalities alone,
-can always be pushed far enough to satisfy them, so they go with it.
-Whatever the rules do not reach is kept as it was, never approximated.
+has.  It uses only exact steps, part by part.  A part without a live
+variable is a closed formula, so its oracle answer settles it.  Unit
+equalities are solved by ``_solve_units``, as in the oracle.  A variable
+bounded on one side only, in inequalities alone, can always be pushed far
+enough to satisfy them, so they go with it.  Whatever the rules do not
+reach is kept as it was, never approximated.
 
 Array pseudo-constraints are opaque: they connect their variables for the
 constrained-to relation, force ``unknown`` answers from the oracle and
@@ -145,12 +148,9 @@ def project(parts: Parts, live: set[str]) -> Constraint | None:
     part, the local variables (not live, in no array constraint) go by two
     rules, each exact:
 
-    - an ``=`` conjunct in which a local variable has coefficient +-1 is
-      solved for it, the solution (an integer expression) is substituted
-      into the part's other conjuncts and the conjunct is deleted, until
-      no such conjunct is left; a conjunct the substitution leaves without
-      variables is deleted when true and makes the whole unsatisfiable
-      when false;
+    - ``_solve_units`` solves the part's unit equalities for them, in
+      conjunct order; a conjunct it leaves false makes the whole
+      unsatisfiable;
     - a local variable that then occurs only in inequalities bounding it
       on one side is deleted with them, since a value far enough to that
       side satisfies them all, until no such variable is left.
@@ -175,68 +175,39 @@ def project(parts: Parts, live: set[str]) -> Constraint | None:
             continue
         cons: list = list(conjuncts)
         local = set(names - live)
-        # lhs - rhs of each relational conjunct left, as [{var: coeff}, const]
-        rows: list = []
-        for con in conjuncts:
+        rows, at = [], []  # the relational conjuncts' rows and their places
+        for j, con in enumerate(conjuncts):
             if isinstance(con, ArrayCon):
                 local -= con.vars()
-                rows.append(None)
             else:
-                terms, const = _difference(con)
-                rows.append([dict(terms), const])
-        rewritten = set()
-        solved = True
-        while solved:
-            solved = False
-            for j, row in enumerate(rows):
-                if row is None or cons[j].rel != "=":
-                    continue
-                coeffs, const = row
-                var = next((n for n, k in coeffs.items()
-                            if n in local and (k == 1 or k == -1)), None)
-                if var is None:
-                    continue
-                cons[j] = rows[j] = None
-                local.discard(var)
-                solved = True
-                for o, other in enumerate(rows):
-                    if other is None or var not in other[0]:
-                        continue
-                    # adding f times the solved row cancels var, as f*k = -c
-                    f = -other[0][var] * coeffs[var]
-                    for n, k in coeffs.items():
-                        k = other[0].get(n, 0) + f * k
-                        if k:
-                            other[0][n] = k
-                        else:
-                            del other[0][n]
-                    other[1] += f * const
-                    rewritten.add(o)
-                    if not other[0]:
-                        if not _ZERO_TEST[cons[o].rel](other[1]):
-                            return None
-                        cons[o] = rows[o] = None
+                rows.append(_row(con))
+                at.append(j)
+        rewritten = _solve_units(rows, local)
+        if rewritten is None:
+            return None
         dropped = True
         while dropped:
             dropped = False
             for var in sorted(local):
-                sides, at = set(), []
-                for j, row in enumerate(rows):
+                sides, hit = set(), []
+                for r, row in enumerate(rows):
                     if row is None or var not in row[0]:
                         continue
-                    if cons[j].rel == "=":
+                    if row[2] == "=":
                         break
-                    sides.add((row[0][var] > 0) == (cons[j].rel in ("<", "=<")))
-                    at.append(j)
+                    sides.add((row[0][var] > 0) == (row[2] in ("<", "=<")))
+                    hit.append(r)
                 else:
                     if len(sides) == 1:
-                        for j in at:
-                            cons[j] = rows[j] = None
+                        for r in hit:
+                            rows[r] = None
                         local.discard(var)
                         dropped = True
-        for j in rewritten:
-            if cons[j] is not None:
-                cons[j] = _written(cons[j].rel, *rows[j])
+        for r, j in enumerate(at):
+            if rows[r] is None:
+                cons[j] = None
+            elif r in rewritten:
+                cons[j] = _written(*rows[r])
         if rewritten or None in cons:
             projected[i] = cons
     if not projected:
@@ -251,23 +222,68 @@ def project(parts: Parts, live: set[str]) -> Constraint | None:
     return Constraint(tuple(out))
 
 
-# whether d rel 0 holds, for a conjunct lhs rel rhs with d = lhs - rhs
-_ZERO_TEST = {"=": lambda d: d == 0, "<": lambda d: d < 0,
-              "=<": lambda d: d <= 0, ">": lambda d: d > 0,
-              ">=": lambda d: d >= 0}
+def _row(con: RelCon) -> list:
+    """lhs rel rhs as the conjunct row [coeffs, const, rel], meaning
+    sum(coeff * var) + const rel 0: coeffs is a {var: coeff} dict of
+    lhs - rhs, ``lhs``'s variables first and zero coefficients dropped."""
+    terms, const = _combine((con.lhs.terms, con.lhs.const), 1,
+                            (con.rhs.terms, con.rhs.const), -1)
+    return [dict(terms), const, con.rel]
+
+
+def _solve_units(rows: list, local: set[str]) -> set[int] | None:
+    """Solve the unit equalities of ``rows`` away, exactly over the integers.
+
+    Rows are read in list order, and read again while one is solved.  An
+    ``=`` row in which a variable of ``local`` has coefficient +-1 is
+    solved for the least-named such variable, which leaves ``local``; its
+    solution, an integer expression in the others, is substituted into
+    every other row holding it, and the row becomes None.  A row the
+    substitution leaves without variables becomes None when true and
+    answers None when false.  Else the answer is the indices of the rows
+    rewritten, some of which may have become None.
+    """
+    rewritten = set()
+    solved = True
+    while solved:
+        solved = False
+        for j, row in enumerate(rows):
+            if row is None or row[2] != "=":
+                continue
+            coeffs, const, _ = row
+            var = min((n for n, k in coeffs.items()
+                       if (k == 1 or k == -1) and n in local), default=None)
+            if var is None:
+                continue
+            rows[j] = None
+            local.discard(var)
+            solved = True
+            for o, other in enumerate(rows):
+                if other is None or var not in other[0]:
+                    continue
+                # adding f times the solved row cancels var, as f*k = -c
+                f = -other[0][var] * coeffs[var]
+                for n, k in coeffs.items():
+                    k = other[0].get(n, 0) + f * k
+                    if k:
+                        other[0][n] = k
+                    else:
+                        del other[0][n]
+                other[1] += f * const
+                rewritten.add(o)
+                if not other[0]:
+                    if any(b < 0 for _, b in _le_rows(other)):
+                        return None
+                    rows[o] = None
+    return rewritten
+
+
 _MIRRORED = {"=": "=", "<": ">", "=<": ">=", ">": "<", ">=": "=<"}
 
 
-def _difference(con: RelCon) -> Row:
-    """lhs - rhs of a relational conjunct, as (terms, constant)."""
-    return _combine((con.lhs.terms, con.lhs.const), 1,
-                    (con.rhs.terms, con.rhs.const), -1)
-
-
-def _written(rel: str, coeffs: dict[str, int], const: int) -> RelCon:
-    """The conjunct sum(coeff * var) + const rel 0, with the positive terms
-    on the left and the rest on the right; negated first when no term is
-    positive."""
+def _written(coeffs: dict[str, int], const: int, rel: str) -> RelCon:
+    """The conjunct of a conjunct row, with the positive terms on the left
+    and the rest on the right; negated first when no term is positive."""
     if all(k < 0 for k in coeffs.values()):
         coeffs = {n: -k for n, k in coeffs.items()}
         const, rel = -const, _MIRRORED[rel]
@@ -290,23 +306,28 @@ Row = tuple[tuple[tuple[str, int], ...], int]
 
 
 def rows_of(c: Constraint) -> list[Row] | None:
-    """Compile conjuncts to <=-rows; None when array constraints occur.
-
-    Each conjunct is subtracted once, d = lhs - rhs with ``lhs``'s
-    variables first and zero coefficients dropped: ``=``, ``=<`` and ``<``
-    give the row d <= 0, ``=``, ``>=`` and ``>`` give -d <= 0, and a strict
-    relation tightens its row's bound by 1.
-    """
+    """Compile conjuncts to <=-rows, by ``_le_rows`` of each conjunct's
+    row; None when array constraints occur."""
     rows: list[Row] = []
     for con in c.conjuncts:
         if isinstance(con, ArrayCon):
             return None
-        terms, const = _difference(con)
-        shift = -1 if con.rel in ("<", ">") else 0
-        if con.rel in ("=", "=<", "<"):
-            rows.append((terms, shift - const))
-        if con.rel in ("=", ">=", ">"):
-            rows.append((tuple((n, -k) for n, k in terms), shift + const))
+        rows += _le_rows(_row(con))
+    return rows
+
+
+def _le_rows(row: list) -> list[Row]:
+    """The <=-rows of a conjunct row: ``=``, ``=<`` and ``<`` give the row
+    with its terms, ``=``, ``>=`` and ``>`` the row with them negated, and
+    a strict relation tightens its row's bound by 1."""
+    coeffs, const, rel = row
+    terms = tuple(coeffs.items())
+    shift = -1 if rel in ("<", ">") else 0
+    rows = []
+    if rel in ("=", "=<", "<"):
+        rows.append((terms, shift - const))
+    if rel in ("=", ">=", ">"):
+        rows.append((tuple((n, -k) for n, k in terms), shift + const))
     return rows
 
 
@@ -315,7 +336,8 @@ class _Refuted(Exception):
 
 
 class _System:
-    """Rows under projection, with one occurrence map kept up to date.
+    """The <=-rows Fourier-Motzkin projects, with one occurrence map kept
+    up to date; the unit equalities were solved before they got here.
 
     Each row is divided by the gcd g of its coefficients, its bound
     rounded down: sum(a*x) <= b becomes sum((a/g)*x) <= floor(b/g), which
@@ -377,80 +399,6 @@ class _System:
         self.size -= 1
         return row
 
-    def substitute(self, drop: list[str]) -> None:
-        """Solve equalities away, exactly over the integers.
-
-        An equality is a row whose exact negation, with its bound negated,
-        is also a row; it is taken out of the system as one row
-        sum(coeff * var) = bound.  Equalities are taken in the order of
-        their sorted terms, so the choices depend neither on the order of
-        the conjuncts nor on the other variable-disjoint parts.  Each is
-        solved for its first variable in ``drop`` order with coefficient
-        +-1, and the solution is substituted into only the rows and the
-        equalities holding that variable.  The equalities left without such
-        a variable go back as their two rows, for Fourier-Motzkin.
-        """
-        pairs = []
-        for key, i in self.keys.items():
-            if key[0][1] > 0:
-                neg = tuple([(n, -k) for n, k in key])
-                j = self.keys.get(neg)
-                if j is not None and self.rows[j][1] == -self.rows[i][1]:
-                    pairs.append((key, neg, i, j))
-        if not pairs:
-            return
-        pairs.sort()
-        rank = {v: r for r, v in enumerate(drop)}
-        eqs: list[list | None] = []  # [coeffs, bound]: sum(coeff*var) = bound
-        eq_occ: dict[str, set[int]] = {}
-        for key, neg, i, j in pairs:
-            del self.keys[key], self.keys[neg]
-            self.remove(j)
-            terms, bound = self.remove(i)
-            for name, _ in terms:
-                eq_occ.setdefault(name, set()).add(len(eqs))
-            eqs.append([dict(terms), bound])
-        for e, eq in enumerate(eqs):
-            if eq is None:
-                continue
-            coeffs, bound = eq
-            unit = [rank[n] for n, k in coeffs.items()
-                    if (k == 1 or k == -1) and n in rank]
-            if not unit:
-                continue
-            var = drop[min(unit)]
-            cv = coeffs[var]
-            eqs[e] = None
-            for name in coeffs:
-                eq_occ[name].discard(e)
-            # adding any multiple of an equality keeps a row's solutions;
-            # the multiple -k*cv cancels the row's coefficient k on var
-            row = (tuple(coeffs.items()), bound)
-            for i, k in self.occ.pop(var, {}).items():
-                self.add(*_combine(self.remove(i), 1, row, -k * cv))
-            for o in eq_occ.pop(var):
-                other = eqs[o]
-                f = -other[0][var] * cv
-                for name, k in coeffs.items():
-                    c = other[0].get(name, 0) + f * k
-                    if c:
-                        other[0][name] = c
-                        eq_occ[name].add(o)
-                    else:
-                        del other[0][name]
-                        if name != var:
-                            eq_occ[name].discard(o)
-                other[1] += f * bound
-                if not other[0]:
-                    if other[1]:
-                        raise _Refuted
-                    eqs[o] = None  # 0 = 0
-        for eq in eqs:
-            if eq is not None:
-                terms, bound = tuple(eq[0].items()), eq[1]
-                self.add(terms, bound)
-                self.add(tuple((n, -k) for n, k in terms), -bound)
-
     def fourier_motzkin(self, drop: list[str]) -> bool | None:
         """Eliminate what is left of ``drop``: whether every step was
         exact; None when the row budget blows."""
@@ -501,9 +449,9 @@ def _combine(a: Row, ka: int, b: Row, kb: int) -> Row:
 def is_satisfiable(c: Constraint) -> TriState:
     """Tri-state integer satisfiability of a conjunction.
 
-    ``fails`` answers are certified by a rational refutation; ``holds`` is
-    only answered when every Fourier-Motzkin step stayed within the unit
-    coefficient guard (substitutions are exact), which makes the
+    ``fails`` answers are certified by a refutation; ``holds`` is only
+    answered when every Fourier-Motzkin step stayed within the unit
+    coefficient guard (solving unit equalities is exact), which makes the
     projection integer-exact.
     """
     return _projects_to_true(c, None)
@@ -516,44 +464,65 @@ def forall_exists_valid(x: str, c: Constraint) -> TriState:
     row in x restricts x, one without variables refutes c for every x.
     Either refutes validity even when the run was inexact (the rational
     projection over-approximates the integer one).  Variable-disjoint
-    parts of c are eliminated in the same order as each part alone, so
-    this is also "x's part projects to true and every other part is
-    satisfiable", the form ``Parts`` answers from, unless the whole run
-    exceeds ``ROW_BUDGET`` where no part alone does.
+    parts of c are eliminated in the same order as each part alone (the
+    equalities are solved in the order of their terms, and Fourier-Motzkin
+    chooses among variables by name and cost), so this is also "x's part
+    projects to true and every other part is satisfiable", the form
+    ``Parts`` answers from, unless the whole run exceeds ``ROW_BUDGET``
+    where no part alone does.
     """
     return _projects_to_true(c, x)
 
 
 def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
-    """``unknown`` when c has arrays, else ``_eliminate`` on c's rows;
-    inside ``answers_once``, each (rows, keep) question is answered once."""
-    rows = rows_of(c)
-    if rows is None:
+    """``unknown`` when c has arrays, else ``_eliminate``; inside
+    ``answers_once``, each (c, keep) question is answered once."""
+    if c.has_arrays():
         return TriState.UNKNOWN
     table = _table  # read once: another thread's block may close it
     if table is None:
-        return _eliminate(rows, keep)
-    key = (tuple(rows), keep)
+        return _eliminate(c, keep)
+    key = (c, keep)
     answer = table.get(key)
     if answer is None:
-        answer = table[key] = _eliminate(rows, keep)
+        answer = table[key] = _eliminate(c, keep)
     return answer
 
 
-def _eliminate(rows: list[Row], keep: str | None) -> TriState:
-    """Whether eliminating every variable of the rows but ``keep`` leaves
-    no row, on one ``_System``: equalities are substituted away, then
+def _eliminate(c: Constraint, keep: str | None) -> TriState:
+    """Whether eliminating every variable of c but ``keep`` leaves no row.
+
+    Each ``=`` conjunct is divided by the gcd of its coefficients (one
+    whose constant it does not divide answers ``fails``) and written with
+    its least-named term positive.  ``_solve_units`` takes the equalities
+    in the order of their sorted terms, so no choice depends on the order
+    of the conjuncts.  The rows left go to one ``_System``, where
     Fourier-Motzkin takes unit-coefficient variables first, to stay exact
     as long as possible, then the fewest pos*neg combinations, the first
     in name order on a tie.  A blown row budget answers ``unknown``, a
     refutation or a row left ``fails``; else the answer is ``holds`` if
     the run was exact and ``unknown`` if not.
     """
-    names = sorted({n for terms, _ in rows for n, _ in terms} - {keep})
+    eqs, rows = [], []
+    for con in c.conjuncts:
+        coeffs, const, rel = row = _row(con)
+        if rel != "=" or not coeffs:
+            rows.append(row)
+            continue
+        g = gcd(*coeffs.values())
+        if const % g:
+            return TriState.FAILS
+        terms = sorted(coeffs.items())
+        g = g if terms[0][1] > 0 else -g
+        eqs.append((tuple((n, k // g) for n, k in terms), const // g))
+    rows[:0] = [[dict(terms), const, "="] for terms, const in sorted(eqs)]
+    local = {n for row in rows for n in row[0]} - {keep}
+    if _solve_units(rows, local) is None:
+        return TriState.FAILS
     try:
-        system = _System(rows)
-        system.substitute(names)
-        exact = system.fourier_motzkin(names)
+        system = _System([le for row in rows if row is not None
+                          for le in _le_rows(row)])
+        exact = system.fourier_motzkin(sorted(local))
     except _Refuted:
         return TriState.FAILS
     if exact is None:
@@ -563,7 +532,7 @@ def _eliminate(rows: list[Row], keep: str | None) -> TriState:
     return TriState.HOLDS if exact else TriState.UNKNOWN
 
 
-_table: dict[tuple, TriState] | None = None  # (rows, keep) -> answer
+_table: dict[tuple, TriState] | None = None  # (c, keep) -> answer
 
 
 @contextmanager

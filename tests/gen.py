@@ -71,6 +71,25 @@ def random_constraint(rng: random.Random, *, max_vars: int = 5,
     return Constraint(tuple(conjuncts))
 
 
+def wide_constraint(rng: random.Random, *, max_vars: int = 5,
+                    max_conjuncts: int = 6) -> Constraint:
+    """Conjunction with up to three variables per conjunct, coefficients
+    in {1, -1, 2, -2, 3} and about a third of the relations ``=``: the
+    shapes in which chained equalities meet non-unit coefficients."""
+    names = [f"V{i}" for i in range(rng.randint(1, max_vars))]
+    conjuncts = []
+    for _ in range(rng.randint(1, max_conjuncts)):
+        chosen = rng.sample(names, rng.randint(1, min(3, len(names))))
+        terms = [(v, rng.choice((1, -1, 2, -2, 3))) for v in chosen]
+        split = rng.randint(1, len(terms))
+        lhs = LinExpr.make(terms[:split])
+        rhs = LinExpr.make([(v, -k) for v, k in terms[split:]],
+                           rng.randint(-6, 6))
+        rel = "=" if rng.random() < 1 / 3 else rng.choice(RELS[1:])
+        conjuncts.append(RelCon(rel, lhs, rhs))
+    return Constraint(tuple(conjuncts))
+
+
 def random_forall_instance(rng: random.Random, *,
                            unit: bool = True) -> tuple[str, Constraint]:
     """A (variable, constraint) pair for the universal-existential check.

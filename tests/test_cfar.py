@@ -1,11 +1,13 @@
 """Erasure of constrained argument positions."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
 
 from chcslim import (EvalError, TriState, bounded_least_model, cfar_transform,
-                     derives_unsafe, emit_clp, parse_program)
+                     derives_unsafe, emit_clp, nlr_transform, parse_program)
 from chcslim import constraints
 from chcslim.cfar import erasure_lines, full_erasure, verify_safe_erasure
 from chcslim.corpus import corpus_names, load
@@ -234,3 +236,27 @@ def test_slimmed_facts_are_projections_of_source_facts():
         compared += 1
         projected += report.vars_eliminated + report.clauses_dropped > 0
     assert compared >= 100 and projected >= 50
+
+
+# the SHA-256 of the transform outputs below: for each program the nlr
+# text, the cfar text on the program and on the nlr output, and every
+# report as a dict; a change to the oracle or to the projection must
+# change none of them
+TRANSFORM_OUTPUTS = "b7a06524aa9853204048405d31abd8f5c3599568f06a8137b2b7f8791a16a447"
+
+
+def test_transform_outputs_are_pinned():
+    rng, frames = random.Random(1), random.Random(2)
+    programs = ([load(name) for name in corpus_names()]
+                + [random_program(rng) for _ in range(300)]
+                + [frame_program(frames) for _ in range(100)])
+    digest = hashlib.sha256()
+    for prog in programs:
+        slim, nlr_report = nlr_transform(prog)
+        raw, _, raw_report = cfar_transform(prog)
+        both, _, both_report = cfar_transform(slim)
+        for text in (emit_clp(slim), emit_clp(raw), emit_clp(both)):
+            digest.update(text.encode() + b"\0")
+        for report in (nlr_report, raw_report, both_report):
+            digest.update(repr(dataclasses.asdict(report)).encode() + b"\0")
+    assert digest.hexdigest() == TRANSFORM_OUTPUTS

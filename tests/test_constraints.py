@@ -16,7 +16,8 @@ from chcslim.constraints import (
     Parts, TriState, answers_once, constrained_to, forall_exists_valid,
     is_satisfiable, project, rows_of,
 )
-from gen import constraint_of, random_constraint, random_forall_instance
+from gen import (constraint_of, random_constraint, random_forall_instance,
+                 wide_constraint)
 from oracles import box_forall_exists, box_satisfiable
 
 
@@ -219,11 +220,20 @@ def test_array_constraints_make_satisfiability_unknown():
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=120)
 def test_satisfiability_invariant_under_conjunct_order(seed):
+    # every answer, forall-exists ones included; the wide shapes chain
+    # equalities through non-unit coefficients, where the order in which
+    # equalities are solved could show
     rng = random.Random(seed)
-    c = random_constraint(rng, unit=bool(seed % 2))
-    conjuncts = list(c.conjuncts)
-    rng.shuffle(conjuncts)
-    assert is_satisfiable(type(c)(tuple(conjuncts))) is is_satisfiable(c)
+    drawn = [random_constraint(rng, unit=bool(seed % 2))]
+    drawn += [wide_constraint(rng) for _ in range(20)]
+    for c in drawn:
+        conjuncts = list(c.conjuncts)
+        rng.shuffle(conjuncts)
+        shuffled = type(c)(tuple(conjuncts))
+        assert is_satisfiable(shuffled) is is_satisfiable(c), c
+        for x in sorted(c.vars()):
+            expected = forall_exists_valid(x, c)
+            assert forall_exists_valid(x, shuffled) is expected, (x, c)
 
 
 def test_satisfiability_agrees_with_box_search():
@@ -283,9 +293,9 @@ def test_answer_table_gives_the_uncached_answers(monkeypatch):
     expected = [ask(c) for ask, c in questions]
     eliminate, fresh = constraints._eliminate, []
 
-    def counted(rows, keep):
+    def counted(c, keep):
         fresh.append(keep)
-        return eliminate(rows, keep)
+        return eliminate(c, keep)
 
     monkeypatch.setattr(constraints, "_eliminate", counted)
     for order in (1, -1):

@@ -322,20 +322,19 @@ def test_evaluation_crash_does_not_abort_the_batch(tmp_path, monkeypatch,
 
 
 def _count_oracle_work(monkeypatch):
-    """The distinct (rows, keep) questions asked of the oracle and the
-    answers computed fresh, from here on."""
+    """The distinct (constraint, keep) questions without arrays asked of
+    the oracle and the answers computed fresh, from here on."""
     ask, eliminate = constraints._projects_to_true, constraints._eliminate
     asked, fresh = set(), []
 
     def asking(c, keep):
-        rows = constraints.rows_of(c)
-        if rows is not None:
-            asked.add((tuple(rows), keep))
+        if not c.has_arrays():
+            asked.add((c, keep))
         return ask(c, keep)
 
-    def eliminating(rows, keep):
-        fresh.append((tuple(rows), keep))
-        return eliminate(rows, keep)
+    def eliminating(c, keep):
+        fresh.append((c, keep))
+        return eliminate(c, keep)
 
     monkeypatch.setattr(constraints, "_projects_to_true", asking)
     monkeypatch.setattr(constraints, "_eliminate", eliminating)

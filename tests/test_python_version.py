@@ -1,7 +1,7 @@
 """The sources parse as the oldest Python the package supports.
 
-CI runs the suite and the benchmark scripts on Python 3.10 as well as a
-newer interpreter; this catches grammar newer than 3.10 (``except*``, for
+CI runs the suite and the benchmark scripts on Python 3.10 as well as
+newer interpreters; this catches grammar newer than 3.10 (``except*``, for
 one) under whichever interpreter runs the tests.  ``ast.parse`` with ``feature_version`` is best
 effort: it rejects the newer syntax it knows of, not newer library calls.
 """
