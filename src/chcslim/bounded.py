@@ -25,11 +25,18 @@ pending conjuncts with exactly one unbound variable give that variable an
 interval, and the narrowest is enumerated next.  Which conjuncts are
 pending and what they bound depends only on the variables bound so far, so
 each level of this phase is built once per evaluation, on the first path
-that reaches it, and the plan holds the level after the atoms.
+that reaches it, and the plan holds the level after the atoms.  A level
+folds the rows that hold no other variable into one interval per variable.
+When every row of the conjuncts a chosen variable makes checkable holds
+that variable, those rows are the ones that gave its interval, so its
+values satisfy them and they are not evaluated again.  (A conjunct names
+its cancelled variables too: no row of X+Y=X+2 holds X.)
 
 The step budget counts one step per fact a probe stands for, that is the
-whole fact set a linear scan of it would walk, one per conjunct checked
-and one per value enumerated.
+whole fact set a linear scan of it would walk, one per conjunct made
+checkable (up to the first that fails) and one per value enumerated.  A
+value taken from an interval that guarantees its conjuncts is charged for
+them as if they were evaluated.
 
 The ``clipped`` flag records possible incompleteness with respect to the
 unbounded least model: it is set when a satisfying assignment touches the
@@ -181,6 +188,7 @@ def _extend(index: dict, key: tuple[int, ...], facts) -> None:
 
 
 Conjunct = tuple[frozenset[str], list[Row]]
+Bounding = list[tuple[str, float, float, list[tuple[int, tuple, int]]]]
 
 
 class _Probe(NamedTuple):
@@ -199,12 +207,14 @@ class _Level(NamedTuple):
     way down are bound, built by ``_level``."""
     free: list[str]                  # unbound variables, in clause order
     # the free variables, in that order, that a pending conjunct bounds
-    # alone, each with its rows split into (coefficient, rest, bound)
-    bounding: list[tuple[str, list[tuple[int, tuple, int]]]]
+    # alone, each with the interval its rows without another variable give
+    # and its other rows split into (coefficient, rest, bound)
+    bounding: Bounding
     pending: list[Conjunct]          # conjuncts not yet checkable
     # per variable chosen here: the conjuncts it makes checkable, in order,
-    # and the level below, filled on first choice
-    after: dict[str, tuple[tuple[list[Row], ...], _Level]]
+    # whether each of their rows holds it (then its interval guarantees
+    # them), and the level below, filled on first choice
+    after: dict[str, tuple[tuple[list[Row], ...], bool, _Level]]
 
 
 class _Join(NamedTuple):
@@ -295,8 +305,16 @@ def _level(pending: list[Conjunct], bound: Set[str],
                     if n == name:
                         rest = tuple((m, c) for m, c in terms if m != name)
                         split.setdefault(name, []).append((a, rest, r))
-    return _Level(free, [(v, split[v]) for v in free if v in split],
-                  pending, {})
+    bounding = []
+    for v in free:
+        rows = split.get(v)
+        if rows:
+            lo = max((-(-r // a) for a, rest, r in rows if a < 0 and not rest),
+                     default=-inf)
+            hi = min((r // a for a, rest, r in rows if a > 0 and not rest),
+                     default=inf)
+            bounding.append((v, lo, hi, [row for row in rows if row[1]]))
+    return _Level(free, bounding, pending, {})
 
 
 def _ground(compiled: _Compiled, delta_index: int | None,
@@ -310,19 +328,17 @@ def _ground(compiled: _Compiled, delta_index: int | None,
     out: list[Fact] = []
 
     def holds(conjuncts: tuple[list[Row], ...]) -> bool:
-        for rows in conjuncts:
-            state.tick()
+        for checked, rows in enumerate(conjuncts, 1):
             for terms, r in rows:
                 for n, c in terms:
                     r -= c * assignment[n]
                 if r < 0:
+                    state.tick(checked)
                     return False
+        state.tick(len(conjuncts))
         return True
 
     def match(i: int) -> None:
-        if i == len(probes):
-            descend(join.level)
-            return
         probe = probes[i]
         facts = last if probe.delta else everything
         table = facts.table[probe.pred]
@@ -334,20 +350,25 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         else:
             candidates = table
         same, binds, ready = probe.same, probe.binds, probe.ready
+        last_probe = i + 1 == len(probes)
         for fact in candidates:
             if same and any(fact[p] != fact[q] for p, q in same):
                 continue
             for name, p in binds:
                 assignment[name] = fact[p]
-            if holds(ready):
-                match(i + 1)
+            if not ready or holds(ready):
+                if last_probe:
+                    descend(join.level)
+                else:
+                    match(i + 1)
         for name, _ in binds:
             assignment.pop(name, None)
 
     def descend(level: _Level) -> None:
         """Emit the head once every variable is bound; else bind the
         narrowest variable to each value of its interval in turn, check
-        the conjuncts that become checkable, then go a level down."""
+        the conjuncts that become checkable unless the interval guarantees
+        them, then go a level down."""
         if not level.free:
             out.append(head_tuple())
             return
@@ -357,29 +378,41 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         if step is None:
             bound = assignment.keys() | {name}
             ready, pending = _ready(level.pending, bound)
-            step = level.after[name] = ready, _level(
+            # name's interval came from the ready rows that hold it; when
+            # all of them do, each of its values satisfies them
+            guaranteed = all(any(n == name for n, _ in terms)
+                             for rows in ready for terms, _ in rows)
+            step = level.after[name] = ready, guaranteed, _level(
                 pending, bound, [n for n in level.free if n != name])
-        ready, below = step
+        ready, guaranteed, below = step
+        cost = 1 + len(ready) if guaranteed else 1
         for value in range(lo, hi + 1):
-            state.tick()
+            state.tick(cost)
             assignment[name] = value
-            if holds(ready):
-                descend(below)
+            if guaranteed or holds(ready):
+                if below.free:
+                    descend(below)
+                else:
+                    out.append(head_tuple())
         assignment.pop(name, None)
 
     def head_tuple() -> Fact:
-        edge = state.bound
         values = tuple([assignment[t] if t.__class__ is str else t
                         for t in compiled.head])
-        assigned = assignment.values()
-        if (max(map(abs, values), default=0) >= edge
-                or edge in assigned or -edge in assigned):
-            state.clipped = True
+        if not state.clipped:
+            edge = state.bound
+            assigned = assignment.values()
+            if (max(map(abs, values), default=0) >= edge
+                    or edge in assigned or -edge in assigned):
+                state.clipped = True
         return values
 
     try:
         if holds(join.initial):
-            match(0)
+            if probes:
+                match(0)
+            else:
+                descend(join.level)
     except RecursionError:
         # one frame per atom and per enumerated variable
         raise EvalError(f"grounding {compiled.clause.head} nests deeper "
@@ -392,8 +425,7 @@ def _ground(compiled: _Compiled, delta_index: int | None,
     return out
 
 
-def _choose(bounding: list[tuple[str, list[tuple[int, tuple, int]]]],
-            default: str, assignment: dict[str, int],
+def _choose(bounding: Bounding, default: str, assignment: dict[str, int],
             state: _State) -> tuple[str, int, int]:
     """The variable with the narrowest interval among those of
     ``bounding`` (``_Level.bounding``), or ``default`` over the whole domain
@@ -401,24 +433,29 @@ def _choose(bounding: list[tuple[str, list[tuple[int, tuple, int]]]],
     when a > 0 and x >= ceil((r-rest)/a) when a < 0.  A variable left with
     no value is chosen at once: it enumerates nothing, so no value is lost
     to the cut."""
+    edge = state.bound
     best: tuple[int, str, int, int, bool] | None = None
-    for name, rows in bounding:
-        lo, hi = -inf, inf
+    for name, lo, hi, rows in bounding:
         for a, rest, r in rows:
             for n, c in rest:
                 r -= c * assignment[n]
             if a > 0:
-                hi = min(hi, r // a)
+                r //= a
+                if r < hi:
+                    hi = r
             else:
-                lo = max(lo, -(-r // a))
+                r = -(-r // a)
+                if r > lo:
+                    lo = r
         if lo > hi:
             return name, lo, hi
-        truncated = lo < -state.bound or hi > state.bound
-        lo, hi = max(lo, -state.bound), min(hi, state.bound)
+        truncated = lo < -edge or hi > edge
+        if truncated:
+            lo, hi = max(lo, -edge), min(hi, edge)
         if best is None or hi - lo < best[0]:
             best = (hi - lo, name, lo, hi, truncated)
     if best is None:
-        return default, -state.bound, state.bound
+        return default, -edge, edge
     _, name, lo, hi, truncated = best
     if truncated:
         state.clipped = True

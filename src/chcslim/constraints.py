@@ -17,14 +17,17 @@ projections coincide), or when the variable is bounded on one side only;
 otherwise the run is marked inexact and only refutations remain
 trustworthy, because a rationally infeasible system has no integer
 solutions either.  Strict relations are shifted to closed ones (a < b
-becomes a <= b-1), which is lossless over the integers.
+becomes a <= b-1), which is lossless over the integers.  Where this
+answers ``unknown``, two opposite bounds that meet, such as X=<3, X>=3,
+are read as one equality and the question is asked again.
 
 Inside an ``answers_once`` block (one per problem in the pipeline, one
 per ``cfar_transform`` call, never longer) each question is answered once.
 The key is the constraint as asked and the variable kept.  It is exact:
 not taken up to renaming, since the elimination order breaks ties by
 name, nor up to the <=-rows, since the first phase reads each conjunct's
-relation (X=3 is solved, X=<3, X>=3 is not).
+relation: X+Y=3, X+Y=<2 is solved as an equality, and X+Y=<3, X+Y>=3,
+X+Y=<2, with the same rows, is not.
 
 ``Parts`` splits a conjunction once into its variable-disjoint parts.  It
 gives each variable's linked set (the constrained-to relation) and its own
@@ -490,6 +493,46 @@ def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
 
 
 def _eliminate(c: Constraint, keep: str | None) -> TriState:
+    """Whether eliminating every variable of c but ``keep`` leaves no row:
+    ``_eliminate_as_written``, and where that answers ``unknown`` and c
+    has opposite bounds that meet, the same on ``_meeting_bounds(c)``."""
+    answer = _eliminate_as_written(c, keep)
+    if answer is TriState.UNKNOWN:
+        met = _meeting_bounds(c)
+        if met is not None:
+            answer = _eliminate_as_written(met, keep)
+    return answer
+
+
+def _meeting_bounds(c: Constraint) -> Constraint | None:
+    """c with each pair of opposite inequalities whose least bounds meet,
+    once divided by the gcd of their coefficients (X=<3, X>=3, or 2*X>=2,
+    2*X<3), written as one equality, which the first phase can solve where
+    Fourier-Motzkin may be inexact; None when c has no such pair.  The
+    equality implies every inequality on the pair's terms, and they go."""
+    least, keyed = {}, []
+    for con in c.conjuncts:
+        coeffs, _, rel = row = _row(con)
+        key = None
+        if coeffs and rel != "=":
+            ((terms, bound),) = _le_rows(row)
+            g = gcd(*coeffs.values())
+            key = tuple(sorted((n, k // g) for n, k in terms))
+            least[key] = min(bound // g, least.get(key, bound // g))
+        keyed.append((con, key))
+    met, eqs = set(), []
+    for key, bound in least.items():
+        neg = tuple((n, -k) for n, k in key)
+        if key[0][1] > 0 and least.get(neg) == -bound:
+            eqs.append(_written(dict(key), -bound, "="))
+            met |= {key, neg}
+    if not eqs:
+        return None
+    return Constraint(tuple(con for con, key in keyed if key not in met)
+                      + tuple(eqs))
+
+
+def _eliminate_as_written(c: Constraint, keep: str | None) -> TriState:
     """Whether eliminating every variable of c but ``keep`` leaves no row.
 
     Each ``=`` conjunct is divided by the gcd of its coefficients (one

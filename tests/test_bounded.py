@@ -1,17 +1,18 @@
 """Bounded bottom-up evaluation: exactness flags, query verdicts, and
 agreement with a brute-force fixpoint over the same box."""
 
+import hashlib
 import random
 
 import pytest
 
 from chcslim import (
-    EvalBudgetError, EvalError, TriState, bounded_least_model, derives_unsafe,
-    parse_program,
+    EvalBudgetError, EvalError, TriState, bounded_least_model, cfar_transform,
+    derives_unsafe, nlr_transform, parse_program,
 )
 from chcslim.corpus import corpus_names, load
 
-from gen import random_program
+from gen import frame_program, random_program
 from oracles import naive_bounded_model
 
 
@@ -82,6 +83,84 @@ def test_corpus_runs_are_pinned(name, bound):
         return
     model = bounded_least_model(load(name), bound=bound)
     assert (model.size(), model.rounds, model.clipped, model.steps) == expected
+
+
+# SHA-256 over every run of test_evaluator_outcomes_are_pinned, recorded
+# before the variable phase skipped the conjuncts its intervals guarantee.
+EVAL_OUTCOMES = "8df81b2b4fee2672896990aff35da6d6a286d18100cfa9fdb1379a54a1b501ad"
+
+
+def test_evaluator_outcomes_are_pinned():
+    rng, frames = random.Random(1), random.Random(2)
+    generated = ([random_program(rng) for _ in range(150)]
+                 + [frame_program(frames) for _ in range(40)])
+    programs = ([load(name) for name in corpus_names()] + generated
+                + [cfar_transform(nlr_transform(p)[0])[0] for p in generated])
+    digest = hashlib.sha256()
+    for prog in programs:
+        for bound in (8, 32):
+            try:
+                model = bounded_least_model(prog, bound, budget=200_000)
+                outcome = (sorted((p, sorted(fs)) for p, fs in model.facts.items()),
+                           model.clipped, model.rounds, model.steps)
+            except EvalError as e:
+                outcome = (type(e).__name__, str(e))
+            digest.update(repr(outcome).encode() + b"\0")
+    assert digest.hexdigest() == EVAL_OUTCOMES
+
+
+def _one_clause(conjuncts: list[str]) -> str:
+    return f"p(X1) :- {', '.join(conjuncts)}.\nunsafe :- p(X1), X1>=40."
+
+
+def _equalities(n: int) -> str:
+    return _one_clause([f"X{i}=X{i + 1}" for i in range(1, n)]
+                       + [f"X{i}>=-5" for i in range(1, n + 1)])
+
+
+def _ascending(n: int) -> str:
+    return _one_clause([f"X{i}=<X{i + 1}" for i in range(1, n)])
+
+
+# One wide clause each: (size(), rounds, clipped, steps).  _choose reads
+# every bounding row of every free variable per call and charges nothing
+# for it, so these shapes cost far more time per step than most programs;
+# charging that work moves these steps, and only that should.
+@pytest.mark.parametrize("source, bound, expected", [
+    (_equalities(50), 32, (38, 1, True, 5738)),
+    (_ascending(3), 8, (17, 1, True, 2295)),
+    (_ascending(4), 8, (17, 1, True, 11985)),
+], ids=["equalities-50", "ascending-3", "ascending-4"])
+def test_wide_one_clause_shapes_are_pinned(source, bound, expected):
+    model = bounded_least_model(parse_program(source), bound)
+    assert (model.size(), model.rounds, model.clipped, model.steps) == expected
+
+
+def test_wide_ascending_chain_exhausts_the_budget():
+    with pytest.raises(EvalBudgetError):
+        bounded_least_model(parse_program(_ascending(50)), 32, budget=100_000)
+
+
+@pytest.mark.parametrize("source, steps", [
+    ("p(X) :- X>=0, X=<3, Y=Y+1.\nunsafe :- p(X).", 68),
+    ("p(X,Y) :- X>=0, X=<3, X+Y=X+2.\nunsafe :- p(X,Y).", 24),
+    ("p(X) :- X>=0, X=<3, X=X+0.\nunsafe :- p(X).", 20),
+    # Y is chosen first; X's interval comes from X>=0, X=<3 alone, but
+    # X+Y=X+2, whose rows hold only Y, becomes checkable with X
+    ("p(X,Y) :- Y>=0, Y=<1, X>=0, X=<3, X+Y=X+2.\nunsafe :- p(X,Y).", 38),
+    ("q(Y) :- Y>=-2, Y=<2.\np(X,Y) :- q(Y), X>=0, X=<3, X+Y=X+2.\n"
+     "unsafe :- p(X,Y).", 104),
+], ids=["constant-false", "cancelled-in-sum", "constant-true",
+        "cancelled-after-choice", "cancelled-after-atom"])
+def test_conjuncts_naming_a_variable_no_row_holds(source, steps):
+    # a conjunct names every variable written in it, cancelled ones too, so
+    # it can become checkable with a variable none of its rows bounds
+    prog = parse_program(source)
+    model = bounded_least_model(prog, bound=3)
+    brute = naive_bounded_model(prog, 3)
+    assert ({p: fs for p, fs in model.facts.items() if fs}
+            == {p: fs for p, fs in brute.items() if fs})
+    assert model.steps == steps
 
 
 @pytest.mark.parametrize("name, bound, verdict", [

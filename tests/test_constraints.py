@@ -53,6 +53,19 @@ def test_satisfiability_spot_checks(text, expected):
     assert sat(text) is expected
 
 
+@pytest.mark.parametrize("text, expected", [
+    # V1=2 written as two opposite bounds: 3*V1=-2*V0+1 then has no
+    # integer solution, which Fourier-Motzkin alone cannot show exactly
+    ("3*V1=-2*V0+1, -V1<-1, V1=<2", TriState.FAILS),
+    ("3*V1=-2*V0+1, V1=2", TriState.FAILS),
+    # -2*V1>=2, -2*V1<3 meet at V1=-1 only once divided by their gcd
+    ("-2*V1>=2, 3*V1=<-2*V2-1, 3*V2-2*V0>-2*V1+4, "
+     "2*V1=-2*V2-2*V0-6, -2*V1<3", TriState.HOLDS),
+])
+def test_opposite_bounds_that_meet_are_an_equality(text, expected):
+    assert sat(text) is expected
+
+
 def test_row_budget_makes_answer_unknown(monkeypatch):
     # one Fourier-Motzkin combination refutes X>=1, X=<0; a budget of no
     # rows forbids it
