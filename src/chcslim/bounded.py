@@ -16,7 +16,8 @@ per atom, its probe key (its constants and already-bound positions), the
 variables it binds, the repeated-variable checks and the conjuncts that
 become checkable once it is matched.  A probe looks its key up in a hash
 index of the predicate's facts, one per (predicate, key positions) pair,
-built on first probe and extended with each round's new facts; the last
+built on first probe and extended with each round's new facts, so a round
+touches only the indexes of the predicates it added facts to; the last
 round's facts get their own indexes each round.
 
 Constraint variables left unbound by the atoms are enumerated one at a
@@ -32,6 +33,14 @@ that variable, those rows are the ones that gave its interval, so its
 values satisfy them and they are not evaluated again.  (A conjunct names
 its cancelled variables too: no row of X+Y=X+2 holds X.)
 
+When the atoms leave exactly one variable free, as in a transition clause
+``p(N,I) :- ..., J=I+2, p(N,J)``, that level has one candidate and every
+pending conjunct becomes checkable with it, so the plan builds its step
+with the atoms' (``_Lone``).  The loop over the last atom's facts then
+grounds the variable itself: its interval (``_interval``, the arithmetic
+``_choose`` uses too), the same emptiness and truncation rules, the same
+charge per value, and the head tuples.
+
 The step budget counts one step per fact a probe stands for, that is the
 whole fact set a linear scan of it would walk, one per conjunct made
 checkable (up to the first that fails) and one per value enumerated.  A
@@ -39,11 +48,21 @@ value taken from an interval that guarantees its conjuncts is charged for
 them as if they were evaluated.
 
 The ``clipped`` flag records possible incompleteness with respect to the
-unbounded least model: it is set when a satisfying assignment touches the
-domain edge, when a derived fact carries a value at or beyond it, or when a
-variable's feasible interval had to be truncated to fit the domain.  An
-unclipped run is exact, so the query verdict can be trusted; a clipped one
-only certifies derivations, not their absence.
+unbounded least model.  It is set where a value at or beyond the domain
+edge can first appear, and each source is decided where it arises:
+
+- a variable's feasible interval is truncated to fit the domain (in
+  ``_choose``, and in the one-variable level);
+- a fact is derived while an enumerated variable is at the edge, whether
+  or not the head holds it (in ``descend``, by whether a fact was derived
+  below that value, and in the one-variable level, per fact derived);
+- a clause with a head constant c, |c| >= B, derives a fact (known once
+  per clause, ``_Compiled.clips``).
+
+Every fact is derived through these checks, so while a run is unclipped
+no fact holds a value at or beyond the edge, and a value bound from a fact
+needs no check.  An unclipped run is exact, so the query verdict can be
+trusted; a clipped one only certifies derivations, not their absence.
 """
 
 from __future__ import annotations
@@ -127,7 +146,7 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
             raise EvalError(f"clause {i}: array constraints are not evaluable")
 
     state = _State(budget, bound)
-    rules = [_Compiled(c) for c in prog.clauses]
+    rules = [_Compiled(c, bound) for c in prog.clauses]
     facts: Facts = {p: set() for p in prog.arities}
     for rule in rules:
         if not rule.clause.body:
@@ -137,9 +156,9 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
     everything = _Indexes(facts)
     rounds = 0
     while any(delta.values()):
-        rounds += 1
         if until_query and facts.get(QUERY):
             break
+        rounds += 1
         last = _Indexes(delta)
         new_delta: Facts = {p: set() for p in prog.arities}
         for rule in rules:
@@ -149,7 +168,8 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
                     new.update(_ground(rule, i, everything, last, state))
         for pred, new in new_delta.items():
             new -= facts[pred]
-            everything.add(pred, new)
+            if new:
+                everything.add(pred, new)
         delta = new_delta
     return BoundedModel(facts, state.clipped, rounds, state.steps)
 
@@ -161,25 +181,26 @@ def derives_unsafe(prog: Program, bound: int = 32) -> TriState:
 
 
 class _Indexes:
-    """A fact table with hash indexes by key positions: one per (predicate,
-    key positions) pair, built on first probe and extended by ``add``."""
+    """A fact table with hash indexes by key positions: per predicate, one
+    per key positions, built on first probe and extended by ``add``."""
 
     def __init__(self, table: Facts):
         self.table = table
-        self.maps: dict[tuple[str, tuple[int, ...]], dict[tuple, list[Fact]]] = {}
+        self.maps: dict[str, dict[tuple[int, ...], dict[tuple, list[Fact]]]] = {
+            pred: {} for pred in table}
 
     def index(self, pred: str, key: tuple[int, ...]) -> dict[tuple, list[Fact]]:
-        found = self.maps.get((pred, key))
+        maps = self.maps[pred]
+        found = maps.get(key)
         if found is None:
-            found = self.maps[pred, key] = {}
+            found = maps[key] = {}
             _extend(found, key, self.table[pred])
         return found
 
     def add(self, pred: str, new: set[Fact]) -> None:
         self.table[pred] |= new
-        for (p, key), found in self.maps.items():
-            if p == pred:
-                _extend(found, key, new)
+        for key, found in self.maps[pred].items():
+            _extend(found, key, new)
 
 
 def _extend(index: dict, key: tuple[int, ...], facts) -> None:
@@ -217,22 +238,40 @@ class _Level(NamedTuple):
     after: dict[str, tuple[tuple[list[Row], ...], bool, _Level]]
 
 
+class _Lone(NamedTuple):
+    """The one variable a plan's atoms leave free, grounded in the loop over
+    the last probe's facts."""
+    name: str
+    lo: float                        # its interval from rows without another
+    hi: float                        # variable; the box when none bounds it
+    rows: list[tuple[int, tuple, int]]   # its other rows, as in ``Bounding``
+    ready: tuple[list[Row], ...]     # every pending conjunct, in order
+    guaranteed: bool                 # its interval guarantees them
+    cost: int                        # steps per value
+
+
 class _Join(NamedTuple):
     """A clause's grounding with one body position as the delta atom."""
     initial: tuple[list[Row], ...]   # conjuncts without variables
     probes: tuple[_Probe, ...]
     level: _Level                    # the variable phase after the atoms
+    lone: _Lone | None               # that phase when it has one variable
 
 
 class _Compiled:
     """A clause compiled once per evaluation: its variables in clause order,
-    per arithmetic conjunct the conjunct's variables and <=-rows, and a
-    join plan per delta position, compiled on first use."""
-    __slots__ = ("clause", "head", "variables", "conjuncts", "joins")
+    per arithmetic conjunct the conjunct's variables and <=-rows, whether a
+    head constant lies at or beyond the box edge, and a join plan per delta
+    position, compiled on first use."""
+    __slots__ = ("clause", "head", "bound", "clips", "variables", "conjuncts",
+                 "joins")
 
-    def __init__(self, clause: Clause):
+    def __init__(self, clause: Clause, bound: int):
         self.clause = clause
         self.head = tuple(_code(t) for t in clause.head.args)
+        self.bound = bound
+        self.clips = any(t.__class__ is int and abs(t) >= bound
+                         for t in self.head)
         self.variables = clause.vars()
         self.conjuncts: list[Conjunct] = [
             (frozenset(con.vars()), rows_of(Constraint((con,))))
@@ -273,9 +312,20 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
         probes.append(_Probe(atom.pred, index == delta_index, tuple(key),
                              tuple(terms), tuple(binds.items()), tuple(same),
                              ready))
-    return _Join(initial, tuple(probes), _level(
-        pending, bound, [name for name in compiled.variables
-                         if name not in bound]))
+    level = _level(pending, bound, [name for name in compiled.variables
+                                    if name not in bound])
+    lone = None
+    if probes and len(level.free) == 1:
+        (name,) = level.free
+        if level.bounding:
+            ((_, lo, hi, rows),) = level.bounding
+        else:
+            lo, hi, rows = -compiled.bound, compiled.bound, []
+        ready, _ = _ready(pending, bound | {name})
+        guaranteed = _guaranteed(name, ready)
+        lone = _Lone(name, lo, hi, rows, ready, guaranteed,
+                     1 + len(ready) if guaranteed else 1)
+    return _Join(initial, tuple(probes), level, lone)
 
 
 def _code(t: Term) -> int | str:
@@ -289,6 +339,13 @@ def _ready(pending: list[Conjunct], bound: Set[str]) \
     clause order, and the conjuncts left pending."""
     return (tuple(rows for names, rows in pending if names <= bound),
             [con for con in pending if not con[0] <= bound])
+
+
+def _guaranteed(name: str, ready: tuple[list[Row], ...]) -> bool:
+    """Whether every row of ``ready`` holds ``name``: those rows then gave
+    its interval, so each of its values satisfies them."""
+    return all(any(n == name for n, _ in terms)
+               for rows in ready for terms, _ in rows)
 
 
 def _level(pending: list[Conjunct], bound: Set[str],
@@ -323,7 +380,8 @@ def _ground(compiled: _Compiled, delta_index: int | None,
     """Head tuples of every satisfying clause instantiation; the body atom
     at ``delta_index`` (when given) matches only the facts of ``last``."""
     join = compiled.join(delta_index)
-    probes = join.probes
+    probes, lone, head = join.probes, join.lone, compiled.head
+    edge = state.bound
     assignment: dict[str, int] = {}
     out: list[Fact] = []
 
@@ -339,6 +397,10 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         return True
 
     def match(i: int) -> None:
+        """Bind the atom of ``probes[i]`` to each matching fact in turn,
+        check the conjuncts that become checkable, then go on to the next
+        atom or to the variable phase; with one variable left, ground it
+        here: ``descend`` and ``_choose`` on one candidate."""
         probe = probes[i]
         facts = last if probe.delta else everything
         table = facts.table[probe.pred]
@@ -356,19 +418,39 @@ def _ground(compiled: _Compiled, delta_index: int | None,
                 continue
             for name, p in binds:
                 assignment[name] = fact[p]
-            if not ready or holds(ready):
-                if last_probe:
-                    descend(join.level)
-                else:
-                    match(i + 1)
+            if ready and not holds(ready):
+                continue
+            if not last_probe:
+                match(i + 1)
+            elif lone is None:
+                descend(join.level)
+            else:
+                lo, hi = _interval(lone.lo, lone.hi, lone.rows, assignment)
+                if lo > hi:
+                    continue
+                if lo < -edge or hi > edge:
+                    state.clipped = True
+                    lo, hi = max(lo, -edge), min(hi, edge)
+                name, after, guaranteed, cost = (lone.name, lone.ready,
+                                                 lone.guaranteed, lone.cost)
+                for value in range(lo, hi + 1):
+                    state.tick(cost)
+                    assignment[name] = value
+                    if guaranteed or holds(after):
+                        out.append(head_tuple())
+                        if value == edge or value == -edge:
+                            state.clipped = True
         for name, _ in binds:
             assignment.pop(name, None)
+        if last_probe and lone:
+            assignment.pop(lone.name, None)
 
     def descend(level: _Level) -> None:
         """Emit the head once every variable is bound; else bind the
         narrowest variable to each value of its interval in turn, check
         the conjuncts that become checkable unless the interval guarantees
-        them, then go a level down."""
+        them, then go a level down.  A fact derived below a value at the
+        box edge sets ``clipped``."""
         if not level.free:
             out.append(head_tuple())
             return
@@ -378,34 +460,28 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         if step is None:
             bound = assignment.keys() | {name}
             ready, pending = _ready(level.pending, bound)
-            # name's interval came from the ready rows that hold it; when
-            # all of them do, each of its values satisfies them
-            guaranteed = all(any(n == name for n, _ in terms)
-                             for rows in ready for terms, _ in rows)
-            step = level.after[name] = ready, guaranteed, _level(
+            step = level.after[name] = ready, _guaranteed(name, ready), _level(
                 pending, bound, [n for n in level.free if n != name])
         ready, guaranteed, below = step
         cost = 1 + len(ready) if guaranteed else 1
+        watch = not state.clipped and (lo == -edge or hi == edge)
         for value in range(lo, hi + 1):
             state.tick(cost)
             assignment[name] = value
             if guaranteed or holds(ready):
+                emitted = len(out)
                 if below.free:
                     descend(below)
                 else:
                     out.append(head_tuple())
+                if (watch and len(out) > emitted
+                        and (value == edge or value == -edge)):
+                    state.clipped = True
         assignment.pop(name, None)
 
     def head_tuple() -> Fact:
-        values = tuple([assignment[t] if t.__class__ is str else t
-                        for t in compiled.head])
-        if not state.clipped:
-            edge = state.bound
-            assigned = assignment.values()
-            if (max(map(abs, values), default=0) >= edge
-                    or edge in assigned or -edge in assigned):
-                state.clipped = True
-        return values
+        return tuple([assignment[t] if t.__class__ is str else t
+                      for t in head])
 
     try:
         if holds(join.initial):
@@ -414,7 +490,7 @@ def _ground(compiled: _Compiled, delta_index: int | None,
             else:
                 descend(join.level)
     except RecursionError:
-        # one frame per atom and per enumerated variable
+        # one frame per atom and per variable enumerated by descend
         raise EvalError(f"grounding {compiled.clause.head} nests deeper "
                         f"than the recursion limit "
                         f"({sys.getrecursionlimit()})") from None
@@ -422,31 +498,40 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         # match and descend reach themselves through their closures; the
         # cycle would keep the fact indexes alive until a full collection
         del match, descend
+    if out and compiled.clips:
+        state.clipped = True
     return out
+
+
+def _interval(lo: float, hi: float, rows: list[tuple[int, tuple, int]],
+              assignment: dict[str, int]) -> tuple[float, float]:
+    """``[lo, hi]`` narrowed by each row a*x + rest <= r of ``rows``: it
+    gives x <= floor((r-rest)/a) when a > 0 and x >= ceil((r-rest)/a) when
+    a < 0."""
+    for a, rest, r in rows:
+        for n, c in rest:
+            r -= c * assignment[n]
+        if a > 0:
+            r //= a
+            if r < hi:
+                hi = r
+        else:
+            r = -(-r // a)
+            if r > lo:
+                lo = r
+    return lo, hi
 
 
 def _choose(bounding: Bounding, default: str, assignment: dict[str, int],
             state: _State) -> tuple[str, int, int]:
-    """The variable with the narrowest interval among those of
-    ``bounding`` (``_Level.bounding``), or ``default`` over the whole domain
-    when there are none.  A row a*x + rest <= r gives x <= floor((r-rest)/a)
-    when a > 0 and x >= ceil((r-rest)/a) when a < 0.  A variable left with
-    no value is chosen at once: it enumerates nothing, so no value is lost
-    to the cut."""
+    """The variable with the narrowest interval (``_interval``) among those
+    of ``bounding`` (``_Level.bounding``), or ``default`` over the whole
+    domain when there are none.  A variable left with no value is chosen at
+    once: it enumerates nothing, so no value is lost to the cut."""
     edge = state.bound
     best: tuple[int, str, int, int, bool] | None = None
     for name, lo, hi, rows in bounding:
-        for a, rest, r in rows:
-            for n, c in rest:
-                r -= c * assignment[n]
-            if a > 0:
-                r //= a
-                if r < hi:
-                    hi = r
-            else:
-                r = -(-r // a)
-                if r > lo:
-                    lo = r
+        lo, hi = _interval(lo, hi, rows, assignment)
         if lo > hi:
             return name, lo, hi
         truncated = lo < -edge or hi > edge

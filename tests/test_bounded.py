@@ -212,6 +212,24 @@ def test_single_variable_intervals(source, facts):
     assert not model.clipped
 
 
+@pytest.mark.parametrize("source, bound, clipped, verdict", [
+    ("p(40).\nunsafe :- p(X), X<0.", 32, True, TriState.UNKNOWN),
+    ("p(0) :- X>=7, X=<8.\nunsafe :- p(Y), Y>=1.", 8, True, TriState.UNKNOWN),
+    ("p(0) :- X>=6, X=<7.\nunsafe :- p(Y), Y>=1.", 8, False, TriState.FAILS),
+    # only X=1 gives Y an interval beyond the box, and q(0) may be matched
+    # first
+    ("q(X) :- X>=0, X=<1.\np(Y) :- q(X), Y>=40*X+1, Y=<40*X+2.\n"
+     "unsafe :- p(Y), Y>=3.", 32, True, TriState.UNKNOWN),
+], ids=["head-constant", "edge-value-not-in-head", "inside-the-box",
+        "truncated-after-atom"])
+def test_where_clipped_comes_from(source, bound, clipped, verdict):
+    # a head constant at or beyond the box edge, an enumerated value at the
+    # edge on a path that derives a fact, and an interval cut at the edge
+    prog = parse_program(source)
+    assert bounded_least_model(prog, bound).clipped is clipped
+    assert derives_unsafe(prog, bound) is verdict
+
+
 @pytest.mark.parametrize("source", [
     "p(X) :- 2*X=1, X>=40, Y>=40.",
     "p(X) :- X>=40, 2*X=1, Y>=40.",
@@ -234,6 +252,11 @@ def test_until_query_stops_early():
     early = bounded_least_model(prog, bound=12, until_query=True)
     assert early.derived("unsafe")
     assert early.rounds < full.rounds
+    # a round is counted only when it runs: the query is looked for first
+    counted = parse_program("p(0).\np(Y) :- p(X), Y=X+1, X<3.\nunsafe :- p(2).")
+    assert bounded_least_model(counted, 8, until_query=True).rounds == 3
+    assert bounded_least_model(parse_program("unsafe."), 8,
+                               until_query=True).rounds == 0
 
 
 def test_budget_exhaustion_raises():
@@ -292,8 +315,12 @@ def test_matches_brute_force_on_micro_programs():
     # A=-1, Y (width 0) when A=3, so one level leads to two below it
     "q(A) :- A>=-1, A=<3.\n"
     "p(X,Y) :- q(A), X>=A-1, X=<A+1, Y>=A, Y=<3.\nunsafe :- p(X,Y).",
+    # the one variable q(X) leaves free: bounded by no conjunct, so it
+    # takes the whole box; then with an interval empty for X=2
+    "q(X) :- X>=0, X=<1.\np(X,Y) :- q(X).\nunsafe :- p(X,Y).",
+    "q(X) :- X>=0, X=<2.\np(Y) :- q(X), Y>=2*X, Y=<3.\nunsafe :- p(Y).",
 ], ids=["index-extension", "repeated-variable", "body-constant", "keyless",
-        "path-dependent-order"])
+        "path-dependent-order", "lone-unbounded", "lone-empty-interval"])
 def test_indexed_joins_match_brute_force(source):
     prog = parse_program(source)
     model = bounded_least_model(prog, bound=3)
