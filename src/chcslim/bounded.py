@@ -2,10 +2,15 @@
 
 Facts are computed semi-naively over the finite domain [-B, B]: each round
 grounds every clause with at least one body atom matched against the facts
-new in the previous round.  Each clause is compiled once per evaluation:
-its variables in clause order and each conjunct as the integer <=-rows of
-the constraint oracle (``constraints.rows_of``), so the evaluator has no
-reading of the relations of its own.
+new in the previous round.  Each clause is compiled once per evaluation.
+Its variables are addressed by slot, their index in clause order, and each
+distinct constant of its atoms gets one more slot, which holds its value.
+Each conjunct becomes the integer <=-rows of the constraint oracle
+(``constraints.rows_of``) over slots, so the evaluator has no reading of
+the relations of its own.  A grounding's assignment is a list indexed by
+slot, allocated once per call: binding a variable writes its slot, nothing
+unbinds it, and a probe key or a head tuple is one ``operator.itemgetter``
+call over the list, constants included.
 
 For each body position that takes the last round's facts, the clause gets
 a join plan on first use.  The atoms are joined most-bound first: from the
@@ -27,11 +32,12 @@ interval, and the narrowest is enumerated next.  Which conjuncts are
 pending and what they bound depends only on the variables bound so far, so
 each level of this phase is built once per evaluation, on the first path
 that reaches it, and the plan holds the level after the atoms.  A level
-folds the rows that hold no other variable into one interval per variable.
-When every row of the conjuncts a chosen variable makes checkable holds
-that variable, those rows are the ones that gave its interval, so its
-values satisfy them and they are not evaluated again.  (A conjunct names
-its cancelled variables too: no row of X+Y=X+2 holds X.)
+holds the slots bound at it, and it folds the rows that hold no other
+variable into one interval per variable.  When every row of the
+conjuncts a chosen variable makes checkable holds that variable, those
+rows are the ones that gave its interval, so its values satisfy them and
+they are not evaluated again.  (A conjunct names its cancelled variables
+too: no row of X+Y=X+2 holds X.)
 
 When the atoms leave exactly one variable free, as in a transition clause
 ``p(N,I) :- ..., J=I+2, p(N,J)``, that level has one candidate and every
@@ -68,13 +74,14 @@ trusted; a clipped one only certifies derivations, not their absence.
 from __future__ import annotations
 
 import sys
-from collections.abc import Set
+from collections.abc import Callable, Set
 from dataclasses import dataclass
 from math import inf
+from operator import itemgetter
 from typing import NamedTuple
 
-from .constraints import Row, TriState, rows_of
-from .syntax import QUERY, Clause, Const, Constraint, Program, Term, Var
+from .constraints import TriState, rows_of
+from .syntax import QUERY, Clause, Const, Program, Term, Var
 
 Fact = tuple[int, ...]
 Facts = dict[str, set[Fact]]
@@ -132,15 +139,15 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
 
     With ``until_query`` the fixpoint stops as soon as the query is
     derived (the returned model may then be partial, but a derivation is a
-    derivation).  Raises EvalError on a bound or a budget below 1, on
-    array constraints and on a clause whose grounding nests deeper than the
-    recursion limit, and EvalBudgetError when grounding work exceeds
-    ``budget`` steps.
+    derivation).  Raises EvalError on a bound or a budget that is not an
+    int of at least 1 (a bool is not taken for one), on array constraints
+    and on a clause whose grounding nests deeper than the recursion limit,
+    and EvalBudgetError when grounding work exceeds ``budget`` steps.
     """
-    if bound < 1:
-        raise EvalError("bound must be positive")
-    if budget < 1:
-        raise EvalError("budget must be positive")
+    for name, value in (("bound", bound), ("budget", budget)):
+        if type(value) is not int or value < 1:
+            raise EvalError(f"{name} must be a positive integer, "
+                            f"got {value!r}")
     for i, clause in enumerate(prog.clauses):
         if clause.constraint.has_arrays():
             raise EvalError(f"clause {i}: array constraints are not evaluable")
@@ -186,10 +193,10 @@ class _Indexes:
 
     def __init__(self, table: Facts):
         self.table = table
-        self.maps: dict[str, dict[tuple[int, ...], dict[tuple, list[Fact]]]] = {
+        self.maps: dict[str, dict[tuple[int, ...], dict]] = {
             pred: {} for pred in table}
 
-    def index(self, pred: str, key: tuple[int, ...]) -> dict[tuple, list[Fact]]:
+    def index(self, pred: str, key: tuple[int, ...]) -> dict:
         maps = self.maps[pred]
         found = maps.get(key)
         if found is None:
@@ -204,12 +211,17 @@ class _Indexes:
 
 
 def _extend(index: dict, key: tuple[int, ...], facts) -> None:
+    """Index ``facts`` by their values at ``key``, as ``itemgetter`` reads
+    them: a bare value for one position, a tuple for more."""
+    values = itemgetter(*key)
     for fact in facts:
-        index.setdefault(tuple([fact[p] for p in key]), []).append(fact)
+        index.setdefault(values(fact), []).append(fact)
 
 
-Conjunct = tuple[frozenset[str], list[Row]]
-Bounding = list[tuple[str, float, float, list[tuple[int, tuple, int]]]]
+# Rows and conjuncts over slots: a row is ((slot, coefficient), ...), bound.
+SlotRow = tuple[tuple[tuple[int, int], ...], int]
+Conjunct = tuple[frozenset[int], list[SlotRow]]
+Bounding = list[tuple[int, float, float, list[tuple[int, tuple, int]]]]
 
 
 class _Probe(NamedTuple):
@@ -217,16 +229,17 @@ class _Probe(NamedTuple):
     pred: str
     delta: bool                      # matches the last round's facts only
     key: tuple[int, ...]             # positions of constants and bound variables
-    terms: tuple[int | str, ...]     # their values or names (``_code``)
-    binds: tuple[tuple[str, int], ...]   # (variable, position) bound here
+    lookup: Callable | None          # their slots' values, as ``_extend`` keys
+    binds: tuple[tuple[int, int], ...]   # (slot, position) bound here
     same: tuple[tuple[int, int], ...]    # positions of a repeated new variable
-    ready: tuple[list[Row], ...]     # conjuncts checkable after it, in order
+    ready: tuple[list[SlotRow], ...]     # conjuncts checkable after it, in order
 
 
 class _Level(NamedTuple):
     """The variable phase once the atoms' variables and those chosen on the
     way down are bound, built by ``_level``."""
-    free: list[str]                  # unbound variables, in clause order
+    bound: frozenset[int]            # the slots bound, constants' included
+    free: list[int]                  # unbound variables, in clause order
     # the free variables, in that order, that a pending conjunct bounds
     # alone, each with the interval its rows without another variable give
     # and its other rows split into (coefficient, rest, bound)
@@ -235,48 +248,65 @@ class _Level(NamedTuple):
     # per variable chosen here: the conjuncts it makes checkable, in order,
     # whether each of their rows holds it (then its interval guarantees
     # them), and the level below, filled on first choice
-    after: dict[str, tuple[tuple[list[Row], ...], bool, _Level]]
+    after: dict[int, tuple[tuple[list[SlotRow], ...], bool, _Level]]
 
 
 class _Lone(NamedTuple):
     """The one variable a plan's atoms leave free, grounded in the loop over
     the last probe's facts."""
-    name: str
+    slot: int
     lo: float                        # its interval from rows without another
     hi: float                        # variable; the box when none bounds it
     rows: list[tuple[int, tuple, int]]   # its other rows, as in ``Bounding``
-    ready: tuple[list[Row], ...]     # every pending conjunct, in order
+    ready: tuple[list[SlotRow], ...]     # every pending conjunct, in order
     guaranteed: bool                 # its interval guarantees them
     cost: int                        # steps per value
 
 
 class _Join(NamedTuple):
     """A clause's grounding with one body position as the delta atom."""
-    initial: tuple[list[Row], ...]   # conjuncts without variables
+    initial: tuple[list[SlotRow], ...]   # conjuncts without variables
     probes: tuple[_Probe, ...]
     level: _Level                    # the variable phase after the atoms
     lone: _Lone | None               # that phase when it has one variable
 
 
 class _Compiled:
-    """A clause compiled once per evaluation: its variables in clause order,
-    per arithmetic conjunct the conjunct's variables and <=-rows, whether a
-    head constant lies at or beyond the box edge, and a join plan per delta
-    position, compiled on first use."""
-    __slots__ = ("clause", "head", "bound", "clips", "variables", "conjuncts",
-                 "joins")
+    """A clause compiled once per evaluation: a slot per variable, its index
+    in clause order, and after those one per distinct constant of the
+    atoms; the assignment a grounding starts from, which holds each
+    constant's value in its slot; the head tuple as a function of the
+    assignment; whether a head constant lies at or beyond the box edge;
+    per arithmetic conjunct the slots it names and its <=-rows over slots;
+    and a join plan per delta position, compiled on first use."""
+    __slots__ = ("clause", "slot", "variables", "start", "head", "bound",
+                 "clips", "conjuncts", "joins")
 
     def __init__(self, clause: Clause, bound: int):
         self.clause = clause
-        self.head = tuple(_code(t) for t in clause.head.args)
+        # a variable's name or a constant's value to its slot
+        slot: dict[str | int, int] = {
+            name: i for i, name in enumerate(clause.vars())}
+        self.variables = len(slot)
+        for atom in (clause.head, *clause.body):
+            for t in atom.args:
+                if isinstance(t, Const):
+                    slot.setdefault(t.value, len(slot))
+        self.slot = slot
+        self.start = [0] * self.variables + list(slot)[self.variables:]
+        self.head = _tuple_of([self.slot_of(t) for t in clause.head.args])
         self.bound = bound
-        self.clips = any(t.__class__ is int and abs(t) >= bound
-                         for t in self.head)
-        self.variables = clause.vars()
+        self.clips = any(isinstance(t, Const) and abs(t.value) >= bound
+                         for t in clause.head.args)
         self.conjuncts: list[Conjunct] = [
-            (frozenset(con.vars()), rows_of(Constraint((con,))))
+            (frozenset(slot[name] for name in con.vars()),
+             [(tuple((slot[name], c) for name, c in terms), r)
+              for terms, r in rows_of(con)])
             for con in clause.constraint.conjuncts]
         self.joins: dict[int | None, _Join] = {}
+
+    def slot_of(self, t: Term) -> int:
+        return self.slot[t.name if isinstance(t, Var) else t.value]
 
     def join(self, delta_index: int | None) -> _Join:
         plan = self.joins.get(delta_index)
@@ -285,8 +315,18 @@ class _Compiled:
         return plan
 
 
+def _tuple_of(slots: list[int]) -> Callable[[list[int]], Fact]:
+    """The function from an assignment to the tuple of its values at
+    ``slots``; ``itemgetter`` gives a bare value for one slot."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda assignment: (assignment[s],)
+    return itemgetter(*slots) if slots else lambda assignment: ()
+
+
 def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
-    bound: set[str] = set()
+    slot_of, variables = compiled.slot_of, compiled.variables
+    bound = set(range(variables, len(compiled.start)))  # the constants
     initial, pending = _ready(compiled.conjuncts, bound)
     todo = list(enumerate(compiled.clause.body))
     if delta_index:
@@ -295,73 +335,68 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
     while todo:
         # most-bound atom first keeps the join narrow
         todo.sort(key=lambda pair: sum(1 for t in pair[1].args
-                                       if isinstance(t, Var)
-                                       and t.name not in bound))
+                                       if slot_of(t) not in bound))
         index, atom = todo.pop(0)
-        key, terms, binds, same = [], [], {}, []
+        key, lookup, binds, same = [], [], {}, []
         for p, t in enumerate(atom.args):
-            if isinstance(t, Const) or t.name in bound:
+            s = slot_of(t)
+            if s in bound:
                 key.append(p)
-                terms.append(_code(t))
-            elif t.name in binds:
-                same.append((binds[t.name], p))
+                lookup.append(s)
+            elif s in binds:
+                same.append((binds[s], p))
             else:
-                binds[t.name] = p
+                binds[s] = p
         bound |= binds.keys()
         ready, pending = _ready(pending, bound)
         probes.append(_Probe(atom.pred, index == delta_index, tuple(key),
-                             tuple(terms), tuple(binds.items()), tuple(same),
-                             ready))
-    level = _level(pending, bound, [name for name in compiled.variables
-                                    if name not in bound])
+                             itemgetter(*lookup) if lookup else None,
+                             tuple(binds.items()), tuple(same), ready))
+    level = _level(pending, frozenset(bound),
+                   [s for s in range(variables) if s not in bound])
     lone = None
     if probes and len(level.free) == 1:
-        (name,) = level.free
+        (s,) = level.free
         if level.bounding:
             ((_, lo, hi, rows),) = level.bounding
         else:
             lo, hi, rows = -compiled.bound, compiled.bound, []
-        ready, _ = _ready(pending, bound | {name})
-        guaranteed = _guaranteed(name, ready)
-        lone = _Lone(name, lo, hi, rows, ready, guaranteed,
+        ready, _ = _ready(pending, bound | {s})
+        guaranteed = _guaranteed(s, ready)
+        lone = _Lone(s, lo, hi, rows, ready, guaranteed,
                      1 + len(ready) if guaranteed else 1)
     return _Join(initial, tuple(probes), level, lone)
 
 
-def _code(t: Term) -> int | str:
-    """A term as a constant's value or a variable's name."""
-    return t.value if isinstance(t, Const) else t.name
-
-
-def _ready(pending: list[Conjunct], bound: Set[str]) \
-        -> tuple[tuple[list[Row], ...], list[Conjunct]]:
+def _ready(pending: list[Conjunct], bound: Set[int]) \
+        -> tuple[tuple[list[SlotRow], ...], list[Conjunct]]:
     """The rows of the conjuncts checkable once ``bound`` is bound, in
     clause order, and the conjuncts left pending."""
-    return (tuple(rows for names, rows in pending if names <= bound),
+    return (tuple(rows for slots, rows in pending if slots <= bound),
             [con for con in pending if not con[0] <= bound])
 
 
-def _guaranteed(name: str, ready: tuple[list[Row], ...]) -> bool:
-    """Whether every row of ``ready`` holds ``name``: those rows then gave
+def _guaranteed(slot: int, ready: tuple[list[SlotRow], ...]) -> bool:
+    """Whether every row of ``ready`` holds ``slot``: those rows then gave
     its interval, so each of its values satisfies them."""
-    return all(any(n == name for n, _ in terms)
+    return all(any(s == slot for s, _ in terms)
                for rows in ready for terms, _ in rows)
 
 
-def _level(pending: list[Conjunct], bound: Set[str],
-           free: list[str]) -> _Level:
+def _level(pending: list[Conjunct], bound: frozenset[int],
+           free: list[int]) -> _Level:
     """The level at which ``bound`` is bound, ``free`` is not and the
     conjuncts of ``pending`` are left to check."""
-    split: dict[str, list[tuple[int, tuple, int]]] = {}
-    for names, rows in pending:
-        missing = names - bound
+    split: dict[int, list[tuple[int, tuple, int]]] = {}
+    for slots, rows in pending:
+        missing = slots - bound
         if len(missing) == 1:
-            (name,) = missing
+            (x,) = missing
             for terms, r in rows:
-                for n, a in terms:
-                    if n == name:
-                        rest = tuple((m, c) for m, c in terms if m != name)
-                        split.setdefault(name, []).append((a, rest, r))
+                for s, a in terms:
+                    if s == x:
+                        rest = tuple((t, c) for t, c in terms if t != x)
+                        split.setdefault(x, []).append((a, rest, r))
     bounding = []
     for v in free:
         rows = split.get(v)
@@ -371,7 +406,7 @@ def _level(pending: list[Conjunct], bound: Set[str],
             hi = min((r // a for a, rest, r in rows if a > 0 and not rest),
                      default=inf)
             bounding.append((v, lo, hi, [row for row in rows if row[1]]))
-    return _Level(free, bounding, pending, {})
+    return _Level(bound, free, bounding, pending, {})
 
 
 def _ground(compiled: _Compiled, delta_index: int | None,
@@ -382,14 +417,15 @@ def _ground(compiled: _Compiled, delta_index: int | None,
     join = compiled.join(delta_index)
     probes, lone, head = join.probes, join.lone, compiled.head
     edge = state.bound
-    assignment: dict[str, int] = {}
+    # values by slot; a slot is read only while the plan has it bound
+    assignment = compiled.start.copy()
     out: list[Fact] = []
 
-    def holds(conjuncts: tuple[list[Row], ...]) -> bool:
+    def holds(conjuncts: tuple[list[SlotRow], ...]) -> bool:
         for checked, rows in enumerate(conjuncts, 1):
             for terms, r in rows:
-                for n, c in terms:
-                    r -= c * assignment[n]
+                for s, c in terms:
+                    r -= c * assignment[s]
                 if r < 0:
                     state.tick(checked)
                     return False
@@ -406,18 +442,19 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         table = facts.table[probe.pred]
         state.tick(len(table))
         if probe.key:
-            key = tuple([assignment[t] if t.__class__ is str else t
-                         for t in probe.terms])
-            candidates = facts.index(probe.pred, probe.key).get(key, ())
+            candidates = facts.index(probe.pred, probe.key).get(
+                probe.lookup(assignment), ())
         else:
             candidates = table
         same, binds, ready = probe.same, probe.binds, probe.ready
         last_probe = i + 1 == len(probes)
+        if last_probe and lone:
+            x, x_lo, x_hi, x_rows, after, guaranteed, cost = lone
         for fact in candidates:
             if same and any(fact[p] != fact[q] for p, q in same):
                 continue
-            for name, p in binds:
-                assignment[name] = fact[p]
+            for s, p in binds:
+                assignment[s] = fact[p]
             if ready and not holds(ready):
                 continue
             if not last_probe:
@@ -425,25 +462,19 @@ def _ground(compiled: _Compiled, delta_index: int | None,
             elif lone is None:
                 descend(join.level)
             else:
-                lo, hi = _interval(lone.lo, lone.hi, lone.rows, assignment)
+                lo, hi = _interval(x_lo, x_hi, x_rows, assignment)
                 if lo > hi:
                     continue
                 if lo < -edge or hi > edge:
                     state.clipped = True
                     lo, hi = max(lo, -edge), min(hi, edge)
-                name, after, guaranteed, cost = (lone.name, lone.ready,
-                                                 lone.guaranteed, lone.cost)
                 for value in range(lo, hi + 1):
                     state.tick(cost)
-                    assignment[name] = value
+                    assignment[x] = value
                     if guaranteed or holds(after):
-                        out.append(head_tuple())
+                        out.append(head(assignment))
                         if value == edge or value == -edge:
                             state.clipped = True
-        for name, _ in binds:
-            assignment.pop(name, None)
-        if last_probe and lone:
-            assignment.pop(lone.name, None)
 
     def descend(level: _Level) -> None:
         """Emit the head once every variable is bound; else bind the
@@ -452,36 +483,30 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         them, then go a level down.  A fact derived below a value at the
         box edge sets ``clipped``."""
         if not level.free:
-            out.append(head_tuple())
+            out.append(head(assignment))
             return
-        name, lo, hi = _choose(level.bounding, level.free[0], assignment,
-                               state)
-        step = level.after.get(name)
+        s, lo, hi = _choose(level.bounding, level.free[0], assignment, state)
+        step = level.after.get(s)
         if step is None:
-            bound = assignment.keys() | {name}
+            bound = level.bound | {s}
             ready, pending = _ready(level.pending, bound)
-            step = level.after[name] = ready, _guaranteed(name, ready), _level(
-                pending, bound, [n for n in level.free if n != name])
+            step = level.after[s] = ready, _guaranteed(s, ready), _level(
+                pending, bound, [v for v in level.free if v != s])
         ready, guaranteed, below = step
         cost = 1 + len(ready) if guaranteed else 1
         watch = not state.clipped and (lo == -edge or hi == edge)
         for value in range(lo, hi + 1):
             state.tick(cost)
-            assignment[name] = value
+            assignment[s] = value
             if guaranteed or holds(ready):
                 emitted = len(out)
                 if below.free:
                     descend(below)
                 else:
-                    out.append(head_tuple())
+                    out.append(head(assignment))
                 if (watch and len(out) > emitted
                         and (value == edge or value == -edge)):
                     state.clipped = True
-        assignment.pop(name, None)
-
-    def head_tuple() -> Fact:
-        return tuple([assignment[t] if t.__class__ is str else t
-                      for t in head])
 
     try:
         if holds(join.initial):
@@ -504,13 +529,13 @@ def _ground(compiled: _Compiled, delta_index: int | None,
 
 
 def _interval(lo: float, hi: float, rows: list[tuple[int, tuple, int]],
-              assignment: dict[str, int]) -> tuple[float, float]:
+              assignment: list[int]) -> tuple[float, float]:
     """``[lo, hi]`` narrowed by each row a*x + rest <= r of ``rows``: it
     gives x <= floor((r-rest)/a) when a > 0 and x >= ceil((r-rest)/a) when
     a < 0."""
     for a, rest, r in rows:
-        for n, c in rest:
-            r -= c * assignment[n]
+        for s, c in rest:
+            r -= c * assignment[s]
         if a > 0:
             r //= a
             if r < hi:
@@ -522,26 +547,26 @@ def _interval(lo: float, hi: float, rows: list[tuple[int, tuple, int]],
     return lo, hi
 
 
-def _choose(bounding: Bounding, default: str, assignment: dict[str, int],
-            state: _State) -> tuple[str, int, int]:
+def _choose(bounding: Bounding, default: int, assignment: list[int],
+            state: _State) -> tuple[int, int, int]:
     """The variable with the narrowest interval (``_interval``) among those
     of ``bounding`` (``_Level.bounding``), or ``default`` over the whole
     domain when there are none.  A variable left with no value is chosen at
     once: it enumerates nothing, so no value is lost to the cut."""
     edge = state.bound
-    best: tuple[int, str, int, int, bool] | None = None
-    for name, lo, hi, rows in bounding:
+    best: tuple[int, int, int, int, bool] | None = None
+    for s, lo, hi, rows in bounding:
         lo, hi = _interval(lo, hi, rows, assignment)
         if lo > hi:
-            return name, lo, hi
+            return s, lo, hi
         truncated = lo < -edge or hi > edge
         if truncated:
             lo, hi = max(lo, -edge), min(hi, edge)
         if best is None or hi - lo < best[0]:
-            best = (hi - lo, name, lo, hi, truncated)
+            best = (hi - lo, s, lo, hi, truncated)
     if best is None:
         return default, -edge, edge
-    _, name, lo, hi, truncated = best
+    _, s, lo, hi, truncated = best
     if truncated:
         state.clipped = True
-    return name, lo, hi
+    return s, lo, hi

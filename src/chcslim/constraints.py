@@ -308,15 +308,9 @@ def constrained_to(x: str, y: str, c: Constraint) -> bool:
 Row = tuple[tuple[tuple[str, int], ...], int]
 
 
-def rows_of(c: Constraint) -> list[Row] | None:
-    """Compile conjuncts to <=-rows, by ``_le_rows`` of each conjunct's
-    row; None when array constraints occur."""
-    rows: list[Row] = []
-    for con in c.conjuncts:
-        if isinstance(con, ArrayCon):
-            return None
-        rows += _le_rows(_row(con))
-    return rows
+def rows_of(con: RelCon) -> list[Row]:
+    """The <=-rows of one arithmetic conjunct: ``_le_rows`` of its row."""
+    return _le_rows(_row(con))
 
 
 def _le_rows(row: list) -> list[Row]:

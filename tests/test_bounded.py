@@ -264,11 +264,14 @@ def test_budget_exhaustion_raises():
         bounded_least_model(load("interval_loop_safe"), bound=32, budget=50)
 
 
-@pytest.mark.parametrize("budget", [0, -3])
-def test_non_positive_budget_is_a_misconfiguration(budget):
-    # not an exhausted budget: nothing has been evaluated
-    with pytest.raises(EvalError, match="budget must be positive"):
-        bounded_least_model(load("chain_safe"), bound=8, budget=budget)
+@pytest.mark.parametrize("value", [0, -3, 2.5, "3", True])
+def test_non_positive_budget_is_a_misconfiguration(value):
+    # not an exhausted budget: nothing has been evaluated; a bool is not
+    # taken for 0 or 1
+    for name in ("bound", "budget"):
+        with pytest.raises(EvalError,
+                           match=f"^{name} must be a positive integer"):
+            bounded_least_model(load("chain_safe"), **{"bound": 8, name: value})
 
 
 def test_array_programs_are_rejected():
@@ -319,8 +322,20 @@ def test_matches_brute_force_on_micro_programs():
     # takes the whole box; then with an interval empty for X=2
     "q(X) :- X>=0, X=<1.\np(X,Y) :- q(X).\nunsafe :- p(X,Y).",
     "q(X) :- X>=0, X=<2.\np(Y) :- q(X), Y>=2*X, Y=<3.\nunsafe :- p(Y).",
+    # head tuples: constants beside variables, a unary head whose one value
+    # the one-variable level gives, and a nullary head other than the query
+    "q(X) :- X>=0, X=<2.\np(X,0,X) :- q(X).\nunsafe :- p(X,Y,Z).",
+    "q(X) :- X>=0, X=<1.\np(Y) :- q(X), Y=X+2.\nunsafe :- p(Y).",
+    "q(X) :- X>=0, X=<2.\nr :- q(X), X>=2.\np(X) :- r, q(X).\n"
+    "unsafe :- p(X).",
+    # probe keys whose constant comes before a bound variable, two
+    # constants written in descending order
+    "q(X,Y) :- X>=0, X=<2, Y>=X, Y=<X+1.\n"
+    "p(X) :- q(X,Y), q(Y,3), q(2,Y).\nunsafe :- p(X).",
 ], ids=["index-extension", "repeated-variable", "body-constant", "keyless",
-        "path-dependent-order", "lone-unbounded", "lone-empty-interval"])
+        "path-dependent-order", "lone-unbounded", "lone-empty-interval",
+        "head-constant-between-variables", "lone-unary-head", "nullary-head",
+        "constant-first-key"])
 def test_indexed_joins_match_brute_force(source):
     prog = parse_program(source)
     model = bounded_least_model(prog, bound=3)

@@ -219,10 +219,11 @@ def test_split_agrees_with_forall_exists_on_the_whole():
 ])
 def test_rows_of_each_relation(rel, expected):
     # X+1 rel 2*Y as rows sum(coeff*var) <= bound; strict ones shift by 1
-    rows = rows_of(constraint_of(f"X+1{rel}2*Y"))
+    rows = rows_of(*constraint_of(f"X+1{rel}2*Y").conjuncts)
     assert [(dict(terms), bound) for terms, bound in rows] == expected
     # X cancels out of X+Y rel X+1 and leaves no zero coefficient
-    assert rows_of(constraint_of(f"X+Y{rel}X+1")) == rows_of(constraint_of(f"Y{rel}1"))
+    assert (rows_of(*constraint_of(f"X+Y{rel}X+1").conjuncts)
+            == rows_of(*constraint_of(f"Y{rel}1").conjuncts))
 
 
 def test_array_constraints_make_satisfiability_unknown():
