@@ -37,7 +37,11 @@ satisfiable and kept when the oracle cannot say, a clause with an
 unsatisfiable part is deleted (it derives nothing), unit equalities are
 solved away and one-sided variables dropped.  So the least model, and
 every surviving-atom projection with it, is unchanged; the erasure is
-computed first and does not depend on the projection.
+computed first and does not depend on the projection.  A deleted clause
+can leave its head predicate without clauses; every clause that then
+calls an unproductive predicate derives nothing and goes too
+(``syntax.productive_clauses``), so a second run finds nothing new there
+to erase.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 
 from .constraints import (Parts, TriState, answers_once, constrained_to,
                           forall_exists_valid, project)
-from .syntax import Atom, Clause, Const, Program, Var
+from .syntax import Atom, Clause, Const, Program, Var, productive_clauses
 
 Pair = tuple[str, int]
 Erasure = frozenset[Pair]
@@ -119,10 +123,8 @@ def check_pair(pair: Pair, splits: list[Split]) -> Violation | None:
         x = term.name
         if forall_exists_valid(x, parts.own(x)) is not TriState.HOLDS \
                 or not parts.others_satisfiable(x):
-            c = clause.constraint
             return Violation(pair, index, "i-forall-exists",
-                             f"forall {x} . exists rest . "
-                             f"{c if c.conjuncts else 'true'} not validated")
+                             f"forall {x} . exists rest . c not validated")
         linked = parts.linked(x)
         for other in clause.head.args:
             if isinstance(other, Var) and other.name != x and other.name in linked:
@@ -167,6 +169,9 @@ class CfarReport:
     conjuncts_dropped: int = 0
     vars_eliminated: int = 0
     clauses_dropped: int = 0
+    # clauses left out after the projection because they call a predicate
+    # left without clauses (``productive_clauses``)
+    dropped_unproductive: int = 0
 
     def text(self) -> str:
         lines = [
@@ -184,7 +189,8 @@ class CfarReport:
         lines.append(f"arguments: {self.args_before} -> {self.args_after}")
         lines += [f"conjuncts dropped: {self.conjuncts_dropped}",
                   f"variables eliminated: {self.vars_eliminated}",
-                  f"clauses dropped: {self.clauses_dropped}"]
+                  f"clauses dropped: {self.clauses_dropped}",
+                  f"dropped unproductive clauses: {self.dropped_unproductive}"]
         return "\n".join(lines)
 
 
@@ -203,7 +209,8 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     every pair reachable backward from it along ``body_edges``, and the
     erasure is every pair not kept.  Each erased clause's constraint is
     then projected onto the clause's live variables, and a clause whose
-    constraint the projection finds unsatisfiable is left out.  One
+    constraint the projection finds unsatisfiable is left out, as is every
+    clause that is then not among the ``productive_clauses``.  One
     ``answers_once`` table serves the whole call, or the caller's if open.
     """
     pairs = full_erasure(prog)
@@ -244,7 +251,9 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
             report.vars_eliminated += len(clause.constraint.vars()
                                           - constraint.vars() - live)
         clauses.append(Clause(head, constraint, body))
-    out = Program(tuple(clauses))
+    kept = productive_clauses(clauses)
+    report.dropped_unproductive = len(clauses) - len(kept)
+    out = Program(tuple(kept))
 
     report.pairs_kept = len(erasure)
     report.erasure = erasure_lines(erasure, prog.arities)

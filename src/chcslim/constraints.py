@@ -78,8 +78,8 @@ class Parts:
     Two conjuncts share a part when a chain of conjuncts sharing variables
     links them; a conjunct without variables is a part of its own.  Each
     part keeps the conjunct order of the whole, ``part_of`` gives each
-    conjunct's part, ``names`` each part's variables, and each part's
-    satisfiability is decided at most once, when an answer first needs it.
+    conjunct's part, ``names`` each part's variables (its conjuncts' sets
+    joined), and each part's satisfiability is decided at most once.
     """
 
     def __init__(self, c: Constraint) -> None:
@@ -99,6 +99,7 @@ class Parts:
                 parent[find(n)] = find(first)
         index: dict[object, int] = {}
         groups: list[list] = []
+        members: list[set[str]] = []  # each part's variables
         self.whole = c
         self.part_of: list[int] = []
         for i, (con, group) in enumerate(zip(c.conjuncts, names)):
@@ -106,10 +107,12 @@ class Parts:
             j = index.setdefault(find(min(group)) if group else i, len(groups))
             if j == len(groups):
                 groups.append([])
+                members.append(set())
             groups[j].append(con)
+            members[j] |= group
             self.part_of.append(j)
         self.parts = [Constraint(tuple(cons)) for cons in groups]
-        self.names = [frozenset(part.vars()) for part in self.parts]
+        self.names = [frozenset(group) for group in members]
         self._part: dict[str, int] = {}
         for i, linked in enumerate(self.names):
             for n in linked:
@@ -227,11 +230,15 @@ def project(parts: Parts, live: set[str]) -> Constraint | None:
 
 def _row(con: RelCon) -> list:
     """lhs rel rhs as the conjunct row [coeffs, const, rel], meaning
-    sum(coeff * var) + const rel 0: coeffs is a {var: coeff} dict of
-    lhs - rhs, ``lhs``'s variables first and zero coefficients dropped."""
-    terms, const = _combine((con.lhs.terms, con.lhs.const), 1,
-                            (con.rhs.terms, con.rhs.const), -1)
-    return [dict(terms), const, con.rel]
+    sum(coeff * var) + const rel 0: coeffs is ``lhs``'s normalised terms
+    as a {var: coeff} dict, ``rhs``'s subtracted in place and zeros dropped."""
+    coeffs = dict(con.lhs.terms)
+    for n, k in con.rhs.terms:
+        if coeffs.setdefault(n, 0) == k:
+            del coeffs[n]
+        else:
+            coeffs[n] -= k
+    return [coeffs, con.lhs.const - con.rhs.const, con.rel]
 
 
 def _solve_units(rows: list, local: set[str]) -> set[int] | None:
@@ -254,8 +261,10 @@ def _solve_units(rows: list, local: set[str]) -> set[int] | None:
             if row is None or row[2] != "=":
                 continue
             coeffs, const, _ = row
-            var = min((n for n, k in coeffs.items()
-                       if (k == 1 or k == -1) and n in local), default=None)
+            var = None
+            for n, k in coeffs.items():
+                if (k == 1 or k == -1) and n in local and (var is None or n < var):
+                    var = n
             if var is None:
                 continue
             rows[j] = None
@@ -540,9 +549,10 @@ def _eliminate_as_written(c: Constraint, keep: str | None) -> TriState:
     refutation or a row left ``fails``; else the answer is ``holds`` if
     the run was exact and ``unknown`` if not.
     """
-    eqs, rows = [], []
+    eqs, rows, local = [], [], set()
     for con in c.conjuncts:
         coeffs, const, rel = row = _row(con)
+        local.update(coeffs)
         if rel != "=" or not coeffs:
             rows.append(row)
             continue
@@ -550,10 +560,14 @@ def _eliminate_as_written(c: Constraint, keep: str | None) -> TriState:
         if const % g:
             return TriState.FAILS
         terms = sorted(coeffs.items())
-        g = g if terms[0][1] > 0 else -g
-        eqs.append((tuple((n, k // g) for n, k in terms), const // g))
-    rows[:0] = [[dict(terms), const, "="] for terms, const in sorted(eqs)]
-    local = {n for row in rows for n in row[0]} - {keep}
+        g = -g if terms[0][1] < 0 else g
+        if g != 1:
+            terms, const = [(n, k // g) for n, k in terms], const // g
+        eqs.append((terms, const))
+    if eqs:
+        eqs.sort()
+        rows[:0] = [[dict(terms), const, "="] for terms, const in eqs]
+    local.discard(keep)
     if _solve_units(rows, local) is None:
         return TriState.FAILS
     try:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from .constraints import TriState, is_satisfiable
 from .syntax import (QUERY, Atom, Clause, Program, Var, atom_variant_key,
-                     fresh_predicate_counter, mgu_atoms, rename_apart)
+                     fresh_predicate_counter, mgu_atoms, productive_clauses,
+                     rename_apart)
 
 
 def linkvars(clause: Clause, position: int) -> list[str]:
@@ -110,6 +111,7 @@ class NlrReport:
     variant_classes: int = 0
     max_arity: int = 0
     dropped_unsat: int = 0
+    dropped_unproductive: int = 0
     args_before: int = 0
     args_after: int = 0
     clauses_in: int = 0
@@ -127,6 +129,7 @@ class NlrReport:
             f"iterations: {self.iterations}",
             f"variant classes: {self.variant_classes}",
             f"dropped unsatisfiable clauses: {self.dropped_unsat}",
+            f"dropped unproductive clauses: {self.dropped_unproductive}",
             f"arguments: {self.args_before} -> {self.args_after}",
             f"clauses: {self.clauses_in} -> {self.clauses_out}",
         ]
@@ -141,7 +144,9 @@ def nlr_transform(prog: Program) -> tuple[Program, NlrReport]:
     definition in creation order is processed until none is left: unfolded
     on its first turn (resolvents with unsatisfiable constraints dropped),
     and its resolvents registered under its current head.  Every output
-    clause is folded once, after the positions are final.
+    clause is folded once, after the positions are final, and only the
+    ``productive_clauses`` of the folded ones are kept: a definition whose
+    predicate has no clauses leaves its callers deriving nothing.
 
     The loop ends: a definition is processed when it is created and again
     after each widening, and each widening adds at least one of its at most
@@ -176,7 +181,9 @@ def nlr_transform(prog: Program) -> tuple[Program, NlrReport]:
 
     out = [fold(c, defs) for c in unsafe_clauses]
     out += [fold(c, defs) for d in defs.values() for c in d.clauses()]
-    result = Program(tuple(out))
+    kept = productive_clauses(out)
+    report.dropped_unproductive = len(out) - len(kept)
+    result = Program(tuple(kept))
 
     report.variant_classes = len(defs)
     report.definitions = [

@@ -12,13 +12,15 @@ program rule, and a program that breaks one raises ``ProgramError``, so any
 
 Besides the AST, the module holds the clause-level operations the
 transformations run: substitution, renaming apart, variant keys, the
-unifier of two flat atoms and fresh ``newpN`` names.
+unifier of two flat atoms, fresh ``newpN`` names and the clauses that can
+derive anything.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 QUERY = "unsafe"
@@ -308,6 +310,33 @@ def rename_apart(clause: Clause, taken: set[str]) -> dict[str, Var]:
         renaming[name] = Var(fresh)
         used.add(fresh)
     return renaming
+
+
+def productive_clauses(clauses: Sequence[Clause]) -> list[Clause]:
+    """The clauses whose body predicates are all productive, in their order.
+
+    A predicate is productive when a kept clause has it as head: a least
+    fixpoint, run as a worklist from the clauses without body atoms.
+    Every other clause calls a predicate with no facts in the least model,
+    so it derives nothing, and dropping it leaves the least model as it is
+    (the clause-deletion rule of unfold/fold transformation).
+    """
+    waiting: dict[str, list[int]] = {}  # predicate -> clauses calling it
+    missing: list[int] = []  # per clause, its body predicates not yet productive
+    work: list[str] = []
+    for i, clause in enumerate(clauses):
+        preds = {atom.pred for atom in clause.body}
+        missing.append(len(preds))
+        for pred in preds:
+            waiting.setdefault(pred, []).append(i)
+        if not preds:
+            work.append(clause.head.pred)
+    while work:
+        for i in waiting.pop(work.pop(), ()):
+            missing[i] -= 1
+            if not missing[i]:
+                work.append(clauses[i].head.pred)
+    return [clause for clause, m in zip(clauses, missing) if not m]
 
 
 def atom_variant_key(atom: Atom) -> tuple:

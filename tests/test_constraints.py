@@ -226,6 +226,19 @@ def test_rows_of_each_relation(rel, expected):
             == rows_of(*constraint_of(f"Y{rel}1").conjuncts))
 
 
+def test_rows_of_keeps_lhs_terms_first():
+    # lhs terms in their order, then the rhs terms lhs lacks; X cancels
+    ((terms, bound),) = rows_of(*constraint_of("X+Y=<Z+X+W").conjuncts)
+    assert terms == (("Y", 1), ("Z", -1), ("W", -1)) and bound == 0
+
+
+def test_projection_solves_for_the_least_named_unit_variable():
+    # A and B are both unit in B+A=Y; A is solved away, not B, the first
+    # in coefficient order
+    result = project(Parts(constraint_of("B+A=Y, A>=0, B>=0")), {"Y"})
+    assert str(result) == "Y>=B, B>=0"
+
+
 def test_array_constraints_make_satisfiability_unknown():
     assert sat("read(A,I,V), V>=3") is TriState.UNKNOWN
     assert valid("X", "read(A,I,X)") is TriState.UNKNOWN

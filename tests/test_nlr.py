@@ -91,11 +91,28 @@ def test_head_mismatch_is_not_counted_as_unsatisfiable():
 
 
 def test_undefined_body_predicate_warns_and_empties():
+    # the clause calling the empty definition derives nothing and goes
     out, report = nlr_transform(parse_program("unsafe :- X>=1, ghost(X)."))
     assert report.warnings
     assert "ghost" in report.warnings[0]
-    assert len(out.clauses) == 1
+    assert out.clauses == ()
+    assert report.dropped_unproductive == 1
     assert derives_unsafe(out, bound=8) is TriState.FAILS
+
+
+def test_output_calls_only_predicates_with_clauses():
+    # frame programs whose dead parts fail leave definitions without
+    # resolvents; every clause that calls one, transitively, is dropped
+    frames, dropped, programs = random.Random(2), 0, 0
+    for _ in range(100):
+        out, report = nlr_transform(frame_program(frames))
+        heads = {clause.head.pred for clause in out.clauses}
+        assert all(atom.pred in heads
+                   for clause in out.clauses for atom in clause.body)
+        assert report.clauses_out == len(out.clauses)
+        dropped += report.dropped_unproductive
+        programs += report.dropped_unproductive > 0
+    assert (dropped, programs) == (54, 43)
 
 
 def test_undefined_predicate_warns_once_per_class():

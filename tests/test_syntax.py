@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from chcslim.syntax import (
     ArrayCon, Atom, Clause, Const, Constraint, LinExpr, Program, ProgramError,
     RelCon, Var,
-    atom_variant_key, fresh_predicate_counter, mgu_atoms, rename_apart,
+    atom_variant_key, fresh_predicate_counter, mgu_atoms, productive_clauses,
+    rename_apart,
 )
 from chcslim.parser import parse_program
 
@@ -182,6 +183,23 @@ def test_total_args_sums_predicate_arities(counter_p1, counter_p2, counter_p3):
     assert counter_p1.total_args() == 10
     assert counter_p2.total_args() == 5
     assert counter_p3.total_args() == 4
+
+
+def test_productive_clauses_is_a_least_fixpoint():
+    # p and q only call each other and r has no clauses, so every clause
+    # reaching them goes; s is productive through its fact, in any order
+    prog = parse_program("unsafe :- p(X).\n"
+                         "p(X) :- q(X).\n"
+                         "q(X) :- p(X).\n"
+                         "unsafe :- s(X), s(Y), X>Y.\n"
+                         "s(X) :- s(Y), X=Y+1.\n"
+                         "t(X) :- r(X), s(X).\n"
+                         "s(X) :- X=0.")
+    kept = productive_clauses(prog.clauses)
+    assert [str(c) for c in kept] == ["unsafe :- X>Y, s(X), s(Y).",
+                                      "s(X) :- X=Y+1, s(Y).",
+                                      "s(X) :- X=0."]
+    assert productive_clauses(kept) == kept
 
 
 def test_programs_isomorphic_modulo_renamings():
