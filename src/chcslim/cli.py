@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="re-render a report from JSON lines")
     p.add_argument("records", type=Path, help="JSON-lines file, or - for stdin")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="emit only the JSON lines of the report")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -166,16 +167,20 @@ def cmd_cfar(args) -> int:
     return 0
 
 
+def _write_report(text: str, as_json: bool) -> None:
+    """A batch report on stdout; with ``--json``, only its JSON lines."""
+    if as_json:
+        text = "\n".join(line for line in text.splitlines()
+                         if line.startswith("{")) + "\n"
+    sys.stdout.write(text)
+
+
 def cmd_pipeline(args) -> int:
     cfg = PipelineConfig(inputs=list(args.files), out_dir=args.out_dir,
                          stages=args.stages, solver_cmd=args.solver_cmd,
                          timeout=args.timeout, bound=args.bound)
     records = run_pipeline(cfg)
-    text = report(records)
-    if args.json:
-        text = "\n".join(line for line in text.splitlines()
-                         if line.startswith("{")) + "\n"
-    sys.stdout.write(text)
+    _write_report(report(records), args.json)
     failures = invariant_failures(records)
     if failures:
         for failure in failures:
@@ -226,7 +231,7 @@ def cmd_report(args) -> int:
     else:
         text = read_input(args.records)
     records = parse_json_lines(text)
-    sys.stdout.write(report(records, json_lines=args.json))
+    _write_report(report(records, json_lines=args.json), args.json)
     return 0
 
 

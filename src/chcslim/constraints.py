@@ -13,13 +13,15 @@ divided by the gcd of its coefficients with its bound rounded down, as
 the Omega test normalises rows.  A step is exact when every occurrence of
 the eliminated variable has coefficient +-1 (the bounds seen during
 back-substitution are then integer-valued, so rational and integer
-projections coincide), or when the variable is bounded on one side only;
-otherwise the run is marked inexact and only refutations remain
-trustworthy, because a rationally infeasible system has no integer
-solutions either.  Strict relations are shifted to closed ones (a < b
-becomes a <= b-1), which is lossless over the integers.  Where this
-answers ``unknown``, two opposite bounds that meet, such as X=<3, X>=3,
-are read as one equality and the question is asked again.
+projections coincide), when the variable is bounded on one side only,
+or when two opposite rows that meet, such as X=<3, X>=3 or (once divided
+by their gcd) 2*X>=2, 2*X<3, hold it with coefficient +-1: they are an
+equality that substitutes it away, as in the first phase.  Otherwise the
+run is marked inexact and only refutations remain trustworthy, because a
+rationally infeasible system has no integer solutions either.  Strict
+relations are shifted to closed ones (a < b becomes a <= b-1), which is
+lossless over the integers.  Each question is answered by one
+elimination.
 
 Inside an ``answers_once`` block (one per problem in the pipeline, one
 per ``cfar_transform`` call, never longer) each question is answered once.
@@ -405,6 +407,20 @@ class _System:
         self.size -= 1
         return row
 
+    def pinned(self, var: str) -> bool:
+        """True when a live row holds var with coefficient +-1 and its
+        opposite row (the negated terms, keyed in ``keys``) is live with
+        the negated bound: the two meet as an equality that gives var as
+        an integer expression in the others."""
+        for i, k in self.occ[var].items():
+            if k == 1 or k == -1:
+                terms, bound = self.rows[i]
+                j = self.keys.get(tuple(sorted((n, -c) for n, c in terms)))
+                if j is not None and self.rows[j] is not None \
+                        and self.rows[j][1] == -bound:
+                    return True
+        return False
+
     def fourier_motzkin(self, drop: list[str]) -> bool | None:
         """Eliminate what is left of ``drop``: whether every step was
         exact; None when the row budget blows."""
@@ -416,7 +432,8 @@ class _System:
                 return exact
             unit = [v for v in remaining
                     if all(k == 1 or k == -1 for k in occ[v].values())]
-            candidates = unit or remaining
+            pinned = [] if unit else [v for v in remaining if self.pinned(v)]
+            candidates = unit or pinned or remaining
             # most systems are tiny; a lone candidate needs no cost
             var = candidates[0] if len(candidates) == 1 else \
                 min(candidates, key=lambda v: _combo_cost(occ[v]))
@@ -425,8 +442,10 @@ class _System:
             pos = [(row, k) for row, k in hit if k > 0]
             neg = [(row, -k) for row, k in hit if k < 0]
             # one-sided variables project exactly whatever their
-            # coefficients; two-sided ones need the unit guard
-            if pos and neg and var not in unit:
+            # coefficients; two-sided ones need the unit guard or a pinning
+            # pair, whose combinations substitute var into every other row
+            # and imply the rest
+            if pos and neg and var not in unit and var not in pinned:
                 exact = False
             made = self.size
             for p, cp in pos:
@@ -472,10 +491,10 @@ def forall_exists_valid(x: str, c: Constraint) -> TriState:
     projection over-approximates the integer one).  Variable-disjoint
     parts of c are eliminated in the same order as each part alone (the
     equalities are solved in the order of their terms, and Fourier-Motzkin
-    chooses among variables by name and cost), so this is also "x's part
-    projects to true and every other part is satisfiable", the form
-    ``Parts`` answers from, unless the whole run exceeds ``ROW_BUDGET``
-    where no part alone does.
+    chooses among variables by their own rows, cost and name), so this is
+    also "x's part projects to true and every other part is satisfiable",
+    the form ``Parts`` answers from, unless the whole run exceeds
+    ``ROW_BUDGET`` where no part alone does.
     """
     return _projects_to_true(c, x)
 
@@ -496,46 +515,6 @@ def _projects_to_true(c: Constraint, keep: str | None) -> TriState:
 
 
 def _eliminate(c: Constraint, keep: str | None) -> TriState:
-    """Whether eliminating every variable of c but ``keep`` leaves no row:
-    ``_eliminate_as_written``, and where that answers ``unknown`` and c
-    has opposite bounds that meet, the same on ``_meeting_bounds(c)``."""
-    answer = _eliminate_as_written(c, keep)
-    if answer is TriState.UNKNOWN:
-        met = _meeting_bounds(c)
-        if met is not None:
-            answer = _eliminate_as_written(met, keep)
-    return answer
-
-
-def _meeting_bounds(c: Constraint) -> Constraint | None:
-    """c with each pair of opposite inequalities whose least bounds meet,
-    once divided by the gcd of their coefficients (X=<3, X>=3, or 2*X>=2,
-    2*X<3), written as one equality, which the first phase can solve where
-    Fourier-Motzkin may be inexact; None when c has no such pair.  The
-    equality implies every inequality on the pair's terms, and they go."""
-    least, keyed = {}, []
-    for con in c.conjuncts:
-        coeffs, _, rel = row = _row(con)
-        key = None
-        if coeffs and rel != "=":
-            ((terms, bound),) = _le_rows(row)
-            g = gcd(*coeffs.values())
-            key = tuple(sorted((n, k // g) for n, k in terms))
-            least[key] = min(bound // g, least.get(key, bound // g))
-        keyed.append((con, key))
-    met, eqs = set(), []
-    for key, bound in least.items():
-        neg = tuple((n, -k) for n, k in key)
-        if key[0][1] > 0 and least.get(neg) == -bound:
-            eqs.append(_written(dict(key), -bound, "="))
-            met |= {key, neg}
-    if not eqs:
-        return None
-    return Constraint(tuple(con for con, key in keyed if key not in met)
-                      + tuple(eqs))
-
-
-def _eliminate_as_written(c: Constraint, keep: str | None) -> TriState:
     """Whether eliminating every variable of c but ``keep`` leaves no row.
 
     Each ``=`` conjunct is divided by the gcd of its coefficients (one
@@ -544,10 +523,13 @@ def _eliminate_as_written(c: Constraint, keep: str | None) -> TriState:
     in the order of their sorted terms, so no choice depends on the order
     of the conjuncts.  The rows left go to one ``_System``, where
     Fourier-Motzkin takes unit-coefficient variables first, to stay exact
-    as long as possible, then the fewest pos*neg combinations, the first
-    in name order on a tie.  A blown row budget answers ``unknown``, a
-    refutation or a row left ``fails``; else the answer is ``holds`` if
-    the run was exact and ``unknown`` if not.
+    as long as possible; when none is left, the ``pinned`` ones, which an
+    equality written as two opposite rows (or turned unit by the gcd
+    normalisation) eliminates exactly; then the rest.  Within each group
+    it takes the fewest pos*neg combinations, the first in name order on
+    a tie.  A blown row budget answers ``unknown``, a refutation or a row
+    left ``fails``; else the answer is ``holds`` if the run was exact and
+    ``unknown`` if not.
     """
     eqs, rows, local = [], [], set()
     for con in c.conjuncts:

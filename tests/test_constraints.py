@@ -61,6 +61,10 @@ def test_satisfiability_spot_checks(text, expected):
     # -2*V1>=2, -2*V1<3 meet at V1=-1 only once divided by their gcd
     ("-2*V1>=2, 3*V1=<-2*V2-1, 3*V2-2*V0>-2*V1+4, "
      "2*V1=-2*V2-2*V0-6, -2*V1<3", TriState.HOLDS),
+    # the first phase leaves an equality (-2*V2=6 after V3=-3, and
+    # -2*V1+2*V3=2 after V2) that is unit only once divided by its gcd
+    ("3*V1=2*V2-5, -V3=3, -2*V2=-3*V3-3", TriState.FAILS),
+    ("-2*V2=0, 3*V1-2*V2=<4, -2*V1-V2+2*V3=2", TriState.HOLDS),
 ])
 def test_opposite_bounds_that_meet_are_an_equality(text, expected):
     assert sat(text) is expected
@@ -84,6 +88,9 @@ def test_row_budget_makes_answer_unknown(monkeypatch):
     ("X", "X=Y+W", TriState.HOLDS),
     ("X", "X=Y, Y=<2", TriState.FAILS),
     ("Z", "2*Y=<-Z+3, 2*X=-Y-2", TriState.HOLDS),
+    # the first phase leaves -2*V0-4*V4=14, unit in V0 once divided by 2
+    ("V2", "-2*V4-V3=4, 3*V3-2*V0=V1+4, V1=V3+2, -V1=<V3-3*V2-2",
+     TriState.HOLDS),
 ])
 def test_forall_exists_spot_checks(x, text, expected):
     assert valid(x, text) is expected

@@ -476,6 +476,12 @@ def test_cli_pipeline_json_and_report_rerender(tmp_path, fake_solver, capsys):
     assert rc == 0
     table = capsys.readouterr().out
     assert "u      2" in table
+    # --json means the same on report as on pipeline: the JSON lines alone
+    assert main(["report", str(json_path), "--json"]) == 0
+    again = capsys.readouterr().out
+    assert again.splitlines() and all(
+        l.startswith("{") for l in again.splitlines())
+    assert parse_json_lines(again) == parse_json_lines(out)
 
 
 def test_cli_pipeline_contradiction_exits_2(tmp_path, fake_solver, capsys):
