@@ -6,6 +6,15 @@ constraints (plus opaque array pseudo-constraints).  The distinguished query
 predicate is the nullary ``unsafe``; a program is safe when ``unsafe`` is not
 in its least model.
 
+The AST nodes are immutable named tuples, so their equality and hash are
+those of the tuple of their fields, computed in C and blind to the class.
+No two node kinds with equal fields are ever compared: ``Atom`` and
+``ArrayCon`` share the shape ``(str, tuple)``, but they live in different
+``Clause`` fields, and ``clause_problems`` rejects atoms named ``read`` or
+``write``.  Each ``subst`` hands back the node itself when the mapping
+renames or binds none of its variables, so a substitution rebuilds only
+the nodes on the way to what it changes.
+
 A ``Program`` is checked when it is built: ``clause_problems`` holds every
 program rule, and a program that breaks one raises ``ProgramError``, so any
 ``Program`` in hand is well formed.
@@ -22,6 +31,7 @@ import itertools
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 QUERY = "unsafe"
 
@@ -30,16 +40,14 @@ RELATIONS = ("=", "<", "=<", ">", ">=")
 ARRAY_KINDS = {"read": 3, "write": 4}
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: int
 
     def __str__(self) -> str:
@@ -49,8 +57,7 @@ class Const:
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(NamedTuple):
     """Integer linear expression: sum of coeff*var pairs plus a constant.
 
     ``terms`` is normalized: first-occurrence order, no zero coefficients,
@@ -76,6 +83,8 @@ class LinExpr:
         return {name for name, _ in self.terms}
 
     def subst(self, mapping: "dict[str, Term]") -> "LinExpr":
+        if not any(_moves(mapping, name) for name, _ in self.terms):
+            return self
         pairs: list[tuple[str, int]] = []
         const = self.const
         for name, coeff in self.terms:
@@ -109,8 +118,7 @@ class LinExpr:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class RelCon:
+class RelCon(NamedTuple):
     """Atomic relational constraint ``lhs rel rhs`` with rel in RELATIONS."""
 
     rel: str
@@ -121,14 +129,16 @@ class RelCon:
         return self.lhs.vars() | self.rhs.vars()
 
     def subst(self, mapping: "dict[str, Term]") -> "RelCon":
-        return RelCon(self.rel, self.lhs.subst(mapping), self.rhs.subst(mapping))
+        lhs, rhs = self.lhs.subst(mapping), self.rhs.subst(mapping)
+        if lhs is self.lhs and rhs is self.rhs:
+            return self
+        return RelCon(self.rel, lhs, rhs)
 
     def __str__(self) -> str:
         return f"{self.lhs}{self.rel}{self.rhs}"
 
 
-@dataclass(frozen=True)
-class ArrayCon:
+class ArrayCon(NamedTuple):
     """Opaque array pseudo-constraint: read(A,I,V) or write(A,I,V,B).
 
     Parsed and carried through transformations; the arithmetic oracle treats
@@ -142,7 +152,8 @@ class ArrayCon:
         return {t.name for t in self.args if isinstance(t, Var)}
 
     def subst(self, mapping: "dict[str, Term]") -> "ArrayCon":
-        return ArrayCon(self.kind, tuple(_subst_term(t, mapping) for t in self.args))
+        args = _subst_args(self.args, mapping)
+        return self if args is self.args else ArrayCon(self.kind, args)
 
     def __str__(self) -> str:
         return f"{self.kind}({','.join(str(a) for a in self.args)})"
@@ -151,8 +162,7 @@ class ArrayCon:
 AtomicCon = RelCon | ArrayCon
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Conjunction of atomic constraints; empty conjunction is true."""
 
     conjuncts: tuple[AtomicCon, ...] = ()
@@ -167,14 +177,14 @@ class Constraint:
         return any(isinstance(c, ArrayCon) for c in self.conjuncts)
 
     def subst(self, mapping: "dict[str, Term]") -> "Constraint":
-        return Constraint(tuple(c.subst(mapping) for c in self.conjuncts))
+        conjuncts = tuple([c.subst(mapping) for c in self.conjuncts])
+        return self if conjuncts == self.conjuncts else Constraint(conjuncts)
 
     def __str__(self) -> str:
         return ", ".join(str(c) for c in self.conjuncts)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     pred: str
     args: tuple[Term, ...] = ()
 
@@ -186,7 +196,8 @@ class Atom:
         return {t.name for t in self.args if isinstance(t, Var)}
 
     def subst(self, mapping: "dict[str, Term]") -> "Atom":
-        return Atom(self.pred, tuple(_subst_term(t, mapping) for t in self.args))
+        args = _subst_args(self.args, mapping)
+        return self if args is self.args else Atom(self.pred, args)
 
     def __str__(self) -> str:
         if not self.args:
@@ -194,8 +205,7 @@ class Atom:
         return f"{self.pred}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     head: Atom
     constraint: Constraint = Constraint()
     body: tuple[Atom, ...] = ()
@@ -221,8 +231,11 @@ class Clause:
         return list(seen)
 
     def subst(self, mapping: "dict[str, Term]") -> "Clause":
-        return Clause(self.head.subst(mapping), self.constraint.subst(mapping),
-                      tuple(a.subst(mapping) for a in self.body))
+        head, constraint = self.head.subst(mapping), self.constraint.subst(mapping)
+        body = tuple([a.subst(mapping) for a in self.body])
+        if head is self.head and constraint is self.constraint and body == self.body:
+            return self
+        return Clause(head, constraint, body)
 
     def __str__(self) -> str:
         items = [str(c) for c in self.constraint.conjuncts] + [str(a) for a in self.body]
@@ -290,10 +303,17 @@ def clause_problems(clause: Clause, arities: dict[str, int]) -> list[str]:
     return problems
 
 
-def _subst_term(term: Term, mapping: "dict[str, Term]") -> Term:
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    return term
+def _moves(mapping: "dict[str, Term]", name: str) -> bool:
+    """Whether ``mapping`` renames or binds the variable ``name``."""
+    image = mapping.get(name)
+    return image is not None and (isinstance(image, Const) or image.name != name)
+
+
+def _subst_args(args: tuple[Term, ...], mapping: "dict[str, Term]") -> tuple[Term, ...]:
+    """``args`` with ``mapping`` applied; ``args`` itself when it moves none."""
+    if not any(isinstance(t, Var) and _moves(mapping, t.name) for t in args):
+        return args
+    return tuple([mapping.get(t.name, t) if isinstance(t, Var) else t for t in args])
 
 
 def rename_apart(clause: Clause, taken: set[str]) -> dict[str, Var]:

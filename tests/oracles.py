@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from chcslim.syntax import (QUERY, Atom, Clause, Const, Constraint, LinExpr,
-                            Program, RelCon, Term)
+from chcslim.syntax import (QUERY, ArrayCon, Atom, Clause, Const, Constraint,
+                            LinExpr, Program, RelCon, Term, Var)
 
 SAT_BOX = 32
 FORALL_BOX = 16
@@ -71,6 +71,33 @@ def _canonical_clause(clause: Clause, pred_map: "dict[str, str] | None" = None) 
         else:
             cons.append((con.kind, tuple(canon_term(t) for t in con.args)))
     return (head, tuple(cons), tuple(canon_atom(a) for a in clause.body))
+
+
+def subst_rebuilt(clause: Clause, mapping: "dict[str, Term]") -> Clause:
+    """``clause`` with each variable named in ``mapping`` replaced by its
+    image, every node built anew; in each linear expression the coefficients
+    of one variable are summed, zeros dropped, in first-occurrence order."""
+    def term(t: Term) -> Term:
+        return mapping.get(t.name, t) if isinstance(t, Var) else t
+
+    def expr(e: LinExpr) -> LinExpr:
+        coeffs: dict[str, int] = {}
+        const = e.const
+        for name, k in e.terms:
+            image = term(Var(name))
+            if isinstance(image, Const):
+                const += k * image.value
+            else:
+                coeffs[image.name] = coeffs.get(image.name, 0) + k
+        return LinExpr(tuple((n, k) for n, k in coeffs.items() if k), const)
+
+    def atom(a: Atom) -> Atom:
+        return Atom(a.pred, tuple(map(term, a.args)))
+
+    cons = tuple(RelCon(c.rel, expr(c.lhs), expr(c.rhs)) if isinstance(c, RelCon)
+                 else ArrayCon(c.kind, tuple(map(term, c.args)))
+                 for c in clause.constraint.conjuncts)
+    return Clause(atom(clause.head), Constraint(cons), tuple(map(atom, clause.body)))
 
 
 def box_satisfiable(con: Constraint, box: int = SAT_BOX, *,

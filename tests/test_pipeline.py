@@ -4,7 +4,6 @@ the command line front end."""
 import json
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -132,7 +131,7 @@ def test_artifact_that_reads_back_as_another_program_fails(tmp_path,
         clauses = list(prog.clauses)
         i = next(i for i, c in enumerate(clauses) if c.constraint.conjuncts)
         conjuncts = clauses[i].constraint.conjuncts[1:]
-        clauses[i] = replace(clauses[i], constraint=Constraint(conjuncts))
+        clauses[i] = clauses[i]._replace(constraint=Constraint(conjuncts))
         return emit(Program(tuple(clauses)))
 
     monkeypatch.setattr(pipeline, "emit_clp", dropping)

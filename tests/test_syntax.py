@@ -14,10 +14,11 @@ from chcslim.syntax import (
     atom_variant_key, fresh_predicate_counter, mgu_atoms, productive_clauses,
     rename_apart,
 )
+from chcslim.corpus import corpus_names, load
 from chcslim.parser import parse_program
 
-from gen import clause_of
-from oracles import holds, programs_isomorphic
+from gen import clause_of, frame_program, random_program
+from oracles import holds, programs_isomorphic, subst_rebuilt
 
 names = st.sampled_from(["X", "Y", "Z", "W", "V1", "V2"])
 pairs = st.lists(st.tuples(names, st.integers(-9, 9)), max_size=6)
@@ -52,6 +53,78 @@ def test_linexpr_subst_replaces_var_with_const():
     out = e.subst({"X": Const(3)})
     assert out.vars() == {"Y"}
     assert out.const == 7
+
+
+def _nodes(clause):
+    """The clause and the nodes under it, each with its variables, in an
+    order that only the numbers of conjuncts and body atoms fix."""
+    yield clause, set(clause.vars())
+    yield clause.constraint, clause.constraint.vars()
+    for atom in (clause.head, *clause.body):
+        yield atom, atom.vars()
+    for con in clause.constraint.conjuncts:
+        yield con, con.vars()
+        if isinstance(con, RelCon):
+            yield con.lhs, con.lhs.vars()
+            yield con.rhs, con.rhs.vars()
+
+
+def test_subst_hands_back_the_nodes_it_leaves_unchanged():
+    # a node with no variable the mapping names comes back as itself, a
+    # clause under the identity renaming too, and every result equals the
+    # clause rebuilt node by node
+    rng, frames, pick = random.Random(1), random.Random(2), random.Random(23)
+    programs = ([load(name) for name in corpus_names()]
+                + [random_program(rng) for _ in range(300)]
+                + [frame_program(frames) for _ in range(100)])
+    shared = rebuilt = 0
+    for clause in (c for prog in programs for c in prog.clauses):
+        names = clause.vars()
+        assert clause.subst({n: Var(n) for n in names}) is clause
+        mapping = {}
+        for n in names:
+            roll = pick.random()
+            if roll < 0.2:
+                mapping[n] = Var(pick.choice(names + ["F1", "F2"]))
+            elif roll < 0.3:
+                mapping[n] = Const(pick.randint(-3, 3))
+        out = clause.subst(mapping)
+        assert out == subst_rebuilt(clause, mapping), (clause, mapping)
+        for (old, held), (new, _) in zip(_nodes(clause), _nodes(out)):
+            if held & mapping.keys():
+                rebuilt += new is not old
+            else:
+                assert new is old, (clause, mapping, old)
+                shared += 1
+    assert shared > 10_000 and rebuilt > 5_000
+
+
+def test_nodes_keep_their_api():
+    clause = clause_of("p(X,3) :- X=<Y+1, q(Y).")
+    assert repr(Var("X")) == "Var(name='X')"
+    assert repr(clause) == (
+        "Clause(head=Atom(pred='p', args=(Var(name='X'), Const(value=3))), "
+        "constraint=Constraint(conjuncts=(RelCon(rel='=<', "
+        "lhs=LinExpr(terms=(('X', 1),), const=0), "
+        "rhs=LinExpr(terms=(('Y', 1),), const=1)),)), "
+        "body=(Atom(pred='q', args=(Var(name='Y'),)),))")
+    assert repr(ArrayCon("read", (Var("A"), Const(0), Var("V")))) == (
+        "ArrayCon(kind='read', args=(Var(name='A'), Const(value=0), Var(name='V')))")
+    # immutable
+    for node, name in [(Var("X"), "name"), (Const(3), "value"),
+                       (LinExpr(), "terms"), (clause.constraint.conjuncts[0], "rel"),
+                       (ArrayCon("read", ()), "kind"), (clause.constraint, "conjuncts"),
+                       (clause.head, "args"), (clause, "body")]:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    # defaults
+    assert Clause(Atom("p")) == Clause(Atom("p", ()), Constraint(()), ())
+    assert (LinExpr().terms, LinExpr().const) == ((), 0)
+    # equal nodes hash equal
+    again = clause_of("p(X,3) :- X=<Y+1, q(Y).")
+    for (a, _), (b, _) in zip(_nodes(clause), _nodes(again)):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert len({clause, again}) == 1
 
 
 def test_relcon_holds_for():
