@@ -9,8 +9,8 @@ Each conjunct becomes the integer <=-rows of the constraint oracle
 (``constraints.rows_of``) over slots, so the evaluator has no reading of
 the relations of its own.  A grounding's assignment is a list indexed by
 slot, allocated once per call: binding a variable writes its slot, nothing
-unbinds it, and a probe key or a head tuple is one ``operator.itemgetter``
-call over the list, constants included.
+unbinds it, and a probe key or a head tuple is read from the list,
+constants included.
 
 For each body position that takes the last round's facts, the clause gets
 a join plan on first use.  The atoms are joined most-bound first: from the
@@ -42,10 +42,26 @@ too: no row of X+Y=X+2 holds X.)
 When the atoms leave exactly one variable free, as in a transition clause
 ``p(N,I) :- ..., J=I+2, p(N,J)``, that level has one candidate and every
 pending conjunct becomes checkable with it, so the plan builds its step
-with the atoms' (``_Lone``).  The loop over the last atom's facts then
-grounds the variable itself: its interval (``_interval``, the arithmetic
-``_choose`` uses too), the same emptiness and truncation rules, the same
-charge per value, and the head tuples.
+with the atoms'.  The loop over the last atom's facts then grounds the
+variable itself: its interval (the arithmetic of ``_interval``, which
+``_choose`` uses), the same emptiness and truncation rules, the same charge
+per value, and the head tuples.
+
+The atoms phase of a plan, lone variable included, runs as a kernel: a
+Python function generated from the plan (``_source``).  Each probe is
+written out as straight-line code over the assignment list: its table
+charge, its index lookup, its repeated-variable checks, its binds and the
+rows of the conjuncts made checkable.  Then come the next probe, the lone
+variable's interval rows, truncation, charge and head, or ``descend``.
+Each probe is a function of its own that calls the next for every
+surviving fact, so no kernel nests more than a few blocks.  Every value
+taken from the input is passed in as a parameter: predicate names, row
+bounds, coefficients other than 1 and -1 and the lone interval ends.  So a
+kernel depends only on its plan's shape, and kernels are cached by shape
+in one process-wide cache of ``_KERNELS`` entries.  The first plan of a
+shape pays for a compile, about 0.2-0.6 ms for the 17- to 39-line kernels
+of the bench families; every clause and problem of that shape after it
+reuses the function.
 
 The step budget counts one step per fact a probe stands for, that is the
 whole fact set a linear scan of it would walk, one per conjunct made
@@ -76,6 +92,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable, Set
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 from operator import itemgetter
 from typing import NamedTuple
@@ -224,17 +241,6 @@ Conjunct = tuple[frozenset[int], list[SlotRow]]
 Bounding = list[tuple[int, float, float, list[tuple[int, tuple, int]]]]
 
 
-class _Probe(NamedTuple):
-    """One body atom of a join plan."""
-    pred: str
-    delta: bool                      # matches the last round's facts only
-    key: tuple[int, ...]             # positions of constants and bound variables
-    lookup: Callable | None          # their slots' values, as ``_extend`` keys
-    binds: tuple[tuple[int, int], ...]   # (slot, position) bound here
-    same: tuple[tuple[int, int], ...]    # positions of a repeated new variable
-    ready: tuple[list[SlotRow], ...]     # conjuncts checkable after it, in order
-
-
 class _Level(NamedTuple):
     """The variable phase once the atoms' variables and those chosen on the
     way down are bound, built by ``_level``."""
@@ -251,36 +257,25 @@ class _Level(NamedTuple):
     after: dict[int, tuple[tuple[list[SlotRow], ...], bool, _Level]]
 
 
-class _Lone(NamedTuple):
-    """The one variable a plan's atoms leave free, grounded in the loop over
-    the last probe's facts."""
-    slot: int
-    lo: float                        # its interval from rows without another
-    hi: float                        # variable; the box when none bounds it
-    rows: list[tuple[int, tuple, int]]   # its other rows, as in ``Bounding``
-    ready: tuple[list[SlotRow], ...]     # every pending conjunct, in order
-    guaranteed: bool                 # its interval guarantees them
-    cost: int                        # steps per value
-
-
 class _Join(NamedTuple):
     """A clause's grounding with one body position as the delta atom."""
     initial: tuple[list[SlotRow], ...]   # conjuncts without variables
-    probes: tuple[_Probe, ...]
     level: _Level                    # the variable phase after the atoms
-    lone: _Lone | None               # that phase when it has one variable
+    kernel: Callable | None          # the atoms phase; None without atoms
+    params: tuple                    # the input values the kernel reads
 
 
 class _Compiled:
     """A clause compiled once per evaluation: a slot per variable, its index
     in clause order, and after those one per distinct constant of the
     atoms; the assignment a grounding starts from, which holds each
-    constant's value in its slot; the head tuple as a function of the
-    assignment; whether a head constant lies at or beyond the box edge;
-    per arithmetic conjunct the slots it names and its <=-rows over slots;
-    and a join plan per delta position, compiled on first use."""
-    __slots__ = ("clause", "slot", "variables", "start", "head", "bound",
-                 "clips", "conjuncts", "joins")
+    constant's value in its slot; the head's slots and its tuple as a
+    function of the assignment; whether a head constant lies at or beyond
+    the box edge; per arithmetic conjunct the slots it names and its
+    <=-rows over slots; and a join plan per delta position, compiled on
+    first use."""
+    __slots__ = ("clause", "slot", "variables", "start", "head_slots", "head",
+                 "bound", "clips", "conjuncts", "joins")
 
     def __init__(self, clause: Clause, bound: int):
         self.clause = clause
@@ -294,7 +289,8 @@ class _Compiled:
                     slot.setdefault(t.value, len(slot))
         self.slot = slot
         self.start = [0] * self.variables + list(slot)[self.variables:]
-        self.head = _tuple_of([self.slot_of(t) for t in clause.head.args])
+        self.head_slots = tuple(self.slot_of(t) for t in clause.head.args)
+        self.head = _tuple_of(self.head_slots)
         self.bound = bound
         self.clips = any(isinstance(t, Const) and abs(t.value) >= bound
                          for t in clause.head.args)
@@ -315,7 +311,7 @@ class _Compiled:
         return plan
 
 
-def _tuple_of(slots: list[int]) -> Callable[[list[int]], Fact]:
+def _tuple_of(slots: tuple[int, ...]) -> Callable[[list[int]], Fact]:
     """The function from an assignment to the tuple of its values at
     ``slots``; ``itemgetter`` gives a bare value for one slot."""
     if len(slots) == 1:
@@ -331,6 +327,12 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
     todo = list(enumerate(compiled.clause.body))
     if delta_index:
         todo.insert(0, todo.pop(delta_index))
+    params: list = []
+
+    def param(value) -> str:
+        params.append(value)
+        return f"P{len(params) - 1}"
+
     probes = []
     while todo:
         # most-bound atom first keeps the join narrow
@@ -349,13 +351,15 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
                 binds[s] = p
         bound |= binds.keys()
         ready, pending = _ready(pending, bound)
-        probes.append(_Probe(atom.pred, index == delta_index, tuple(key),
-                             itemgetter(*lookup) if lookup else None,
-                             tuple(binds.items()), tuple(same), ready))
+        probes.append((param(atom.pred), index == delta_index, tuple(key),
+                       tuple(lookup), tuple(binds.items()), tuple(same),
+                       _shaped(ready, param)))
     level = _level(pending, frozenset(bound),
                    [s for s in range(variables) if s not in bound])
+    if not probes:
+        return _Join(initial, level, None, ())
     lone = None
-    if probes and len(level.free) == 1:
+    if len(level.free) == 1:
         (s,) = level.free
         if level.bounding:
             ((_, lo, hi, rows),) = level.bounding
@@ -363,9 +367,31 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
             lo, hi, rows = -compiled.bound, compiled.bound, []
         ready, _ = _ready(pending, bound | {s})
         guaranteed = _guaranteed(s, ready)
-        lone = _Lone(s, lo, hi, rows, ready, guaranteed,
-                     1 + len(ready) if guaranteed else 1)
-    return _Join(initial, tuple(probes), level, lone)
+        lone = (s, param(lo), param(hi),
+                tuple((a > 0, a if a == 1 or a == -1 else param(a),
+                       _terms(rest, param), param(r)) for a, rest, r in rows),
+                None if guaranteed else _shaped(ready, param),
+                1 + len(ready) if guaranteed else 1)
+    shape = (len(params), tuple(probes), lone, not level.free,
+             compiled.head_slots)
+    return _Join(initial, level, _kernel(shape), tuple(params))
+
+
+def _terms(terms: tuple[tuple[int, int], ...], param) -> tuple:
+    """``terms`` with each coefficient other than 1 and -1 named by a
+    parameter."""
+    for _, c in terms:
+        if c != 1 and c != -1:
+            return tuple(t if t[1] == 1 or t[1] == -1 else (t[0], param(t[1]))
+                         for t in terms)
+    return terms
+
+
+def _shaped(conjuncts: tuple[list[SlotRow], ...], param) -> tuple:
+    """The shape of ``conjuncts``: their rows with ``_terms`` and each bound
+    named by a parameter."""
+    return tuple(tuple((_terms(terms, param), param(r)) for terms, r in rows)
+                 for rows in conjuncts)
 
 
 def _ready(pending: list[Conjunct], bound: Set[int]) \
@@ -409,14 +435,145 @@ def _level(pending: list[Conjunct], bound: frozenset[int],
     return _Level(bound, free, bounding, pending, {})
 
 
+# The shapes whose kernels stay compiled: a batch of problems from one
+# translator repeats a few shapes, so a small bound holds them all.
+_KERNELS = 256
+_GROUP = 64  # the most terms a kernel sums without parentheses
+
+
+@lru_cache(maxsize=_KERNELS)
+def _kernel(shape: tuple) -> Callable:
+    """The kernel of a plan's atoms phase with this shape: the ``kernel``
+    function ``_source(shape)`` defines, compiled once per process."""
+    namespace: dict = {}
+    exec(compile(_source(shape), "<join kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _source(shape: tuple) -> str:
+    """The Python source of a kernel.  The shape, built by ``_plan``, is
+
+    - the number of parameters;
+    - per probe, in join order: the parameter naming its predicate, whether
+      it matches the last round's facts, its key positions and their slots,
+      its (slot, position) binds, its repeated-variable position pairs and
+      the conjuncts made checkable after it;
+    - the lone variable, or None: its slot, the parameters of its interval
+      ends, its other rows as (a > 0, a, rest, bound), the conjuncts it
+      makes checkable unless its interval guarantees them, and its charge
+      per value;
+    - whether the atoms bind every variable;
+    - the head's slots.
+
+    A conjunct is a tuple of rows (terms, bound), a term is (slot,
+    coefficient), and each bound and each coefficient other than 1 and -1
+    is a parameter, so the shape and the source hold no input value.
+
+    ``kernel(a, E, L, st, out, descend, level, P)`` runs on the
+    assignment, the indexes of every fact and of the last round's facts,
+    the ``_State``, the list of head tuples, ``_ground``'s ``descend``, the
+    plan's level and the parameters.  Probe ``i`` is the function ``mi``:
+    it charges the table, loops over the facts its key finds, checks the
+    repeated variables, binds, checks the conjuncts made checkable and
+    calls the next probe; after the last come ``descend``, the head or the
+    lone variable, grounded as ``_choose`` and ``descend`` would ground it.
+    A charge adds to ``st.steps``, and ``st.tick(0)`` raises once they
+    exceed the budget."""
+    count, probes, lone, emits, head = shape
+    lines = ["def kernel(a, E, L, st, out, descend, level, P):",
+             "    " + "".join(f"P{i}, " for i in range(count)) + "= P",
+             "    B, EDGE = st.budget, st.bound"]
+
+    def emit(depth: int, text: str) -> None:
+        lines.append("    " * depth + text)
+
+    def charge(depth: int, cost: object) -> None:
+        emit(depth, f"st.steps += {cost}")
+        emit(depth, "if st.steps > B: st.tick(0)")
+
+    def total(terms: tuple) -> str:
+        if len(terms) > _GROUP:
+            # a sum nests one level per term when compiled: summed in groups
+            # it nests _GROUP levels per group level, far below the limit
+            step = -(-len(terms) // _GROUP)
+            return " + ".join(f"({total(terms[i:i + step])})"
+                              for i in range(0, len(terms), step))
+        text = "".join(f" + a[{s}]" if c == 1 else f" - a[{s}]" if c == -1
+                       else f" + {c} * a[{s}]" for s, c in terms)
+        return text.removeprefix(" + ").removeprefix(" ") or "0"
+
+    def check(depth: int, conjuncts: tuple) -> None:
+        # holds(): the first conjunct with a row over its bound fails
+        for checked, rows in enumerate(conjuncts, 1):
+            emit(depth, "if " + " or ".join(f"{total(terms)} > {r}"
+                                            for terms, r in rows) + ":")
+            charge(depth + 1, checked)
+            emit(depth + 1, "continue")
+        if conjuncts:
+            charge(depth, len(conjuncts))
+
+    head_tuple = "(" + "".join(f"a[{s}], " for s in head) + ")"
+    for i, (pred, delta, key, lookup, binds, same, ready) in enumerate(probes):
+        facts = "L" if delta else "E"
+        emit(1, f"T{i} = {facts}.table[{pred}]")
+        emit(1, f"def m{i}():")
+        charge(2, f"len(T{i})")
+        if key:
+            # an index key as _extend makes it: a bare value for one position
+            values = ", ".join(f"a[{s}]" for s in lookup)
+            values = f"({values})" if len(lookup) > 1 else values
+            emit(2, f"for f in {facts}.index({pred}, {key})"
+                    f".get({values}, ()):")
+        else:
+            emit(2, f"for f in T{i}:")
+        if same:
+            emit(3, "if " + " or ".join(f"f[{p}] != f[{q}]" for p, q in same)
+                 + ": continue")
+        for s, p in binds:
+            emit(3, f"a[{s}] = f[{p}]")
+        check(3, ready)
+        if i + 1 < len(probes):
+            emit(3, f"m{i + 1}()")
+        elif lone:
+            x, lo, hi, rows, after, cost = lone
+            emit(3, f"lo, hi = {lo}, {hi}")
+            for positive, c, rest, r in rows:  # _interval
+                rest = total(rest)
+                if c == 1:
+                    emit(3, f"r = {r} - ({rest})")
+                elif c == -1:
+                    emit(3, f"r = {rest} - {r}")
+                elif positive:
+                    emit(3, f"r = ({r} - ({rest})) // {c}")
+                else:
+                    emit(3, f"r = -(({rest} - {r}) // {c})")
+                emit(3, "if r < hi: hi = r" if positive
+                     else "if r > lo: lo = r")
+            emit(3, "if lo > hi: continue")
+            emit(3, "if lo < -EDGE or hi > EDGE:")
+            emit(4, "st.clipped = True")
+            emit(4, "lo, hi = max(lo, -EDGE), min(hi, EDGE)")
+            emit(3, "for v in range(lo, hi + 1):")
+            charge(4, cost)
+            emit(4, f"a[{x}] = v")
+            if after is not None:
+                check(4, after)
+            emit(4, f"out.append({head_tuple})")
+            emit(4, "if v == EDGE or v == -EDGE: st.clipped = True")
+        elif emits:
+            emit(3, f"out.append({head_tuple})")
+        else:
+            emit(3, "descend(level)")
+    emit(1, "m0()")
+    return "\n".join(lines) + "\n"
+
+
 def _ground(compiled: _Compiled, delta_index: int | None,
             everything: _Indexes | None, last: _Indexes | None,
             state: _State) -> list[Fact]:
     """Head tuples of every satisfying clause instantiation; the body atom
     at ``delta_index`` (when given) matches only the facts of ``last``."""
-    join = compiled.join(delta_index)
-    probes, lone, head = join.probes, join.lone, compiled.head
-    edge = state.bound
+    head, edge = compiled.head, state.bound
     # values by slot; a slot is read only while the plan has it bound
     assignment = compiled.start.copy()
     out: list[Fact] = []
@@ -431,50 +588,6 @@ def _ground(compiled: _Compiled, delta_index: int | None,
                     return False
         state.tick(len(conjuncts))
         return True
-
-    def match(i: int) -> None:
-        """Bind the atom of ``probes[i]`` to each matching fact in turn,
-        check the conjuncts that become checkable, then go on to the next
-        atom or to the variable phase; with one variable left, ground it
-        here: ``descend`` and ``_choose`` on one candidate."""
-        probe = probes[i]
-        facts = last if probe.delta else everything
-        table = facts.table[probe.pred]
-        state.tick(len(table))
-        if probe.key:
-            candidates = facts.index(probe.pred, probe.key).get(
-                probe.lookup(assignment), ())
-        else:
-            candidates = table
-        same, binds, ready = probe.same, probe.binds, probe.ready
-        last_probe = i + 1 == len(probes)
-        if last_probe and lone:
-            x, x_lo, x_hi, x_rows, after, guaranteed, cost = lone
-        for fact in candidates:
-            if same and any(fact[p] != fact[q] for p, q in same):
-                continue
-            for s, p in binds:
-                assignment[s] = fact[p]
-            if ready and not holds(ready):
-                continue
-            if not last_probe:
-                match(i + 1)
-            elif lone is None:
-                descend(join.level)
-            else:
-                lo, hi = _interval(x_lo, x_hi, x_rows, assignment)
-                if lo > hi:
-                    continue
-                if lo < -edge or hi > edge:
-                    state.clipped = True
-                    lo, hi = max(lo, -edge), min(hi, edge)
-                for value in range(lo, hi + 1):
-                    state.tick(cost)
-                    assignment[x] = value
-                    if guaranteed or holds(after):
-                        out.append(head(assignment))
-                        if value == edge or value == -edge:
-                            state.clipped = True
 
     def descend(level: _Level) -> None:
         """Emit the head once every variable is bound; else bind the
@@ -509,20 +622,23 @@ def _ground(compiled: _Compiled, delta_index: int | None,
                     state.clipped = True
 
     try:
+        join = compiled.join(delta_index)  # compiles its kernel on first use
         if holds(join.initial):
-            if probes:
-                match(0)
-            else:
+            if join.kernel is None:
                 descend(join.level)
+            else:
+                join.kernel(assignment, everything, last, state, out,
+                            descend, join.level, join.params)
     except RecursionError:
-        # one frame per atom and per variable enumerated by descend
+        # one frame per atom and per variable enumerated by descend; or a
+        # kernel nested deeper than the compiler takes
         raise EvalError(f"grounding {compiled.clause.head} nests deeper "
                         f"than the recursion limit "
                         f"({sys.getrecursionlimit()})") from None
     finally:
-        # match and descend reach themselves through their closures; the
-        # cycle would keep the fact indexes alive until a full collection
-        del match, descend
+        # descend reaches itself through its closure; the cycle would keep
+        # the fact indexes alive until a full collection
+        del descend
     if out and compiled.clips:
         state.clipped = True
     return out

@@ -232,9 +232,13 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
                 current, _, _ = cfar_transform(current)
             rec.stage_times[stage] = time.perf_counter() - start
             clp_path = cfg.out_dir / f"{rec.name}.{stage}.clp"
-            clp_path.write_text(emit_clp(current))
-            rec.artifacts.append(str(clp_path))
-            problem = _recheck_artifact(clp_path, current)
+            try:
+                clp_path.write_text(emit_clp(current))
+                rec.artifacts.append(str(clp_path))
+                problem = _recheck_artifact(clp_path, current)
+            except OSError as exc:  # not written, or not read back
+                rec.error = f"artifact error: {exc}"
+                return rec
             if problem:
                 rec.internal_error = problem
                 return rec
@@ -253,6 +257,9 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
         rec.artifacts.append(str(smt_path))
     except SmtEmitError as exc:
         rec.error = f"emit error: {exc}"
+        return rec
+    except OSError as exc:
+        rec.error = f"artifact error: {exc}"
         return rec
 
     if cfg.solver_cmd is not None:

@@ -10,6 +10,7 @@ from chcslim import (
     EvalBudgetError, EvalError, TriState, bounded_least_model, cfar_transform,
     derives_unsafe, nlr_transform, parse_program,
 )
+from chcslim import bounded
 from chcslim.corpus import corpus_names, load
 
 from gen import frame_program, random_program
@@ -141,6 +142,70 @@ def test_wide_one_clause_shapes_are_pinned(source, bound, expected):
 def test_wide_ascending_chain_exhausts_the_budget():
     with pytest.raises(EvalBudgetError):
         bounded_least_model(parse_program(_ascending(50)), 32, budget=100_000)
+
+
+def _deep_body(n: int) -> str:
+    facts = "".join(f"q{i}({i % 2}).\n" for i in range(n))
+    body = ", ".join(f"q{i}(X{i})" for i in range(n))
+    return f"{facts}p(X0) :- {body}.\nunsafe :- p(X), X>=0."
+
+
+# One clause joining n atoms: (size(), rounds, clipped, steps) at bound 4.
+# CPython compiles no more than 20 statically nested blocks, so a kernel
+# that nested one loop per atom would fail for n = 25 and 40.
+@pytest.mark.parametrize("n, expected", [
+    (18, (20, 3, False, 326)),
+    (25, (27, 3, False, 627)),
+    (40, (42, 3, False, 1602)),
+])
+def test_deep_bodies_are_pinned(n, expected):
+    model = bounded_least_model(parse_program(_deep_body(n)), 4)
+    assert (model.size(), model.rounds, model.clipped, model.steps) == expected
+
+
+def test_wide_rows_compile():
+    # a sum written flat nests one level per term in the compiler, which
+    # gives up after a few thousand; the kernel sums in groups
+    n = 4000
+    xs = [f"X{i}" for i in range(n)]
+    source = (f"q({','.join(str(i % 2) for i in range(n))}).\n"
+              f"p(X1) :- q({','.join(xs)}), {'+'.join(xs)}={n // 2}.\n"
+              f"r(Y) :- q({','.join(xs)}), Y={'+'.join(xs)}-{n // 2 - 3}.\n"
+              "unsafe :- p(X), r(X).")
+    model = bounded_least_model(parse_program(source), 8)
+    assert model.facts["p"] == {(1,)} and model.facts["r"] == {(3,)}
+    assert model.verdict() is TriState.FAILS
+
+
+def _spelled(names: str, digits: str) -> str:
+    # one program in many spellings: predicate names start with ``names``
+    # and constants with ``digits``
+    return (f"{names}q(0).\n"
+            f"{names}q(Y) :- {names}q(X), Y=X+1, X=<{digits}1.\n"
+            f"{names}r(X,{digits}2) :- {names}q(X), {digits}3*X>=2.\n"
+            f"{names}p(X,Z) :- {names}q(X), {names}r(X,Z), X+Z=<{digits}4, "
+            f"{names}q({digits}5).\n"
+            f"unsafe :- {names}p(X,Z), X>=3.")
+
+
+def test_kernels_are_shared_by_shape_and_hold_no_input(monkeypatch):
+    compiled = bounded._kernel
+    shapes = []
+    monkeypatch.setattr(bounded, "_kernel",
+                        lambda shape: shapes.append(shape) or compiled(shape))
+    compiled.cache_clear()
+    bounded_least_model(parse_program(_spelled("aa", "42424")), 8)
+    first = compiled.cache_info()
+    served = len(shapes)
+    bounded_least_model(parse_program(_spelled("zz", "98765")), 8)
+    second = compiled.cache_info()
+    # the second program compiles nothing: every plan finds its kernel
+    assert first.misses > 0 and second.misses == first.misses
+    assert second.hits - first.hits == len(shapes) - served > 0
+    for shape in shapes:
+        text = repr(shape) + bounded._source(shape)
+        for given in ("aa", "zz", "42424", "98765"):
+            assert given not in text
 
 
 @pytest.mark.parametrize("source, steps", [

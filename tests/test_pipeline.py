@@ -180,6 +180,37 @@ def test_unreadable_input_becomes_error_record(tmp_path, fake_solver, name):
     assert records[1].verdict == "sat"
 
 
+def test_unwritable_clp_artifact_becomes_error_record(tmp_path, capsys):
+    # the input's name fits, but its .nlr.clp artifact's name is too long
+    long = tmp_path / ("x" * 250 + ".clp")
+    long.write_text((CORPUS / "chain_safe.clp").read_text())
+    argv = ["pipeline", str(long), str(CORPUS / "branch_unsafe.clp"),
+            "--out-dir", str(tmp_path / "out"), "--bound", "8", "--json"]
+    assert main(argv) == 0
+    records = parse_json_lines(capsys.readouterr().out)
+    assert records[0].error.startswith("artifact error: ")
+    assert not records[0].internal_error and not records[0].artifacts
+    assert (records[1].name, records[1].oracle) == ("branch_unsafe", "holds")
+
+
+def test_unwritable_smt_artifact_becomes_error_record(tmp_path, capsys):
+    for name, source in (("z", "chain_safe"), ("y", "branch_unsafe")):
+        (tmp_path / f"{name}.clp").write_text(
+            (CORPUS / f"{source}.clp").read_text())
+    (tmp_path / "out" / "z.smt2").mkdir(parents=True)
+    argv = ["pipeline", str(tmp_path / "z.clp"), str(tmp_path / "y.clp"),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert not captured.err
+    records = parse_json_lines(captured.out)
+    assert [r.name for r in records] == ["z", "y"]
+    assert records[0].error.startswith("artifact error: ")
+    assert "z.smt2" in records[0].error and not records[0].internal_error
+    assert records[1].error is None
+    assert (tmp_path / "out" / "y.smt2").is_file()
+
+
 def test_stage_subset_skips_other_transform(tmp_path):
     cfg = config(tmp_path, stages=("nlr",))
     record = run_pipeline(cfg)[0]
