@@ -56,12 +56,18 @@ variable's interval rows, truncation, charge and head, or ``descend``.
 Each probe is a function of its own that calls the next for every
 surviving fact, so no kernel nests more than a few blocks.  Every value
 taken from the input is passed in as a parameter: predicate names, row
-bounds, coefficients other than 1 and -1 and the lone interval ends.  So a
-kernel depends only on its plan's shape, and kernels are cached by shape
-in one process-wide cache of ``_KERNELS`` entries.  The first plan of a
-shape pays for a compile, about 0.2-0.6 ms for the 17- to 39-line kernels
-of the bench families; every clause and problem of that shape after it
-reuses the function.
+bounds, coefficients other than 1 and -1 and the lone interval ends.  A
+group of rows wider than ``_INLINE`` (``_width``), and a list of binds,
+checks, key or head slots longer than that, is a parameter too, which the
+kernel hands to ``_holds`` or ``_interval`` or loops over, so a kernel
+grows with the atoms of its clause, not with their width.  So a kernel
+depends only on its plan's shape, and kernels are cached by shape in one
+process-wide cache of ``_KERNELS`` entries.  The first plan of a shape
+pays for a compile, about 0.2-0.6 ms for kernels of 10 to 35 lines;
+every clause and problem of that shape after it reuses the function.
+That pays off where shapes repeat, as in a batch of problems from one
+translator, and costs time where they do not (a single small program, or
+programs drawn at random).
 
 The step budget counts one step per fact a probe stands for, that is the
 whole fact set a linear scan of it would walk, one per conjunct made
@@ -333,6 +339,10 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
         params.append(value)
         return f"P{len(params) - 1}"
 
+    def part(items: tuple) -> tuple | str:
+        # a list wider than _INLINE is read from a parameter in a loop
+        return items if len(items) <= _INLINE else param(items)
+
     probes = []
     while todo:
         # most-bound atom first keeps the join narrow
@@ -351,8 +361,9 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
                 binds[s] = p
         bound |= binds.keys()
         ready, pending = _ready(pending, bound)
-        probes.append((param(atom.pred), index == delta_index, tuple(key),
-                       tuple(lookup), tuple(binds.items()), tuple(same),
+        probes.append((param(atom.pred), index == delta_index,
+                       part(tuple(key)), part(tuple(lookup)),
+                       part(tuple(binds.items())), part(tuple(same)),
                        _shaped(ready, param)))
     level = _level(pending, frozenset(bound),
                    [s for s in range(variables) if s not in bound])
@@ -367,13 +378,17 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
             lo, hi, rows = -compiled.bound, compiled.bound, []
         ready, _ = _ready(pending, bound | {s})
         guaranteed = _guaranteed(s, ready)
-        lone = (s, param(lo), param(hi),
-                tuple((a > 0, a if a == 1 or a == -1 else param(a),
-                       _terms(rest, param), param(r)) for a, rest, r in rows),
-                None if guaranteed else _shaped(ready, param),
+        if _width(rest for _, rest, _ in rows) > _INLINE:
+            shaped = param(rows)
+        else:
+            shaped = tuple((a > 0, a if a == 1 or a == -1 else param(a),
+                            _terms(rest, param), param(r))
+                           for a, rest, r in rows)
+        lone = (s, param(lo), param(hi), shaped,
+                () if guaranteed else _shaped(ready, param),
                 1 + len(ready) if guaranteed else 1)
-    shape = (len(params), tuple(probes), lone, not level.free,
-             compiled.head_slots)
+    head = part(compiled.head_slots)
+    shape = (len(params), tuple(probes), lone, not level.free, head)
     return _Join(initial, level, _kernel(shape), tuple(params))
 
 
@@ -387,9 +402,18 @@ def _terms(terms: tuple[tuple[int, int], ...], param) -> tuple:
     return terms
 
 
-def _shaped(conjuncts: tuple[list[SlotRow], ...], param) -> tuple:
+def _width(rows) -> int:
+    """How much code writing ``rows`` out takes: one per row and one per
+    term."""
+    return sum(1 + len(terms) for terms in rows)
+
+
+def _shaped(conjuncts: tuple[list[SlotRow], ...], param) -> tuple | str:
     """The shape of ``conjuncts``: their rows with ``_terms`` and each bound
-    named by a parameter."""
+    named by a parameter; or, when they are wider than ``_INLINE``, the
+    parameter that holds them all."""
+    if _width(terms for rows in conjuncts for terms, _ in rows) > _INLINE:
+        return param(conjuncts)
     return tuple(tuple((_terms(terms, param), param(r)) for terms, r in rows)
                  for rows in conjuncts)
 
@@ -435,17 +459,22 @@ def _level(pending: list[Conjunct], bound: frozenset[int],
     return _Level(bound, free, bounding, pending, {})
 
 
-# The shapes whose kernels stay compiled: a batch of problems from one
-# translator repeats a few shapes, so a small bound holds them all.
+# The shapes whose kernels stay compiled.  At seed 101 the bench's loop_nest
+# serves 768 plans from 6 shapes and block_wide 168 from 3; the random and
+# frame programs of test_evaluator_outcomes_are_pinned ask for 3,485 plans
+# of 572 shapes, so there the cache evicts and 611 plans compile.
 _KERNELS = 256
-_GROUP = 64  # the most terms a kernel sums without parentheses
+# The widest group of rows (_width) and the longest list of binds, checks,
+# key or head slots a kernel writes out; a wider one is a parameter, which
+# _holds checks, _interval narrows by or the kernel loops over
+_INLINE = 16
 
 
 @lru_cache(maxsize=_KERNELS)
 def _kernel(shape: tuple) -> Callable:
     """The kernel of a plan's atoms phase with this shape: the ``kernel``
     function ``_source(shape)`` defines, compiled once per process."""
-    namespace: dict = {}
+    namespace = {"_holds": _holds, "_interval": _interval}
     exec(compile(_source(shape), "<join kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -467,7 +496,10 @@ def _source(shape: tuple) -> str:
 
     A conjunct is a tuple of rows (terms, bound), a term is (slot,
     coefficient), and each bound and each coefficient other than 1 and -1
-    is a parameter, so the shape and the source hold no input value.
+    is a parameter, so the shape and the source hold no input value.  A
+    group of rows wider than ``_INLINE`` is instead the name of the
+    parameter that holds it, and the kernel calls ``_holds`` or
+    ``_interval`` on it, the functions ``descend`` and ``_choose`` use.
 
     ``kernel(a, E, L, st, out, descend, level, P)`` runs on the
     assignment, the indexes of every fact and of the last round's facts,
@@ -492,18 +524,15 @@ def _source(shape: tuple) -> str:
         emit(depth, "if st.steps > B: st.tick(0)")
 
     def total(terms: tuple) -> str:
-        if len(terms) > _GROUP:
-            # a sum nests one level per term when compiled: summed in groups
-            # it nests _GROUP levels per group level, far below the limit
-            step = -(-len(terms) // _GROUP)
-            return " + ".join(f"({total(terms[i:i + step])})"
-                              for i in range(0, len(terms), step))
         text = "".join(f" + a[{s}]" if c == 1 else f" - a[{s}]" if c == -1
                        else f" + {c} * a[{s}]" for s, c in terms)
         return text.removeprefix(" + ").removeprefix(" ") or "0"
 
-    def check(depth: int, conjuncts: tuple) -> None:
-        # holds(): the first conjunct with a row over its bound fails
+    def check(depth: int, conjuncts: tuple | str) -> None:
+        if isinstance(conjuncts, str):
+            emit(depth, f"if not _holds({conjuncts}, a, st): continue")
+            return
+        # as _holds: the first conjunct with a row over its bound fails
         for checked, rows in enumerate(conjuncts, 1):
             emit(depth, "if " + " or ".join(f"{total(terms)} > {r}"
                                             for terms, r in rows) + ":")
@@ -512,7 +541,13 @@ def _source(shape: tuple) -> str:
         if conjuncts:
             charge(depth, len(conjuncts))
 
-    head_tuple = "(" + "".join(f"a[{s}], " for s in head) + ")"
+    def gather(slots: tuple | str) -> str:
+        # the values at slots, as a tuple
+        if isinstance(slots, str):
+            return f"tuple([a[s] for s in {slots}])"
+        return "(" + "".join(f"a[{s}], " for s in slots) + ")"
+
+    head_tuple = gather(head)
     for i, (pred, delta, key, lookup, binds, same, ready) in enumerate(probes):
         facts = "L" if delta else "E"
         emit(1, f"T{i} = {facts}.table[{pred}]")
@@ -520,35 +555,43 @@ def _source(shape: tuple) -> str:
         charge(2, f"len(T{i})")
         if key:
             # an index key as _extend makes it: a bare value for one position
-            values = ", ".join(f"a[{s}]" for s in lookup)
-            values = f"({values})" if len(lookup) > 1 else values
+            values = (gather(lookup) if isinstance(lookup, str)
+                      or len(lookup) > 1 else f"a[{lookup[0]}]")
             emit(2, f"for f in {facts}.index({pred}, {key})"
                     f".get({values}, ()):")
         else:
             emit(2, f"for f in T{i}:")
-        if same:
+        if isinstance(same, str):
+            emit(3, f"if any(f[p] != f[q] for p, q in {same}): continue")
+        elif same:
             emit(3, "if " + " or ".join(f"f[{p}] != f[{q}]" for p, q in same)
                  + ": continue")
-        for s, p in binds:
-            emit(3, f"a[{s}] = f[{p}]")
+        if isinstance(binds, str):
+            emit(3, f"for s, p in {binds}: a[s] = f[p]")
+        else:
+            for s, p in binds:
+                emit(3, f"a[{s}] = f[{p}]")
         check(3, ready)
         if i + 1 < len(probes):
             emit(3, f"m{i + 1}()")
         elif lone:
             x, lo, hi, rows, after, cost = lone
-            emit(3, f"lo, hi = {lo}, {hi}")
-            for positive, c, rest, r in rows:  # _interval
-                rest = total(rest)
-                if c == 1:
-                    emit(3, f"r = {r} - ({rest})")
-                elif c == -1:
-                    emit(3, f"r = {rest} - {r}")
-                elif positive:
-                    emit(3, f"r = ({r} - ({rest})) // {c}")
-                else:
-                    emit(3, f"r = -(({rest} - {r}) // {c})")
-                emit(3, "if r < hi: hi = r" if positive
-                     else "if r > lo: lo = r")
+            if isinstance(rows, str):
+                emit(3, f"lo, hi = _interval({lo}, {hi}, {rows}, a)")
+            else:
+                emit(3, f"lo, hi = {lo}, {hi}")
+                for positive, c, rest, r in rows:  # as _interval
+                    rest = total(rest)
+                    if c == 1:
+                        emit(3, f"r = {r} - ({rest})")
+                    elif c == -1:
+                        emit(3, f"r = {rest} - {r}")
+                    elif positive:
+                        emit(3, f"r = ({r} - ({rest})) // {c}")
+                    else:
+                        emit(3, f"r = -(({rest} - {r}) // {c})")
+                    emit(3, "if r < hi: hi = r" if positive
+                         else "if r > lo: lo = r")
             emit(3, "if lo > hi: continue")
             emit(3, "if lo < -EDGE or hi > EDGE:")
             emit(4, "st.clipped = True")
@@ -556,8 +599,7 @@ def _source(shape: tuple) -> str:
             emit(3, "for v in range(lo, hi + 1):")
             charge(4, cost)
             emit(4, f"a[{x}] = v")
-            if after is not None:
-                check(4, after)
+            check(4, after)
             emit(4, f"out.append({head_tuple})")
             emit(4, "if v == EDGE or v == -EDGE: st.clipped = True")
         elif emits:
@@ -577,17 +619,6 @@ def _ground(compiled: _Compiled, delta_index: int | None,
     # values by slot; a slot is read only while the plan has it bound
     assignment = compiled.start.copy()
     out: list[Fact] = []
-
-    def holds(conjuncts: tuple[list[SlotRow], ...]) -> bool:
-        for checked, rows in enumerate(conjuncts, 1):
-            for terms, r in rows:
-                for s, c in terms:
-                    r -= c * assignment[s]
-                if r < 0:
-                    state.tick(checked)
-                    return False
-        state.tick(len(conjuncts))
-        return True
 
     def descend(level: _Level) -> None:
         """Emit the head once every variable is bound; else bind the
@@ -611,7 +642,7 @@ def _ground(compiled: _Compiled, delta_index: int | None,
         for value in range(lo, hi + 1):
             state.tick(cost)
             assignment[s] = value
-            if guaranteed or holds(ready):
+            if guaranteed or _holds(ready, assignment, state):
                 emitted = len(out)
                 if below.free:
                     descend(below)
@@ -623,7 +654,7 @@ def _ground(compiled: _Compiled, delta_index: int | None,
 
     try:
         join = compiled.join(delta_index)  # compiles its kernel on first use
-        if holds(join.initial):
+        if _holds(join.initial, assignment, state):
             if join.kernel is None:
                 descend(join.level)
             else:
@@ -642,6 +673,21 @@ def _ground(compiled: _Compiled, delta_index: int | None,
     if out and compiled.clips:
         state.clipped = True
     return out
+
+
+def _holds(conjuncts: tuple[list[SlotRow], ...], assignment: list[int],
+           state: _State) -> bool:
+    """Whether ``assignment`` satisfies every row of ``conjuncts``.  It
+    charges one step per conjunct checked, up to the first that fails."""
+    for checked, rows in enumerate(conjuncts, 1):
+        for terms, r in rows:
+            for s, c in terms:
+                r -= c * assignment[s]
+            if r < 0:
+                state.tick(checked)
+                return False
+    state.tick(len(conjuncts))
+    return True
 
 
 def _interval(lo: float, hi: float, rows: list[tuple[int, tuple, int]],

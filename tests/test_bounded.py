@@ -163,9 +163,14 @@ def test_deep_bodies_are_pinned(n, expected):
     assert (model.size(), model.rounds, model.clipped, model.steps) == expected
 
 
-def test_wide_rows_compile():
-    # a sum written flat nests one level per term in the compiler, which
-    # gives up after a few thousand; the kernel sums in groups
+def test_wide_rows_compile(monkeypatch):
+    # rows and atoms wider than _INLINE are parameters the kernel loops
+    # over, so its source does not grow with them: written out, a sum of
+    # a few thousand terms exceeds the compiler's nesting limit
+    compiled = bounded._kernel
+    sources = []
+    monkeypatch.setattr(bounded, "_kernel", lambda shape: sources.append(
+        bounded._source(shape)) or compiled(shape))
     n = 4000
     xs = [f"X{i}" for i in range(n)]
     source = (f"q({','.join(str(i % 2) for i in range(n))}).\n"
@@ -175,6 +180,52 @@ def test_wide_rows_compile():
     model = bounded_least_model(parse_program(source), 8)
     assert model.facts["p"] == {(1,)} and model.facts["r"] == {(3,)}
     assert model.verdict() is TriState.FAILS
+    assert sources and all(len(text) < 2000 for text in sources)
+
+
+def _rows_program(rng: random.Random) -> str:
+    # q holds a few points; p's Z is left free by its atom, and r's
+    # conjuncts are checked after its atoms
+    def relation(names: str) -> str:
+        terms = "".join(f" + {c}*{v}" if c > 0 else f" - {-c}*{v}"
+                        for v in rng.sample(names, rng.randint(1, 3))
+                        for c in [rng.choice((1, -1, 2, -2, 3, -3))])
+        return (f"0{terms} {rng.choice(('=', '=<', '>=', '<', '>'))} "
+                f"{rng.randint(-4, 4)}")
+
+    facts = "".join(f"q({rng.randint(-3, 3)},{rng.randint(-3, 3)}).\n"
+                    for _ in range(6))
+    p = ", ".join(relation("XYZ") for _ in range(rng.randint(1, 3)))
+    r = ", ".join(relation("XYZ") for _ in range(rng.randint(1, 3)))
+    return (f"{facts}p(X,Y,Z) :- q(X,Y), {p}.\n"
+            f"r(X,Y) :- p(X,Y,Z), q(Y,Z), {r}.\n"
+            "unsafe :- r(X,Y), X>=Y.")
+
+
+def test_kernels_read_rows_as_holds_and_interval_do(monkeypatch):
+    # the same programs with every group of rows and every list written
+    # out, then with each passed as a parameter: _holds checks the
+    # conjuncts and _interval narrows the lone variable, as descend and
+    # _choose do, and the facts, flag, rounds and steps must agree
+    rng = random.Random(7)
+    programs = ([parse_program(_rows_program(rng)) for _ in range(60)]
+                + [random_program(rng) for _ in range(30)]
+                + [frame_program(rng) for _ in range(10)])
+
+    def outcomes(width: int) -> list:
+        monkeypatch.setattr(bounded, "_INLINE", width)
+        runs = []
+        for prog in programs:
+            for bound in (4, 8):
+                try:
+                    model = bounded_least_model(prog, bound, budget=50_000)
+                    runs.append((model.facts, model.clipped, model.rounds,
+                                 model.steps))
+                except EvalError as e:
+                    runs.append(str(e))
+        return runs
+
+    assert outcomes(10**6) == outcomes(0)
 
 
 def _spelled(names: str, digits: str) -> str:
