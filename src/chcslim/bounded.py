@@ -50,15 +50,19 @@ per value, and the head tuples.
 The atoms phase of a plan, lone variable included, runs as a kernel: a
 Python function generated from the plan (``_source``).  Each probe is
 written out as straight-line code over the assignment list: its table
-charge, its index lookup, its repeated-variable checks, its binds and the
+charge, its index lookup, its repeated-variable check, its binds and the
 rows of the conjuncts made checkable.  Then come the next probe, the lone
-variable's interval rows, truncation, charge and head, or ``descend``.
+variable's interval rows, truncation, charge and head, or ``_descend``.
 Each probe is a function of its own that calls the next for every
 surviving fact, so no kernel nests more than a few blocks.  Every value
 taken from the input is passed in as a parameter: predicate names, row
-bounds, coefficients other than 1 and -1 and the lone interval ends.  A
-group of rows wider than ``_INLINE`` (``_width``), and a list of binds,
-checks, key or head slots longer than that, is a parameter too, which the
+bounds, coefficients other than 1 and -1 and the lone interval ends.  So
+is every slot list but the binds: a probe's key positions, with the
+``itemgetter`` that reads its key from the assignment as ``_extend``
+reads the index keys from the facts, the two ``itemgetter`` whose values
+at a fact must agree for its repeated variables, and the head tuple,
+``_Compiled.head``.  A group of rows wider than ``_INLINE`` (``_width``),
+and a list of binds longer than that, is a parameter too, which the
 kernel hands to ``_holds`` or ``_interval`` or loops over, so a kernel
 grows with the atoms of its clause, not with their width.  So a kernel
 depends only on its plan's shape, and kernels are cached by shape in one
@@ -82,7 +86,7 @@ edge can first appear, and each source is decided where it arises:
 - a variable's feasible interval is truncated to fit the domain (in
   ``_choose``, and in the one-variable level);
 - a fact is derived while an enumerated variable is at the edge, whether
-  or not the head holds it (in ``descend``, by whether a fact was derived
+  or not the head holds it (in ``_descend``, by whether a fact was derived
   below that value, and in the one-variable level, per fact derived);
 - a clause with a head constant c, |c| >= B, derives a fact (known once
   per clause, ``_Compiled.clips``).
@@ -275,13 +279,12 @@ class _Compiled:
     """A clause compiled once per evaluation: a slot per variable, its index
     in clause order, and after those one per distinct constant of the
     atoms; the assignment a grounding starts from, which holds each
-    constant's value in its slot; the head's slots and its tuple as a
-    function of the assignment; whether a head constant lies at or beyond
-    the box edge; per arithmetic conjunct the slots it names and its
-    <=-rows over slots; and a join plan per delta position, compiled on
-    first use."""
-    __slots__ = ("clause", "slot", "variables", "start", "head_slots", "head",
-                 "bound", "clips", "conjuncts", "joins")
+    constant's value in its slot; the head tuple as a function of the
+    assignment; whether a head constant lies at or beyond the box edge;
+    per arithmetic conjunct the slots it names and its <=-rows over slots;
+    and a join plan per delta position, compiled on first use."""
+    __slots__ = ("clause", "slot", "variables", "start", "head", "bound",
+                 "clips", "conjuncts", "joins")
 
     def __init__(self, clause: Clause, bound: int):
         self.clause = clause
@@ -295,8 +298,7 @@ class _Compiled:
                     slot.setdefault(t.value, len(slot))
         self.slot = slot
         self.start = [0] * self.variables + list(slot)[self.variables:]
-        self.head_slots = tuple(self.slot_of(t) for t in clause.head.args)
-        self.head = _tuple_of(self.head_slots)
+        self.head = _tuple_of(tuple(self.slot_of(t) for t in clause.head.args))
         self.bound = bound
         self.clips = any(isinstance(t, Const) and abs(t.value) >= bound
                          for t in clause.head.args)
@@ -339,31 +341,33 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
         params.append(value)
         return f"P{len(params) - 1}"
 
-    def part(items: tuple) -> tuple | str:
-        # a list wider than _INLINE is read from a parameter in a loop
-        return items if len(items) <= _INLINE else param(items)
-
     probes = []
     while todo:
         # most-bound atom first keeps the join narrow
         todo.sort(key=lambda pair: sum(1 for t in pair[1].args
                                        if slot_of(t) not in bound))
         index, atom = todo.pop(0)
-        key, lookup, binds, same = [], [], {}, []
+        key, lookup, binds, firsts, repeats = [], [], {}, [], []
         for p, t in enumerate(atom.args):
             s = slot_of(t)
             if s in bound:
                 key.append(p)
                 lookup.append(s)
             elif s in binds:
-                same.append((binds[s], p))
+                firsts.append(binds[s])
+                repeats.append(p)
             else:
                 binds[s] = p
         bound |= binds.keys()
         ready, pending = _ready(pending, bound)
+        binds = tuple(binds.items())
+        # the probe key is read as _extend reads the index keys
         probes.append((param(atom.pred), index == delta_index,
-                       part(tuple(key)), part(tuple(lookup)),
-                       part(tuple(binds.items())), part(tuple(same)),
+                       (param(tuple(key)), param(itemgetter(*lookup)))
+                       if key else None,
+                       binds if len(binds) <= _INLINE else param(binds),
+                       (param(itemgetter(*firsts)),
+                        param(itemgetter(*repeats))) if repeats else None,
                        _shaped(ready, param)))
     level = _level(pending, frozenset(bound),
                    [s for s in range(variables) if s not in bound])
@@ -387,8 +391,7 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
         lone = (s, param(lo), param(hi), shaped,
                 () if guaranteed else _shaped(ready, param),
                 1 + len(ready) if guaranteed else 1)
-    head = part(compiled.head_slots)
-    shape = (len(params), tuple(probes), lone, not level.free, head)
+    shape = (len(params), tuple(probes), lone, not level.free)
     return _Join(initial, level, _kernel(shape), tuple(params))
 
 
@@ -462,11 +465,11 @@ def _level(pending: list[Conjunct], bound: frozenset[int],
 # The shapes whose kernels stay compiled.  At seed 101 the bench's loop_nest
 # serves 768 plans from 6 shapes and block_wide 168 from 3; the random and
 # frame programs of test_evaluator_outcomes_are_pinned ask for 3,485 plans
-# of 572 shapes, so there the cache evicts and 611 plans compile.
+# of 350 shapes, so there the cache evicts and 355 plans compile.
 _KERNELS = 256
-# The widest group of rows (_width) and the longest list of binds, checks,
-# key or head slots a kernel writes out; a wider one is a parameter, which
-# _holds checks, _interval narrows by or the kernel loops over
+# The widest group of rows (_width) and the longest list of binds a kernel
+# writes out; a wider one is a parameter, which _holds checks, _interval
+# narrows by or the kernel loops over
 _INLINE = 16
 
 
@@ -474,7 +477,8 @@ _INLINE = 16
 def _kernel(shape: tuple) -> Callable:
     """The kernel of a plan's atoms phase with this shape: the ``kernel``
     function ``_source(shape)`` defines, compiled once per process."""
-    namespace = {"_holds": _holds, "_interval": _interval}
+    namespace = {"_holds": _holds, "_interval": _interval,
+                 "_descend": _descend}
     exec(compile(_source(shape), "<join kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -484,35 +488,38 @@ def _source(shape: tuple) -> str:
 
     - the number of parameters;
     - per probe, in join order: the parameter naming its predicate, whether
-      it matches the last round's facts, its key positions and their slots,
-      its (slot, position) binds, its repeated-variable position pairs and
-      the conjuncts made checkable after it;
+      it matches the last round's facts, the parameters of its key
+      positions and of the ``itemgetter`` that reads its key from the
+      assignment (or None without a key), its (slot, position) binds, the
+      parameters of two ``itemgetter`` whose values at a fact must agree
+      for its repeated variables (or None) and the conjuncts made checkable
+      after it;
     - the lone variable, or None: its slot, the parameters of its interval
       ends, its other rows as (a > 0, a, rest, bound), the conjuncts it
       makes checkable unless its interval guarantees them, and its charge
       per value;
-    - whether the atoms bind every variable;
-    - the head's slots.
+    - whether the atoms bind every variable.
 
     A conjunct is a tuple of rows (terms, bound), a term is (slot,
     coefficient), and each bound and each coefficient other than 1 and -1
     is a parameter, so the shape and the source hold no input value.  A
     group of rows wider than ``_INLINE`` is instead the name of the
     parameter that holds it, and the kernel calls ``_holds`` or
-    ``_interval`` on it, the functions ``descend`` and ``_choose`` use.
+    ``_interval`` on it, the functions ``_descend`` and ``_choose`` use; so
+    are binds longer than that, which the kernel loops over.
 
-    ``kernel(a, E, L, st, out, descend, level, P)`` runs on the
-    assignment, the indexes of every fact and of the last round's facts,
-    the ``_State``, the list of head tuples, ``_ground``'s ``descend``, the
-    plan's level and the parameters.  Probe ``i`` is the function ``mi``:
-    it charges the table, loops over the facts its key finds, checks the
-    repeated variables, binds, checks the conjuncts made checkable and
-    calls the next probe; after the last come ``descend``, the head or the
-    lone variable, grounded as ``_choose`` and ``descend`` would ground it.
-    A charge adds to ``st.steps``, and ``st.tick(0)`` raises once they
-    exceed the budget."""
-    count, probes, lone, emits, head = shape
-    lines = ["def kernel(a, E, L, st, out, descend, level, P):",
+    ``kernel(a, E, L, st, out, head, level, P)`` runs on the assignment,
+    the indexes of every fact and of the last round's facts, the
+    ``_State``, the list of head tuples, the head tuple as a function of
+    the assignment, the plan's level and the parameters.  Probe ``i`` is
+    the function ``mi``: it charges the table, loops over the facts its key
+    finds, checks the repeated variables, binds, checks the conjuncts made
+    checkable and calls the next probe; after the last come ``_descend``,
+    the head or the lone variable, grounded as ``_choose`` and
+    ``_descend`` would ground it.  A charge adds to ``st.steps``, and
+    ``st.tick(0)`` raises once they exceed the budget."""
+    count, probes, lone, emits = shape
+    lines = ["def kernel(a, E, L, st, out, head, level, P):",
              "    " + "".join(f"P{i}, " for i in range(count)) + "= P",
              "    B, EDGE = st.budget, st.bound"]
 
@@ -541,31 +548,19 @@ def _source(shape: tuple) -> str:
         if conjuncts:
             charge(depth, len(conjuncts))
 
-    def gather(slots: tuple | str) -> str:
-        # the values at slots, as a tuple
-        if isinstance(slots, str):
-            return f"tuple([a[s] for s in {slots}])"
-        return "(" + "".join(f"a[{s}], " for s in slots) + ")"
-
-    head_tuple = gather(head)
-    for i, (pred, delta, key, lookup, binds, same, ready) in enumerate(probes):
+    for i, (pred, delta, key, binds, same, ready) in enumerate(probes):
         facts = "L" if delta else "E"
         emit(1, f"T{i} = {facts}.table[{pred}]")
         emit(1, f"def m{i}():")
         charge(2, f"len(T{i})")
         if key:
-            # an index key as _extend makes it: a bare value for one position
-            values = (gather(lookup) if isinstance(lookup, str)
-                      or len(lookup) > 1 else f"a[{lookup[0]}]")
-            emit(2, f"for f in {facts}.index({pred}, {key})"
-                    f".get({values}, ()):")
+            positions, values = key
+            emit(2, f"for f in {facts}.index({pred}, {positions})"
+                    f".get({values}(a), ()):")
         else:
             emit(2, f"for f in T{i}:")
-        if isinstance(same, str):
-            emit(3, f"if any(f[p] != f[q] for p, q in {same}): continue")
-        elif same:
-            emit(3, "if " + " or ".join(f"f[{p}] != f[{q}]" for p, q in same)
-                 + ": continue")
+        if same:
+            emit(3, f"if {same[0]}(f) != {same[1]}(f): continue")
         if isinstance(binds, str):
             emit(3, f"for s, p in {binds}: a[s] = f[p]")
         else:
@@ -600,12 +595,12 @@ def _source(shape: tuple) -> str:
             charge(4, cost)
             emit(4, f"a[{x}] = v")
             check(4, after)
-            emit(4, f"out.append({head_tuple})")
+            emit(4, "out.append(head(a))")
             emit(4, "if v == EDGE or v == -EDGE: st.clipped = True")
         elif emits:
-            emit(3, f"out.append({head_tuple})")
+            emit(3, "out.append(head(a))")
         else:
-            emit(3, "descend(level)")
+            emit(3, "_descend(level, a, out, head, st)")
     emit(1, "m0()")
     return "\n".join(lines) + "\n"
 
@@ -615,64 +610,61 @@ def _ground(compiled: _Compiled, delta_index: int | None,
             state: _State) -> list[Fact]:
     """Head tuples of every satisfying clause instantiation; the body atom
     at ``delta_index`` (when given) matches only the facts of ``last``."""
-    head, edge = compiled.head, state.bound
     # values by slot; a slot is read only while the plan has it bound
     assignment = compiled.start.copy()
     out: list[Fact] = []
-
-    def descend(level: _Level) -> None:
-        """Emit the head once every variable is bound; else bind the
-        narrowest variable to each value of its interval in turn, check
-        the conjuncts that become checkable unless the interval guarantees
-        them, then go a level down.  A fact derived below a value at the
-        box edge sets ``clipped``."""
-        if not level.free:
-            out.append(head(assignment))
-            return
-        s, lo, hi = _choose(level.bounding, level.free[0], assignment, state)
-        step = level.after.get(s)
-        if step is None:
-            bound = level.bound | {s}
-            ready, pending = _ready(level.pending, bound)
-            step = level.after[s] = ready, _guaranteed(s, ready), _level(
-                pending, bound, [v for v in level.free if v != s])
-        ready, guaranteed, below = step
-        cost = 1 + len(ready) if guaranteed else 1
-        watch = not state.clipped and (lo == -edge or hi == edge)
-        for value in range(lo, hi + 1):
-            state.tick(cost)
-            assignment[s] = value
-            if guaranteed or _holds(ready, assignment, state):
-                emitted = len(out)
-                if below.free:
-                    descend(below)
-                else:
-                    out.append(head(assignment))
-                if (watch and len(out) > emitted
-                        and (value == edge or value == -edge)):
-                    state.clipped = True
-
     try:
         join = compiled.join(delta_index)  # compiles its kernel on first use
         if _holds(join.initial, assignment, state):
             if join.kernel is None:
-                descend(join.level)
+                _descend(join.level, assignment, out, compiled.head, state)
             else:
                 join.kernel(assignment, everything, last, state, out,
-                            descend, join.level, join.params)
+                            compiled.head, join.level, join.params)
     except RecursionError:
-        # one frame per atom and per variable enumerated by descend; or a
+        # one frame per atom and per variable enumerated by _descend; or a
         # kernel nested deeper than the compiler takes
         raise EvalError(f"grounding {compiled.clause.head} nests deeper "
                         f"than the recursion limit "
                         f"({sys.getrecursionlimit()})") from None
-    finally:
-        # descend reaches itself through its closure; the cycle would keep
-        # the fact indexes alive until a full collection
-        del descend
     if out and compiled.clips:
         state.clipped = True
     return out
+
+
+def _descend(level: _Level, assignment: list[int], out: list[Fact],
+             head: Callable[[list[int]], Fact], state: _State) -> None:
+    """Append the head tuple of ``assignment`` to ``out`` once every
+    variable is bound; else bind the narrowest variable to each value of
+    its interval in turn, check the conjuncts that become checkable unless
+    the interval guarantees them, then go a level down.  A fact derived
+    below a value at the box edge sets ``clipped``."""
+    if not level.free:
+        out.append(head(assignment))
+        return
+    edge = state.bound
+    s, lo, hi = _choose(level.bounding, level.free[0], assignment, state)
+    step = level.after.get(s)
+    if step is None:
+        bound = level.bound | {s}
+        ready, pending = _ready(level.pending, bound)
+        step = level.after[s] = ready, _guaranteed(s, ready), _level(
+            pending, bound, [v for v in level.free if v != s])
+    ready, guaranteed, below = step
+    cost = 1 + len(ready) if guaranteed else 1
+    watch = not state.clipped and (lo == -edge or hi == edge)
+    for value in range(lo, hi + 1):
+        state.tick(cost)
+        assignment[s] = value
+        if guaranteed or _holds(ready, assignment, state):
+            emitted = len(out)
+            if below.free:
+                _descend(below, assignment, out, head, state)
+            else:
+                out.append(head(assignment))
+            if (watch and len(out) > emitted
+                    and (value == edge or value == -edge)):
+                state.clipped = True
 
 
 def _holds(conjuncts: tuple[list[SlotRow], ...], assignment: list[int],

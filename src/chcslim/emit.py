@@ -28,9 +28,13 @@ _SMT_REL = {"=": "=", "<": "<", "=<": "<=", ">": ">", ">=": ">="}
 
 _SIMPLE_SYMBOL_RE = re.compile(r"^[A-Za-z_~!@$%^&*+=<>.?/-][A-Za-z0-9_~!@$%^&*+=<>.?/-]*$")
 
+# The SMT-LIB 2.6 reserved words (section 3.1) a clause program can spell,
+# every command name among them, and the core and array function names
 _SMT_RESERVED = {
-    "let", "forall", "exists", "match", "par", "assert", "and", "or", "not",
-    "xor", "ite", "true", "false", "select", "store", "as", "distinct",
+    "let", "forall", "exists", "match", "par", "as", "NUMERAL", "DECIMAL",
+    "STRING", "BINARY", "HEXADECIMAL", "assert", "push", "pop", "exit",
+    "echo", "reset", "and", "or", "not", "xor", "ite", "true", "false",
+    "select", "store", "distinct",
 }
 
 

@@ -1,6 +1,7 @@
 """Bounded bottom-up evaluation: exactness flags, query verdicts, and
 agreement with a brute-force fixpoint over the same box."""
 
+import gc
 import hashlib
 import random
 
@@ -203,9 +204,9 @@ def _rows_program(rng: random.Random) -> str:
 
 
 def test_kernels_read_rows_as_holds_and_interval_do(monkeypatch):
-    # the same programs with every group of rows and every list written
-    # out, then with each passed as a parameter: _holds checks the
-    # conjuncts and _interval narrows the lone variable, as descend and
+    # the same programs with every group of rows and every list of binds
+    # written out, then with each passed as a parameter: _holds checks the
+    # conjuncts and _interval narrows the lone variable, as _descend and
     # _choose do, and the facts, flag, rounds and steps must agree
     rng = random.Random(7)
     programs = ([parse_program(_rows_program(rng)) for _ in range(60)]
@@ -257,6 +258,53 @@ def test_kernels_are_shared_by_shape_and_hold_no_input(monkeypatch):
         text = repr(shape) + bounded._source(shape)
         for given in ("aa", "zz", "42424", "98765"):
             assert given not in text
+
+
+# Each pair differs only in head slots, then only in a probe's lookup
+# slots: (facts, steps) of the first and of the second program at bound 8.
+@pytest.mark.parametrize("first, second, expected", [
+    ("a(1,2). p(X,Y) :- a(X,Y).", "a(1,2). p(X,Y,Y) :- a(X,Y).",
+     ({"a": {(1, 2)}, "p": {(1, 2)}}, 1,
+      {"a": {(1, 2)}, "p": {(1, 2, 2)}}, 1)),
+    ("a(1). b(1,5). c(1,5). p(X) :- a(X), b(X,5), c(X,5).",
+     "a(1). b(1,5). c(1,7). p(X) :- a(X), b(X,5), c(X,7).",
+     ({"a": {(1,)}, "b": {(1, 5)}, "c": {(1, 5)}, "p": {(1,)}}, 9,
+      {"a": {(1,)}, "b": {(1, 5)}, "c": {(1, 7)}, "p": {(1,)}}, 9)),
+], ids=["head-slots", "lookup-slots"])
+def test_kernels_are_shared_across_head_and_lookup_slots(first, second,
+                                                          expected):
+    # the head tuple and each probe key are read by an itemgetter passed
+    # in, so no slot of either is written into a kernel
+    bounded._kernel.cache_clear()
+    one = bounded_least_model(parse_program(first), 8)
+    misses = bounded._kernel.cache_info().misses
+    two = bounded_least_model(parse_program(second), 8)
+    assert bounded._kernel.cache_info().misses == misses > 0
+    assert (one.facts, one.steps, two.facts, two.steps) == expected
+
+
+def test_evaluation_leaves_no_reference_cycles():
+    # nothing an evaluation builds reaches itself, so its fact indexes are
+    # freed when it returns rather than at the next full collection
+    rng = random.Random(1)
+    programs = ([load(name) for name in corpus_names()]
+                + [random_program(rng) for _ in range(50)])
+
+    def run() -> None:
+        for prog in programs:
+            try:
+                bounded_least_model(prog, 8)
+            except EvalError:
+                pass
+
+    run()  # compiles the kernels, which the cache keeps
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("source, steps", [

@@ -87,3 +87,20 @@ def test_emit_is_parse_stable_on_programmatic_asts():
         Clause(Atom("unsafe", ()), Constraint(()), (Atom("p", (Var("A"), Var("B"))),)),
     ))
     assert parse_program(emit_clp(prog)) == prog
+
+
+def test_reserved_words_are_quoted():
+    # SMT-LIB 2.6 reserves its command names and the NUMERAL-style
+    # placeholders; a predicate or variable so named must be quoted
+    text = emit_smtlib_horn(parse_program(
+        "push(NUMERAL, STRING) :- NUMERAL>=0, STRING=NUMERAL.\n"
+        "pop(DECIMAL, BINARY, HEXADECIMAL) :- push(DECIMAL, BINARY), "
+        "HEXADECIMAL=1.\n"
+        "exit(X) :- pop(X, Y, Z).\necho(X) :- exit(X).\nreset(X) :- echo(X).\n"
+        "unsafe :- reset(X), X<0."))
+    assert "(declare-fun |push| (Int Int) Bool)" in text
+    for word in ("pop", "exit", "echo", "reset"):
+        assert f"(declare-fun |{word}| " in text
+    for word in ("NUMERAL", "STRING", "DECIMAL", "BINARY", "HEXADECIMAL"):
+        assert f"(|{word}| Int)" in text
+    assert "(>= |NUMERAL| 0)" in text
