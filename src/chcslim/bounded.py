@@ -335,6 +335,15 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
     todo = list(enumerate(compiled.clause.body))
     if delta_index:
         todo.insert(0, todo.pop(delta_index))
+    # each atom's unbound arguments, counted down as probes bind slots
+    unbound = [0] * len(todo)
+    uses: dict[int, list[int]] = {}  # slot -> the atom of each occurrence
+    for index, atom in todo:
+        for t in atom.args:
+            s = slot_of(t)
+            if s not in bound:
+                unbound[index] += 1
+                uses.setdefault(s, []).append(index)
     params: list = []
 
     def param(value) -> str:
@@ -344,8 +353,7 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
     probes = []
     while todo:
         # most-bound atom first keeps the join narrow
-        todo.sort(key=lambda pair: sum(1 for t in pair[1].args
-                                       if slot_of(t) not in bound))
+        todo.sort(key=lambda pair: unbound[pair[0]])
         index, atom = todo.pop(0)
         key, lookup, binds, firsts, repeats = [], [], {}, [], []
         for p, t in enumerate(atom.args):
@@ -359,6 +367,9 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
             else:
                 binds[s] = p
         bound |= binds.keys()
+        for s in binds:
+            for i in uses[s]:
+                unbound[i] -= 1
         ready, pending = _ready(pending, bound)
         binds = tuple(binds.items())
         # the probe key is read as _extend reads the index keys

@@ -16,10 +16,18 @@ variable flowing unguarded into a surviving body position, or duplicated
 across head positions, carries information the erased program would lose.
 Only the body part of (iii) depends on E: a kept body position (q, j)
 keeps every head pair (p, k) whose variable occurs at, or is constrained
-to, that position.  So the kept pairs are the local violations, found once
-per pair, closed backward along those edges, and E is the rest.  Erasing a
-position under these conditions leaves membership of every surviving-atom
-projection unchanged, in particular the query verdict.
+to, that position.  So the kept pairs are the local violations closed
+backward along those edges, and E is the rest.  Erasing a position under
+these conditions leaves membership of every surviving-atom projection
+unchanged, in particular the query verdict.
+
+That closure does not depend on the order in which the violations are
+found, so the cheap ones come first.  One pass over the pairs checks the
+syntactic conditions, which need no oracle: a constant head argument,
+(ii), and a repeated head variable.  A second pass asks the oracle the
+rest of (i), only for the pairs still open.  Each pass skips a pair
+already kept and closes every pair it keeps backward at once, so a pair
+the closure reaches is never asked about.
 
 Each clause's constraint is split once into its variable-disjoint parts
 (``constraints.Parts``).  Condition (i) holds when X_k's own part projects
@@ -108,12 +116,13 @@ Split = tuple[int, Clause, Parts]  # (index, clause, its constraint split once)
 
 
 def check_pair(pair: Pair, splits: list[Split]) -> Violation | None:
-    """First violation of the conditions that do not depend on the erasure
-    -- (i), (ii) and the repeated head variable of (iii) -- for ``pair``,
-    scanning ``splits`` (the clauses with the pair's predicate as head) in
-    program order and the conditions in their numbered order; None when the
-    pair is locally safe.  Condition (i) is x's own part projecting to true
-    and every other part satisfiable; (ii) reads x's linked set."""
+    """First violation of the syntactic conditions, those that need no
+    oracle, for ``pair``, scanning ``splits`` (the clauses with the pair's
+    predicate as head) in program order: a constant head argument (i), a
+    variable constrained to another head variable (ii, read off x's linked
+    set) or a repeated head variable (iii); None when there is none.  The
+    first pass of ``cfar_transform``; ``check_forall_exists`` is the
+    second, for the pairs still open after it and the backward closure."""
     k = pair[1]
     for index, clause, parts in splits:
         term = clause.head.args[k - 1]
@@ -121,10 +130,6 @@ def check_pair(pair: Pair, splits: list[Split]) -> Violation | None:
             return Violation(pair, index, "i-not-variable",
                              f"head argument {k} is the constant {term.value}")
         x = term.name
-        if forall_exists_valid(x, parts.own(x)) is not TriState.HOLDS \
-                or not parts.others_satisfiable(x):
-            return Violation(pair, index, "i-forall-exists",
-                             f"forall {x} . exists rest . c not validated")
         linked = parts.linked(x)
         for other in clause.head.args:
             if isinstance(other, Var) and other.name != x and other.name in linked:
@@ -134,6 +139,21 @@ def check_pair(pair: Pair, splits: list[Split]) -> Violation | None:
             if j != k and isinstance(other, Var) and other.name == x:
                 return Violation(pair, index, "iii-body-constrained",
                                  f"{x} also occurs at head position {j}")
+    return None
+
+
+def check_forall_exists(pair: Pair, splits: list[Split]) -> Violation | None:
+    """First clause of ``splits`` that breaks the oracle's part of
+    condition (i) for ``pair``: x's own part must project to true and every
+    other part be satisfiable.  Asked only for pairs ``check_pair`` passed,
+    so every head argument at the pair's position is a variable."""
+    k = pair[1]
+    for index, clause, parts in splits:
+        x = clause.head.args[k - 1].name
+        if forall_exists_valid(x, parts.own(x)) is not TriState.HOLDS \
+                or not parts.others_satisfiable(x):
+            return Violation(pair, index, "i-forall-exists",
+                             f"forall {x} . exists rest . c not validated")
     return None
 
 
@@ -159,6 +179,8 @@ class CfarReport:
     pairs_initial: int = 0
     pairs_kept: int = 0
     removals: int = 0
+    # each kept pair is credited to the first reason found: the syntactic
+    # conditions first, then the body closure, then (i)'s oracle question
     removals_by_condition: dict = field(default_factory=dict)
     args_before: int = 0
     args_after: int = 0
@@ -204,14 +226,16 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     """Greatest safe erasure of ``prog`` and the erased program.
 
     Each clause is split once into the parts of its constraint, and the
-    splits are grouped by head predicate; each pair is checked once for its
-    local violations against its predicate's splits; a kept pair then keeps
-    every pair reachable backward from it along ``body_edges``, and the
-    erasure is every pair not kept.  Each erased clause's constraint is
-    then projected onto the clause's live variables, and a clause whose
-    constraint the projection finds unsatisfiable is left out, as is every
-    clause that is then not among the ``productive_clauses``.  One
-    ``answers_once`` table serves the whole call, or the caller's if open.
+    splits are grouped by head predicate.  One pass checks every pair not
+    yet kept with ``check_pair`` against its predicate's splits, and a
+    second every pair still open with ``check_forall_exists``; a pair found
+    violating keeps at once every pair reachable backward from it along
+    ``body_edges``, and the erasure is every pair not kept.  Each erased
+    clause's constraint is then projected onto the clause's live
+    variables, and a clause whose constraint the projection finds
+    unsatisfiable is left out, as is every clause that is then not among
+    the ``productive_clauses``.  One ``answers_once`` table serves the
+    whole call, or the caller's if open.
     """
     pairs = full_erasure(prog)
     report = CfarReport(pairs_initial=len(pairs), args_before=prog.total_args())
@@ -221,15 +245,25 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     by_head: dict[str, list[Split]] = defaultdict(list)
     for split in splits:
         by_head[split[1].head.pred].append(split)
-    violations = [check_pair(pair, by_head[pair[0]]) for pair in sorted(pairs)]
-    kept = {v.pair: v.condition for v in violations if v is not None}
     edges = body_edges(splits)
-    work = list(kept)
-    while work:
-        for pair in edges.get(work.pop(), ()):
-            if pair not in kept:
-                kept[pair] = "iii-body-constrained"
-                work.append(pair)
+    order = sorted(pairs)
+    kept: dict[Pair, str] = {}
+    # the syntactic conditions first, then the oracle only for the pairs
+    # they and the backward closure of what they kept leave open
+    for check in (check_pair, check_forall_exists):
+        for pair in order:
+            if pair in kept:
+                continue
+            violation = check(pair, by_head[pair[0]])
+            if violation is None:
+                continue
+            kept[pair] = violation.condition
+            work = [pair]
+            while work:
+                for source in edges.get(work.pop(), ()):
+                    if source not in kept:
+                        kept[source] = "iii-body-constrained"
+                        work.append(source)
 
     counts = Counter(kept.values())
     report.removals = len(kept)

@@ -372,7 +372,7 @@ def _count_oracle_work(monkeypatch):
 
 
 def test_oracle_answers_once_per_problem(tmp_path, monkeypatch):
-    # count_up_safe asks 20 questions, 9 of them distinct
+    # count_up_safe asks 7 questions, 4 of them distinct
     text = (CORPUS / "count_up_safe.clp").read_text()
     inputs = []
     for name in ("first", "second"):
@@ -380,16 +380,18 @@ def test_oracle_answers_once_per_problem(tmp_path, monkeypatch):
         inputs[-1].write_text(text)
     asked, fresh = _count_oracle_work(monkeypatch)
     run_pipeline(PipelineConfig(inputs=inputs[:1], out_dir=tmp_path / "one"))
-    assert len(fresh) == len(asked) == 9
+    assert len(fresh) == len(asked) == 4
     # the same text as a second problem of one batch shares no answer
     fresh.clear()
     run_pipeline(PipelineConfig(inputs=inputs, out_dir=tmp_path / "two"))
-    assert len(fresh) == 18 and len(set(fresh)) == 9
-    # cfar_transform alone keeps its own table: 18 questions, 11 distinct
+    assert len(fresh) == 8 and len(set(fresh)) == 4
+    # cfar_transform alone keeps its own table: on the nlr output (the raw
+    # text's pairs are all kept without the oracle) 4 questions, 3 distinct
+    slim, _ = nlr_transform(parse_program(text))
     asked.clear()
     fresh.clear()
-    pipeline.cfar_transform(parse_program(text))
-    assert len(fresh) == len(asked) == 11
+    pipeline.cfar_transform(slim)
+    assert len(fresh) == len(asked) == 3
 
 
 def test_failed_transform_leaves_no_answers_behind(tmp_path, monkeypatch):
@@ -417,7 +419,24 @@ def test_failed_transform_leaves_no_answers_behind(tmp_path, monkeypatch):
     assert [table for table, _ in starts] == [{}, {}]
     assert constraints._table is None
     # the second problem computes every one of its answers afresh
-    assert len(fresh) - starts[1][1] == 9
+    assert len(fresh) - starts[1][1] == 4
+
+
+@pytest.mark.parametrize("source, credits", [
+    # X=Y ties both head variables: (ii) keeps both pairs
+    ("p(X,Y) :- X=Y, X>=0.", {"ii-head-constrained": 2}),
+    # c(1) keeps c/1, and the closure keeps b/1 and then a/1 before any
+    # question about a's X>=0
+    ("a(X) :- X>=0, b(X).\nb(X) :- c(X).\nc(1).\nunsafe :- a(X).",
+     {"i-not-variable": 1, "iii-body-constrained": 2}),
+])
+def test_oracle_is_not_asked_for_pairs_kept_without_it(monkeypatch, source,
+                                                       credits):
+    asked, fresh = _count_oracle_work(monkeypatch)
+    _, erasure, report = pipeline.cfar_transform(parse_program(source))
+    assert erasure == frozenset()
+    assert report.removals_by_condition == credits
+    assert not asked and not fresh
 
 
 def test_cli_cfar_prints_erasure_on_stderr(capsys):
