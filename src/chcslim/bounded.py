@@ -2,17 +2,27 @@
 
 Facts are computed semi-naively over the finite domain [-B, B]: each round
 grounds every clause with at least one body atom matched against the facts
-new in the previous round.  Each clause is compiled once per evaluation.
-Its variables are addressed by slot, their index in clause order, and each
-distinct constant of its atoms gets one more slot, which holds its value.
-Each conjunct becomes the integer <=-rows of the constraint oracle
-(``constraints.rows_of``) over slots, so the evaluator has no reading of
-the relations of its own.  A grounding's assignment is a list indexed by
-slot, allocated once per call: binding a variable writes its slot, nothing
-unbinds it, and a probe key or a head tuple is read from the list,
-constants included.
+new in the previous round.
 
-For each body position that takes the last round's facts, the clause gets
+A clause is compiled once per shape and process (``_rule``).  Its shape is
+the clause with each variable replaced by its slot, its index in clause
+order, and without its constants, in atoms and in conjuncts, and without
+its predicate names; the bound is not part of it either.  After the
+variables, each constant of an atom gets a slot, and so does each
+arithmetic conjunct lhs rel rhs, whose slot holds lhs.const - rhs.const.
+Each conjunct becomes the integer <=-rows of the constraint oracle
+(``constraints.rows_of``) over slots, its constant a term of the row like
+the variables, so the evaluator has no reading of the relations of its own
+and no row depends on an input value.  A grounding's assignment is a list
+indexed by slot, copied from the start assignment that the evaluation
+builds for the clause with each constant's value in its slot: binding a
+variable writes its slot, nothing unbinds it, and a probe key, a head tuple
+or a row is read from the list, constants included.  Per evaluation a
+clause costs its shape's key and lookup, its start assignment, its body's
+predicate names, which the kernels read, and whether a head constant lies
+at or beyond the box edge.
+
+For each body position that takes the last round's facts, the shape gets
 a join plan on first use.  The atoms are joined most-bound first: from the
 delta atom followed by the others in body order, each step stably sorts
 the atoms left by their unbound argument positions and joins the first.
@@ -30,14 +40,13 @@ time, and a conjunct is checked once all its variables are bound.  The
 pending conjuncts with exactly one unbound variable give that variable an
 interval, and the narrowest is enumerated next.  Which conjuncts are
 pending and what they bound depends only on the variables bound so far, so
-each level of this phase is built once per evaluation, on the first path
-that reaches it, and the plan holds the level after the atoms.  A level
-holds the slots bound at it, and it folds the rows that hold no other
-variable into one interval per variable.  When every row of the
-conjuncts a chosen variable makes checkable holds that variable, those
-rows are the ones that gave its interval, so its values satisfy them and
-they are not evaluated again.  (A conjunct names its cancelled variables
-too: no row of X+Y=X+2 holds X.)
+each level of this phase is built once per shape, on the first path that
+reaches it, and the plan holds the level after the atoms.  A level holds
+the slots bound at it and, per variable, the rows that bound it alone.
+When every row of the conjuncts a chosen variable makes checkable holds
+that variable, those rows are the ones that gave its interval, so its
+values satisfy them and they are not evaluated again.  (A conjunct names
+its cancelled variables too: no row of X+Y=X+2 holds X.)
 
 When the atoms leave exactly one variable free, as in a transition clause
 ``p(N,I) :- ..., J=I+2, p(N,J)``, that level has one candidate and every
@@ -54,24 +63,34 @@ charge, its index lookup, its repeated-variable check, its binds and the
 rows of the conjuncts made checkable.  Then come the next probe, the lone
 variable's interval rows, truncation, charge and head, or ``_descend``.
 Each probe is a function of its own that calls the next for every
-surviving fact, so no kernel nests more than a few blocks.  Every value
-taken from the input is passed in as a parameter: predicate names, row
-bounds, coefficients other than 1 and -1 and the lone interval ends.  So
-is every slot list but the binds: a probe's key positions, with the
-``itemgetter`` that reads its key from the assignment as ``_extend``
+surviving fact, so no kernel nests more than a few blocks.  The kernel
+takes the body's predicate names as an argument, and on entry it reads
+the constants from the assignment: each row's bound less its constant
+term, and the lone variable's interval from its rows without another
+variable.  Every value of the plan is passed in as a parameter: a
+predicate's body position, row bounds and coefficients other than 1 and
+-1.  So is every slot list but the binds: a probe's key positions, with
+the ``itemgetter`` that reads its key from the assignment as ``_extend``
 reads the index keys from the facts, the two ``itemgetter`` whose values
 at a fact must agree for its repeated variables, and the head tuple,
 ``_Compiled.head``.  A group of rows wider than ``_INLINE`` (``_width``),
 and a list of binds longer than that, is a parameter too, which the
 kernel hands to ``_holds`` or ``_interval`` or loops over, so a kernel
 grows with the atoms of its clause, not with their width.  So a kernel
-depends only on its plan's shape, and kernels are cached by shape in one
-process-wide cache of ``_KERNELS`` entries.  The first plan of a shape
-pays for a compile, about 0.2-0.6 ms for kernels of 10 to 35 lines;
-every clause and problem of that shape after it reuses the function.
-That pays off where shapes repeat, as in a batch of problems from one
-translator, and costs time where they do not (a single small program, or
-programs drawn at random).
+depends only on its plan's shape, and clauses of different shapes can
+share it.
+
+Compiled clause shapes and kernels are kept in one process-wide cache of
+``_CACHED`` entries (``_CACHE``), the least recently used evicted first.
+No entry holds a predicate name or a constant, so it serves every clause
+of its shape, in this problem and the next.  The first clause of a shape
+pays for the shape, about 10 µs, and for its plans, about 30 µs each, and
+the first plan of a kernel shape for a compile, about 0.3-0.4 ms for
+kernels of 20 to 50 lines; every clause of that shape after it pays only
+the per-evaluation part, about 5-8 µs.  That pays off where shapes
+repeat, as in a batch of problems from one translator, and costs time
+where they do not (a single small program, or programs drawn at
+random).
 
 The step budget counts one step per fact a probe stands for, that is the
 whole fact set a linear scan of it would walk, one per conjunct made
@@ -89,7 +108,7 @@ edge can first appear, and each source is decided where it arises:
   or not the head holds it (in ``_descend``, by whether a fact was derived
   below that value, and in the one-variable level, per fact derived);
 - a clause with a head constant c, |c| >= B, derives a fact (known once
-  per clause, ``_Compiled.clips``).
+  per clause and evaluation, ``_Rule.clips``).
 
 Every fact is derived through these checks, so while a run is unclipped
 no fact holds a value at or beyond the edge, and a value bound from a fact
@@ -99,16 +118,17 @@ trusted; a clipped one only certifies derivations, not their absence.
 
 from __future__ import annotations
 
+import itertools
 import sys
+import threading
 from collections.abc import Callable, Set
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf
 from operator import itemgetter
 from typing import NamedTuple
 
 from .constraints import TriState, rows_of
-from .syntax import QUERY, Clause, Const, Program, Term, Var
+from .syntax import QUERY, Atom, Clause, LinExpr, Program, RelCon, Var
 
 Fact = tuple[int, ...]
 Facts = dict[str, set[Fact]]
@@ -180,7 +200,7 @@ def bounded_least_model(prog: Program, bound: int = 32, *,
             raise EvalError(f"clause {i}: array constraints are not evaluable")
 
     state = _State(budget, bound)
-    rules = [_Compiled(c, bound) for c in prog.clauses]
+    rules = [_rule(c, bound) for c in prog.clauses]
     facts: Facts = {p: set() for p in prog.arities}
     for rule in rules:
         if not rule.clause.body:
@@ -248,7 +268,7 @@ def _extend(index: dict, key: tuple[int, ...], facts) -> None:
 # Rows and conjuncts over slots: a row is ((slot, coefficient), ...), bound.
 SlotRow = tuple[tuple[tuple[int, int], ...], int]
 Conjunct = tuple[frozenset[int], list[SlotRow]]
-Bounding = list[tuple[int, float, float, list[tuple[int, tuple, int]]]]
+Bounding = list[tuple[int, list[tuple[int, tuple, int]]]]
 
 
 class _Level(NamedTuple):
@@ -257,8 +277,7 @@ class _Level(NamedTuple):
     bound: frozenset[int]            # the slots bound, constants' included
     free: list[int]                  # unbound variables, in clause order
     # the free variables, in that order, that a pending conjunct bounds
-    # alone, each with the interval its rows without another variable give
-    # and its other rows split into (coefficient, rest, bound)
+    # alone, each with the rows that bound it, as (coefficient, rest, bound)
     bounding: Bounding
     pending: list[Conjunct]          # conjuncts not yet checkable
     # per variable chosen here: the conjuncts it makes checkable, in order,
@@ -272,45 +291,122 @@ class _Join(NamedTuple):
     initial: tuple[list[SlotRow], ...]   # conjuncts without variables
     level: _Level                    # the variable phase after the atoms
     kernel: Callable | None          # the atoms phase; None without atoms
-    params: tuple                    # the input values the kernel reads
+    params: tuple                    # the values of the plan the kernel reads
+
+
+class _Cache:
+    """What clause shapes and kernel shapes compile to, kept for the life
+    of the process: at most ``size`` entries, the least recently used
+    evicted first, with the count of lookups that found their entry
+    (``hits``) and that built it (``misses``).  An entry is stored once
+    built, so a build that raises stores nothing."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: dict[tuple, object] = {}
+        self.hits = self.misses = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, build: Callable[[tuple], object]):
+        with self._lock:
+            entry = self.entries.pop(key, None)
+            if entry is not None:
+                self.hits += 1
+                self.entries[key] = entry
+                return entry
+            self.misses += 1
+        entry = build(key)
+        with self._lock:
+            self.entries[key] = entry
+            while len(self.entries) > self.size:
+                del self.entries[next(iter(self.entries))]
+        return entry
+
+
+class _Rule(NamedTuple):
+    """A clause as one evaluation grounds it: its shape's ``_Compiled`` and
+    the values of this instance."""
+    clause: Clause
+    compiled: _Compiled
+    start: list[int]        # the assignment a grounding starts from
+    preds: tuple[str, ...]  # the body's predicates, which the kernels read
+    clips: bool             # a head constant lies at or beyond the box edge
+
+
+def _rule(clause: Clause, bound: int) -> _Rule:
+    """``clause`` with its shape compiled once per process.  The shape is
+    the clause with each variable replaced by its slot and each constant
+    left out, in atoms and in conjuncts, and without predicate names; the
+    constants' values fill their slots of the start assignment, in the
+    order the walk meets them: head, conjuncts, body."""
+    slots: dict[str, int] = {}
+    values: list[int] = []
+
+    def args(atom: Atom) -> tuple[int | None, ...]:
+        # a variable's slot, or None for a constant, whose value is kept
+        shape = []
+        for t in atom.args:
+            if isinstance(t, Var):
+                shape.append(slots.setdefault(t.name, len(slots)))
+            else:
+                shape.append(None)
+                values.append(t.value)
+        return tuple(shape)
+
+    head = args(clause.head)
+    clips = any(abs(value) >= bound for value in values)
+    conjuncts = []
+    for con in clause.constraint.conjuncts:
+        lhs, rhs = con.lhs, con.rhs
+        conjuncts.append((
+            con.rel,
+            tuple([(slots.setdefault(name, len(slots)), c)
+                   for name, c in lhs.terms]),
+            tuple([(slots.setdefault(name, len(slots)), c)
+                   for name, c in rhs.terms])))
+        values.append(lhs.const - rhs.const)
+    body = tuple([args(atom) for atom in clause.body])
+    compiled = _CACHE.get(
+        ("clause", _INLINE, len(slots), head, tuple(conjuncts), body),
+        _Compiled)
+    return _Rule(clause, compiled, compiled.zeros + values,
+                 tuple([atom.pred for atom in clause.body]), clips)
 
 
 class _Compiled:
-    """A clause compiled once per evaluation: a slot per variable, its index
-    in clause order, and after those one per distinct constant of the
-    atoms; the assignment a grounding starts from, which holds each
-    constant's value in its slot; the head tuple as a function of the
-    assignment; whether a head constant lies at or beyond the box edge;
-    per arithmetic conjunct the slots it names and its <=-rows over slots;
-    and a join plan per delta position, compiled on first use."""
-    __slots__ = ("clause", "slot", "variables", "start", "head", "bound",
-                 "clips", "conjuncts", "joins")
+    """A clause shape compiled (``_rule``): a slot per variable, its index
+    in clause order, and after those one per constant, in the order the
+    shape meets them, each atom constant and one per arithmetic conjunct;
+    the head tuple as a function of the assignment; the body atoms as
+    their arguments' slots; per conjunct the slots of the variables it
+    names and its <=-rows over slots; and a join plan per delta position,
+    compiled on first use.  A conjunct lhs rel rhs has its slot hold
+    lhs.const - rhs.const, as a term of coefficient 1 in lhs, so its rows
+    are those of ``rows_of`` with each row's constant part a term read from
+    the assignment."""
+    __slots__ = ("variables", "length", "zeros", "head", "body", "conjuncts",
+                 "joins")
 
-    def __init__(self, clause: Clause, bound: int):
-        self.clause = clause
-        # a variable's name or a constant's value to its slot
-        slot: dict[str | int, int] = {
-            name: i for i, name in enumerate(clause.vars())}
-        self.variables = len(slot)
-        for atom in (clause.head, *clause.body):
-            for t in atom.args:
-                if isinstance(t, Const):
-                    slot.setdefault(t.value, len(slot))
-        self.slot = slot
-        self.start = [0] * self.variables + list(slot)[self.variables:]
-        self.head = _tuple_of(tuple(self.slot_of(t) for t in clause.head.args))
-        self.bound = bound
-        self.clips = any(isinstance(t, Const) and abs(t.value) >= bound
-                         for t in clause.head.args)
-        self.conjuncts: list[Conjunct] = [
-            (frozenset(slot[name] for name in con.vars()),
-             [(tuple((slot[name], c) for name, c in terms), r)
-              for terms, r in rows_of(con)])
-            for con in clause.constraint.conjuncts]
+    def __init__(self, key: tuple):
+        _, _, variables, head, conjuncts, body = key
+        constants = itertools.count(variables)
+
+        def placed(args: tuple[int | None, ...]) -> tuple[int, ...]:
+            return tuple([next(constants) if s is None else s for s in args])
+
+        self.variables = variables
+        self.zeros = [0] * variables
+        self.head = _tuple_of(placed(head))
+        self.conjuncts: list[Conjunct] = []
+        for rel, lhs, rhs in conjuncts:
+            # slots stand for the names of rows_of
+            con = RelCon(rel, LinExpr(lhs + ((next(constants), 1),)),
+                         LinExpr(rhs))
+            self.conjuncts.append((frozenset(s for s, _ in lhs + rhs),
+                                   rows_of(con)))
+        self.body = tuple(placed(args) for args in body)
+        self.length = next(constants)  # the assignment's
         self.joins: dict[int | None, _Join] = {}
-
-    def slot_of(self, t: Term) -> int:
-        return self.slot[t.name if isinstance(t, Var) else t.value]
 
     def join(self, delta_index: int | None) -> _Join:
         plan = self.joins.get(delta_index)
@@ -329,35 +425,48 @@ def _tuple_of(slots: tuple[int, ...]) -> Callable[[list[int]], Fact]:
 
 
 def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
-    slot_of, variables = compiled.slot_of, compiled.variables
-    bound = set(range(variables, len(compiled.start)))  # the constants
+    variables = compiled.variables
+    bound = set(range(variables, compiled.length))  # the constants
     initial, pending = _ready(compiled.conjuncts, bound)
-    todo = list(enumerate(compiled.clause.body))
+    todo = list(enumerate(compiled.body))
     if delta_index:
         todo.insert(0, todo.pop(delta_index))
     # each atom's unbound arguments, counted down as probes bind slots
     unbound = [0] * len(todo)
     uses: dict[int, list[int]] = {}  # slot -> the atom of each occurrence
-    for index, atom in todo:
-        for t in atom.args:
-            s = slot_of(t)
+    for index, args in todo:
+        for s in args:
             if s not in bound:
                 unbound[index] += 1
                 uses.setdefault(s, []).append(index)
     params: list = []
+    constants: list[int] = []  # the slots the kernel reads on entry, as K
+    entry: list = []  # per row it reads, (its terms over K, its bound)
 
     def param(value) -> str:
         params.append(value)
         return f"P{len(params) - 1}"
 
+    def row(terms: tuple[tuple[int, int], ...], r: int) -> tuple:
+        # its variable terms, and the name of its bound less its constant
+        # terms, which the kernel computes on entry
+        held, read = [], []
+        for s, c in terms:
+            if s < variables:
+                held.append((s, c))
+            else:
+                read.append((len(constants), c))
+                constants.append(s)
+        entry.append((tuple(read), param(r)))
+        return _terms(tuple(held), param), f"R{len(entry) - 1}"
+
     probes = []
     while todo:
         # most-bound atom first keeps the join narrow
         todo.sort(key=lambda pair: unbound[pair[0]])
-        index, atom = todo.pop(0)
+        index, args = todo.pop(0)
         key, lookup, binds, firsts, repeats = [], [], {}, [], []
-        for p, t in enumerate(atom.args):
-            s = slot_of(t)
+        for p, s in enumerate(args):
             if s in bound:
                 key.append(p)
                 lookup.append(s)
@@ -373,13 +482,13 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
         ready, pending = _ready(pending, bound)
         binds = tuple(binds.items())
         # the probe key is read as _extend reads the index keys
-        probes.append((param(atom.pred), index == delta_index,
+        probes.append((param(index), index == delta_index,
                        (param(tuple(key)), param(itemgetter(*lookup)))
                        if key else None,
                        binds if len(binds) <= _INLINE else param(binds),
                        (param(itemgetter(*firsts)),
                         param(itemgetter(*repeats))) if repeats else None,
-                       _shaped(ready, param)))
+                       _shaped(ready, param, row)))
     level = _level(pending, frozenset(bound),
                    [s for s in range(variables) if s not in bound])
     if not probes:
@@ -387,22 +496,30 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
     lone = None
     if len(level.free) == 1:
         (s,) = level.free
-        if level.bounding:
-            ((_, lo, hi, rows),) = level.bounding
-        else:
-            lo, hi, rows = -compiled.bound, compiled.bound, []
         ready, _ = _ready(pending, bound | {s})
         guaranteed = _guaranteed(s, ready)
-        if _width(rest for _, rest, _ in rows) > _INLINE:
-            shaped = param(rows)
-        else:
-            shaped = tuple((a > 0, a if a == 1 or a == -1 else param(a),
-                            _terms(rest, param), param(r))
-                           for a, rest, r in rows)
-        lone = (s, param(lo), param(hi), shaped,
-                () if guaranteed else _shaped(ready, param),
+
+        def narrowing(rows: list[tuple[int, tuple, int]]) -> tuple | str:
+            if _width(rest for _, rest, _ in rows) > _INLINE:
+                return param(rows)
+            return tuple((a > 0, a if a == 1 or a == -1 else param(a),
+                          *row(rest, r)) for a, rest, r in rows)
+
+        intervals = None  # without a bounding row, the whole box
+        if level.bounding:
+            # the rows without another variable narrow the interval on
+            # entry, the others per fact
+            fixed: list[tuple[int, tuple, int]] = []
+            moving: list[tuple[int, tuple, int]] = []
+            for x in level.bounding[0][1]:
+                constant = all(t >= variables for t, _ in x[1])
+                (fixed if constant else moving).append(x)
+            intervals = narrowing(fixed), narrowing(moving)
+        lone = (s, intervals, () if guaranteed else _shaped(ready, param, row),
                 1 + len(ready) if guaranteed else 1)
-    shape = (len(params), tuple(probes), lone, not level.free)
+    reads = param(_tuple_of(tuple(constants))) if constants else None
+    shape = (len(params), reads, tuple(entry), tuple(probes), lone,
+             not level.free)
     return _Join(initial, level, _kernel(shape), tuple(params))
 
 
@@ -422,13 +539,13 @@ def _width(rows) -> int:
     return sum(1 + len(terms) for terms in rows)
 
 
-def _shaped(conjuncts: tuple[list[SlotRow], ...], param) -> tuple | str:
-    """The shape of ``conjuncts``: their rows with ``_terms`` and each bound
-    named by a parameter; or, when they are wider than ``_INLINE``, the
-    parameter that holds them all."""
+def _shaped(conjuncts: tuple[list[SlotRow], ...], param, row) -> tuple | str:
+    """The shape of ``conjuncts``: each of their rows as ``row`` gives it;
+    or, when they are wider than ``_INLINE``, the parameter that holds them
+    all."""
     if _width(terms for rows in conjuncts for terms, _ in rows) > _INLINE:
         return param(conjuncts)
-    return tuple(tuple((_terms(terms, param), param(r)) for terms, r in rows)
+    return tuple(tuple(row(terms, r) for terms, r in rows)
                  for rows in conjuncts)
 
 
@@ -461,76 +578,82 @@ def _level(pending: list[Conjunct], bound: frozenset[int],
                     if s == x:
                         rest = tuple((t, c) for t, c in terms if t != x)
                         split.setdefault(x, []).append((a, rest, r))
-    bounding = []
-    for v in free:
-        rows = split.get(v)
-        if rows:
-            lo = max((-(-r // a) for a, rest, r in rows if a < 0 and not rest),
-                     default=-inf)
-            hi = min((r // a for a, rest, r in rows if a > 0 and not rest),
-                     default=inf)
-            bounding.append((v, lo, hi, [row for row in rows if row[1]]))
-    return _Level(bound, free, bounding, pending, {})
+    return _Level(bound, free, [(v, split[v]) for v in free if v in split],
+                  pending, {})
 
 
-# The shapes whose kernels stay compiled.  At seed 101 the bench's loop_nest
-# serves 768 plans from 6 shapes and block_wide 168 from 3; the random and
-# frame programs of test_evaluator_outcomes_are_pinned ask for 3,485 plans
-# of 350 shapes, so there the cache evicts and 355 plans compile.
-_KERNELS = 256
+# The entries, clause shapes and kernel shapes together, that stay
+# compiled.  At seed 101 the bench's loop_nest slims to 800 clauses of 5
+# shapes, which take 6 kernels, and block_wide to 192 clauses of 4 shapes
+# and 3 kernels.  The random and frame programs of
+# test_evaluator_outcomes_are_pinned look up 5,680 clauses of 840 shapes,
+# which take 353 kernels, so there the cache evicts a few entries, and when
+# full it holds about 6 MiB.
+_CACHED = 1024
 # The widest group of rows (_width) and the longest list of binds a kernel
 # writes out; a wider one is a parameter, which _holds checks, _interval
 # narrows by or the kernel loops over
 _INLINE = 16
+_CACHE = _Cache(_CACHED)
 
 
-@lru_cache(maxsize=_KERNELS)
 def _kernel(shape: tuple) -> Callable:
     """The kernel of a plan's atoms phase with this shape: the ``kernel``
     function ``_source(shape)`` defines, compiled once per process."""
+    return _CACHE.get(("kernel", shape), _compile_kernel)
+
+
+def _compile_kernel(key: tuple) -> Callable:
     namespace = {"_holds": _holds, "_interval": _interval,
-                 "_descend": _descend}
-    exec(compile(_source(shape), "<join kernel>", "exec"), namespace)
-    return namespace["kernel"]
+                 "_descend": _descend, "inf": inf}
+    exec(compile(_source(key[1]), "<join kernel>", "exec"), namespace)
+    # taken out, so the function and its globals make no cycle
+    return namespace.pop("kernel")
 
 
 def _source(shape: tuple) -> str:
     """The Python source of a kernel.  The shape, built by ``_plan``, is
 
     - the number of parameters;
-    - per probe, in join order: the parameter naming its predicate, whether
-      it matches the last round's facts, the parameters of its key
-      positions and of the ``itemgetter`` that reads its key from the
-      assignment (or None without a key), its (slot, position) binds, the
-      parameters of two ``itemgetter`` whose values at a fact must agree
-      for its repeated variables (or None) and the conjuncts made checkable
-      after it;
-    - the lone variable, or None: its slot, the parameters of its interval
-      ends, its other rows as (a > 0, a, rest, bound), the conjuncts it
-      makes checkable unless its interval guarantees them, and its charge
-      per value;
+    - the parameter of the function that reads the constants' values
+      from the assignment, as the tuple ``K`` (or None without rows);
+    - the rows the kernel reads, each as its constant terms over ``K``
+      and the parameter of its bound: on entry the kernel computes
+      ``Ri``, the bound of row ``i`` less those terms;
+    - per probe, in join order: the parameter of its body position, which
+      indexes the predicate names, whether it matches the last round's
+      facts, the parameters of its key positions and of the
+      ``itemgetter`` that reads its key from the assignment (or None
+      without a key), its (slot, position) binds, the parameters of two
+      ``itemgetter`` whose values at a fact must agree for its repeated
+      variables (or None) and the conjuncts made checkable after it;
+    - the lone variable, or None: its slot, None when no row bounds it or
+      else its rows without another variable and its other rows, each as
+      (a > 0, a, rest, bound), the conjuncts it makes checkable unless its
+      interval guarantees them, and its charge per value;
     - whether the atoms bind every variable.
 
     A conjunct is a tuple of rows (terms, bound), a term is (slot,
-    coefficient), and each bound and each coefficient other than 1 and -1
-    is a parameter, so the shape and the source hold no input value.  A
-    group of rows wider than ``_INLINE`` is instead the name of the
-    parameter that holds it, and the kernel calls ``_holds`` or
+    coefficient), a bound is an ``Ri`` and each coefficient other than 1
+    and -1 is a parameter, so the shape and the source hold no input
+    value.  A group of rows wider than ``_INLINE`` is instead the name of
+    the parameter that holds it, and the kernel calls ``_holds`` or
     ``_interval`` on it, the functions ``_descend`` and ``_choose`` use; so
     are binds longer than that, which the kernel loops over.
 
-    ``kernel(a, E, L, st, out, head, level, P)`` runs on the assignment,
-    the indexes of every fact and of the last round's facts, the
-    ``_State``, the list of head tuples, the head tuple as a function of
-    the assignment, the plan's level and the parameters.  Probe ``i`` is
-    the function ``mi``: it charges the table, loops over the facts its key
-    finds, checks the repeated variables, binds, checks the conjuncts made
-    checkable and calls the next probe; after the last come ``_descend``,
-    the head or the lone variable, grounded as ``_choose`` and
-    ``_descend`` would ground it.  A charge adds to ``st.steps``, and
-    ``st.tick(0)`` raises once they exceed the budget."""
-    count, probes, lone, emits = shape
-    lines = ["def kernel(a, E, L, st, out, head, level, P):",
+    ``kernel(a, E, L, st, out, head, level, P, N)`` runs on the
+    assignment, the indexes of every fact and of the last round's facts,
+    the ``_State``, the list of head tuples, the head tuple as a function
+    of the assignment, the plan's level, the parameters and the body's
+    predicate names.  Probe ``i`` is the function ``mi``: it charges the
+    table, loops over the facts its key finds, checks the repeated
+    variables, binds, checks the conjuncts made checkable and calls the
+    next probe; after the last come ``_descend``, the head or the lone
+    variable, grounded as ``_choose`` and ``_descend`` would ground it.  A
+    charge adds to ``st.steps``, and ``st.tick(0)`` raises once they
+    exceed the budget."""
+    count, reads, entry, probes, lone, emits = shape
+    lines = ["def kernel(a, E, L, st, out, head, level, P, N):",
              "    " + "".join(f"P{i}, " for i in range(count)) + "= P",
              "    B, EDGE = st.budget, st.bound"]
 
@@ -541,9 +664,10 @@ def _source(shape: tuple) -> str:
         emit(depth, f"st.steps += {cost}")
         emit(depth, "if st.steps > B: st.tick(0)")
 
-    def total(terms: tuple) -> str:
-        text = "".join(f" + a[{s}]" if c == 1 else f" - a[{s}]" if c == -1
-                       else f" + {c} * a[{s}]" for s, c in terms)
+    def total(terms: tuple, values: str = "a") -> str:
+        text = "".join(f" + {values}[{s}]" if c == 1
+                       else f" - {values}[{s}]" if c == -1
+                       else f" + {c} * {values}[{s}]" for s, c in terms)
         return text.removeprefix(" + ").removeprefix(" ") or "0"
 
     def check(depth: int, conjuncts: tuple | str) -> None:
@@ -559,14 +683,39 @@ def _source(shape: tuple) -> str:
         if conjuncts:
             charge(depth, len(conjuncts))
 
+    def narrow(depth: int, rows: tuple | str, lo: str, hi: str) -> None:
+        if isinstance(rows, str):
+            emit(depth, f"{lo}, {hi} = _interval({lo}, {hi}, {rows}, a)")
+            return
+        for positive, c, rest, r in rows:  # as _interval
+            rest = total(rest)
+            if c == 1:
+                emit(depth, f"r = {r} - ({rest})")
+            elif c == -1:
+                emit(depth, f"r = {rest} - {r}")
+            elif positive:
+                emit(depth, f"r = ({r} - ({rest})) // {c}")
+            else:
+                emit(depth, f"r = -(({rest} - {r}) // {c})")
+            emit(depth, f"if r < {hi}: {hi} = r" if positive
+                 else f"if r > {lo}: {lo} = r")
+
+    if reads:
+        emit(1, f"K = {reads}(a)")
+    for i, (terms, r) in enumerate(entry):
+        emit(1, f"R{i} = {r} - ({total(terms, 'K')})")
+    if lone and lone[1]:
+        emit(1, "LO, HI = -inf, inf")
+        narrow(1, lone[1][0], "LO", "HI")
     for i, (pred, delta, key, binds, same, ready) in enumerate(probes):
         facts = "L" if delta else "E"
-        emit(1, f"T{i} = {facts}.table[{pred}]")
+        emit(1, f"Q{i} = N[{pred}]")
+        emit(1, f"T{i} = {facts}.table[Q{i}]")
         emit(1, f"def m{i}():")
         charge(2, f"len(T{i})")
         if key:
             positions, values = key
-            emit(2, f"for f in {facts}.index({pred}, {positions})"
+            emit(2, f"for f in {facts}.index(Q{i}, {positions})"
                     f".get({values}(a), ()):")
         else:
             emit(2, f"for f in T{i}:")
@@ -581,23 +730,12 @@ def _source(shape: tuple) -> str:
         if i + 1 < len(probes):
             emit(3, f"m{i + 1}()")
         elif lone:
-            x, lo, hi, rows, after, cost = lone
-            if isinstance(rows, str):
-                emit(3, f"lo, hi = _interval({lo}, {hi}, {rows}, a)")
+            x, intervals, after, cost = lone
+            if intervals:
+                emit(3, "lo, hi = LO, HI")
+                narrow(3, intervals[1], "lo", "hi")
             else:
-                emit(3, f"lo, hi = {lo}, {hi}")
-                for positive, c, rest, r in rows:  # as _interval
-                    rest = total(rest)
-                    if c == 1:
-                        emit(3, f"r = {r} - ({rest})")
-                    elif c == -1:
-                        emit(3, f"r = {rest} - {r}")
-                    elif positive:
-                        emit(3, f"r = ({r} - ({rest})) // {c}")
-                    else:
-                        emit(3, f"r = -(({rest} - {r}) // {c})")
-                    emit(3, "if r < hi: hi = r" if positive
-                         else "if r > lo: lo = r")
+                emit(3, "lo, hi = -EDGE, EDGE")
             emit(3, "if lo > hi: continue")
             emit(3, "if lo < -EDGE or hi > EDGE:")
             emit(4, "st.clipped = True")
@@ -616,13 +754,14 @@ def _source(shape: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ground(compiled: _Compiled, delta_index: int | None,
+def _ground(rule: _Rule, delta_index: int | None,
             everything: _Indexes | None, last: _Indexes | None,
             state: _State) -> list[Fact]:
     """Head tuples of every satisfying clause instantiation; the body atom
     at ``delta_index`` (when given) matches only the facts of ``last``."""
     # values by slot; a slot is read only while the plan has it bound
-    assignment = compiled.start.copy()
+    assignment = rule.start.copy()
+    compiled = rule.compiled
     out: list[Fact] = []
     try:
         join = compiled.join(delta_index)  # compiles its kernel on first use
@@ -631,14 +770,15 @@ def _ground(compiled: _Compiled, delta_index: int | None,
                 _descend(join.level, assignment, out, compiled.head, state)
             else:
                 join.kernel(assignment, everything, last, state, out,
-                            compiled.head, join.level, join.params)
+                            compiled.head, join.level, join.params,
+                            rule.preds)
     except RecursionError:
         # one frame per atom and per variable enumerated by _descend; or a
         # kernel nested deeper than the compiler takes
-        raise EvalError(f"grounding {compiled.clause.head} nests deeper "
+        raise EvalError(f"grounding {rule.clause.head} nests deeper "
                         f"than the recursion limit "
                         f"({sys.getrecursionlimit()})") from None
-    if out and compiled.clips:
+    if out and rule.clips:
         state.clipped = True
     return out
 
@@ -720,8 +860,8 @@ def _choose(bounding: Bounding, default: int, assignment: list[int],
     once: it enumerates nothing, so no value is lost to the cut."""
     edge = state.bound
     best: tuple[int, int, int, int, bool] | None = None
-    for s, lo, hi, rows in bounding:
-        lo, hi = _interval(lo, hi, rows, assignment)
+    for s, rows in bounding:
+        lo, hi = _interval(-inf, inf, rows, assignment)
         if lo > hi:
             return s, lo, hi
         truncated = lo < -edge or hi > edge

@@ -4,6 +4,7 @@ agreement with a brute-force fixpoint over the same box."""
 import gc
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -215,6 +216,7 @@ def test_kernels_read_rows_as_holds_and_interval_do(monkeypatch):
 
     def outcomes(width: int) -> list:
         monkeypatch.setattr(bounded, "_INLINE", width)
+        misses = bounded._CACHE.misses
         runs = []
         for prog in programs:
             for bound in (4, 8):
@@ -224,6 +226,9 @@ def test_kernels_read_rows_as_holds_and_interval_do(monkeypatch):
                                  model.steps))
                 except EvalError as e:
                     runs.append(str(e))
+        # _INLINE is part of a clause shape's key, so each width compiles
+        # plans of its own rather than reusing the other's
+        assert bounded._CACHE.misses > misses
         return runs
 
     assert outcomes(10**6) == outcomes(0)
@@ -234,53 +239,154 @@ def _spelled(names: str, digits: str) -> str:
     # and constants with ``digits``
     return (f"{names}q(0).\n"
             f"{names}q(Y) :- {names}q(X), Y=X+1, X=<{digits}1.\n"
-            f"{names}r(X,{digits}2) :- {names}q(X), {digits}3*X>=2.\n"
+            f"{names}r(X,{digits}2) :- {names}q(X), 3*X>={digits}3.\n"
             f"{names}p(X,Z) :- {names}q(X), {names}r(X,Z), X+Z=<{digits}4, "
             f"{names}q({digits}5).\n"
             f"unsafe :- {names}p(X,Z), X>=3.")
 
 
+def _held(value) -> list:
+    """The strings and numbers a cache entry holds: through containers,
+    named tuples and ``_Compiled`` slots; functions and ``itemgetter`` are
+    not looked into."""
+    if isinstance(value, (str, int)):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.items())
+    elif isinstance(value, bounded._Compiled):
+        value = [getattr(value, name) for name in value.__slots__]
+    if isinstance(value, (tuple, list, frozenset)):
+        return [leaf for item in value for leaf in _held(item)]
+    return []
+
+
+def _cold(monkeypatch) -> None:
+    # a cache of the same size with nothing in it, for this test alone
+    monkeypatch.setattr(bounded, "_CACHE", bounded._Cache(bounded._CACHED))
+
+
 def test_kernels_are_shared_by_shape_and_hold_no_input(monkeypatch):
-    compiled = bounded._kernel
-    shapes = []
-    monkeypatch.setattr(bounded, "_kernel",
-                        lambda shape: shapes.append(shape) or compiled(shape))
-    compiled.cache_clear()
+    _cold(monkeypatch)
     bounded_least_model(parse_program(_spelled("aa", "42424")), 8)
-    first = compiled.cache_info()
-    served = len(shapes)
+    hits, misses = bounded._CACHE.hits, bounded._CACHE.misses
     bounded_least_model(parse_program(_spelled("zz", "98765")), 8)
-    second = compiled.cache_info()
-    # the second program compiles nothing: every plan finds its kernel
-    assert first.misses > 0 and second.misses == first.misses
-    assert second.hits - first.hits == len(shapes) - served > 0
-    for shape in shapes:
-        text = repr(shape) + bounded._source(shape)
+    # the second program compiles nothing: each of its clauses finds its
+    # shape, with the plans and kernels the first program compiled
+    assert misses > 0 and bounded._CACHE.misses == misses
+    assert bounded._CACHE.hits - hits == 5
+    for key, entry in bounded._CACHE.entries.items():
+        text = " ".join(map(str, _held(key) + _held(entry)))
+        if key[0] == "kernel":
+            text += bounded._source(key[1])
         for given in ("aa", "zz", "42424", "98765"):
             assert given not in text
 
 
 # Each pair differs only in head slots, then only in a probe's lookup
-# slots: (facts, steps) of the first and of the second program at bound 8.
-@pytest.mark.parametrize("first, second, expected", [
-    ("a(1,2). p(X,Y) :- a(X,Y).", "a(1,2). p(X,Y,Y) :- a(X,Y).",
+# slots: the shapes the second program adds, and (facts, steps) of the
+# first and of the second program at bound 8.
+@pytest.mark.parametrize("first, second, shapes, expected", [
+    ("a(1,2). p(X,Y) :- a(X,Y).", "a(1,2). p(X,Y,Y) :- a(X,Y).", 1,
      ({"a": {(1, 2)}, "p": {(1, 2)}}, 1,
       {"a": {(1, 2)}, "p": {(1, 2, 2)}}, 1)),
     ("a(1). b(1,5). c(1,5). p(X) :- a(X), b(X,5), c(X,5).",
-     "a(1). b(1,5). c(1,7). p(X) :- a(X), b(X,5), c(X,7).",
+     "a(1). b(1,5). c(1,7). p(X) :- a(X), b(X,5), c(X,7).", 0,
      ({"a": {(1,)}, "b": {(1, 5)}, "c": {(1, 5)}, "p": {(1,)}}, 9,
       {"a": {(1,)}, "b": {(1, 5)}, "c": {(1, 7)}, "p": {(1,)}}, 9)),
 ], ids=["head-slots", "lookup-slots"])
 def test_kernels_are_shared_across_head_and_lookup_slots(first, second,
-                                                          expected):
+                                                          shapes, expected,
+                                                          monkeypatch):
     # the head tuple and each probe key are read by an itemgetter passed
-    # in, so no slot of either is written into a kernel
-    bounded._kernel.cache_clear()
+    # in, so no slot of either is written into a kernel: the second
+    # program compiles no kernel, only the clause shapes it adds
+    _cold(monkeypatch)
     one = bounded_least_model(parse_program(first), 8)
-    misses = bounded._kernel.cache_info().misses
+    misses = bounded._CACHE.misses
     two = bounded_least_model(parse_program(second), 8)
-    assert bounded._kernel.cache_info().misses == misses > 0
+    assert bounded._CACHE.misses - misses == shapes and misses > 0
     assert (one.facts, one.steps, two.facts, two.steps) == expected
+
+
+def _collider(names=("q", "r"), lo=-1, hi=1, k=1, c=1, head=0,
+              atoms=(1, 1), limit=2) -> str:
+    # one clause shape per line whatever the arguments: q's facts from an
+    # interval, r's from two probes of q with constants, and the query
+    q, r = names
+    return (f"{q}(X,Y) :- X>={lo}, X=<{hi}, Y={k}*X{c:+d}.\n"
+            f"{r}({head},X) :- {q}(X,{atoms[0]}), {q}({atoms[1]},Z), "
+            f"X+Z>={lo}.\n"
+            f"unsafe :- {r}(W,X), {q}(X,Y), Y>={limit}.")
+
+
+# Programs whose clauses share their shapes line by line, unless a
+# coefficient differs, each with the bound it is evaluated at.
+COLLIDERS = [
+    (_collider(), 3),
+    (_collider(names=("s", "t")), 3),
+    (_collider(names=("r", "q")), 3),
+    (_collider(atoms=(1, 0)), 3),
+    (_collider(atoms=(0, 0)), 3),
+    (_collider(atoms=(0, 2)), 3),
+    (_collider(head=3), 3),
+    (_collider(head=-4), 3),
+    (_collider(head=3), 4),
+    (_collider(lo=0, hi=1, c=0, limit=1), 3),
+    (_collider(lo=-3, hi=3, c=-1, limit=0), 3),
+    (_collider(k=2), 3),
+    (_collider(k=-3, c=2), 3),
+    (_collider(), 2),
+    (_collider(), 4),
+]
+
+
+def _outcome(source: str, bound: int) -> tuple:
+    model = bounded_least_model(parse_program(source), bound)
+    return model.facts, model.clipped, model.rounds, model.steps
+
+
+def test_clauses_of_one_shape_do_not_collide(monkeypatch):
+    # a shape leaves out every constant, predicate name and the bound, so
+    # each program must run the same after the others as on its own
+    cold = []
+    for source, bound in COLLIDERS:
+        _cold(monkeypatch)
+        cold.append(_outcome(source, bound))
+    # forward, each after those before it; backward, each after all others
+    forward = [_outcome(source, bound) for source, bound in COLLIDERS]
+    backward = [_outcome(source, bound) for source, bound in COLLIDERS[::-1]]
+    assert forward == cold and backward[::-1] == cold
+    for (source, bound), (facts, *_) in zip(COLLIDERS, cold):
+        brute = naive_bounded_model(parse_program(source), bound)
+        assert ({p: fs for p, fs in facts.items() if fs}
+                == {p: fs for p, fs in brute.items() if fs}), source
+
+
+def _chain(first: int) -> str:
+    # the 300-variable chain of test_deep_clause_does_not_abort_the_batch
+    n = 300
+    chain = ", ".join(f"X{i}=X{i - 1}" for i in range(1, n))
+    return f"p(X{n - 1}) :- X0={first}, {chain}.\nunsafe :- p(X), X>=1.\n"
+
+
+def test_failed_evaluation_leaves_nothing_broken(monkeypatch):
+    # the evaluation that nests too deep stops part way through building
+    # the levels of its shape; what it built serves the next evaluations
+    cold = []
+    for first in (0, 1):
+        _cold(monkeypatch)
+        cold.append(_outcome(_chain(first), 32))
+    _cold(monkeypatch)
+    deep = parse_program(_chain(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        with pytest.raises(EvalError, match="recursion limit"):
+            bounded_least_model(deep, 32)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [_outcome(_chain(first), 32) for first in (0, 1)] == cold
+    assert [facts["unsafe"] for facts, *_ in cold] == [set(), {()}]
 
 
 def test_evaluation_leaves_no_reference_cycles():
