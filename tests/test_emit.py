@@ -1,9 +1,16 @@
 """Output formats: the clause syntax printer and SMT-LIB HORN emission."""
 
+import hashlib
+import random
+
 import pytest
 
-from chcslim import SmtEmitError, emit_clp, emit_smtlib_horn, parse_program
+from chcslim import (SmtEmitError, cfar_transform, emit_clp, emit_smtlib_horn,
+                     nlr_transform, parse_program)
+from chcslim.corpus import corpus_names, load
 from chcslim.syntax import Atom, ArrayCon, Clause, Constraint, Program, Var
+
+from gen import frame_program, random_program
 
 
 def test_emit_clp_matches_input_text(counter_p1):
@@ -104,3 +111,41 @@ def test_reserved_words_are_quoted():
     for word in ("NUMERAL", "STRING", "DECIMAL", "BINARY", "HEXADECIMAL"):
         assert f"(|{word}| Int)" in text
     assert "(>= |NUMERAL| 0)" in text
+
+
+# the texts above that reach array sorts, quoted symbols or an emit error
+EMIT_TEXTS = (
+    "p(A,I,V) :- read(A,I,V).\nunsafe :- V>=5, p(A,I,V).",
+    "p(A,B) :- write(A,1,5,B).\nunsafe :- p(A,B).",
+    ARRAY_FLOW + "unsafe :- q(Y).",
+    ARRAY_FLOW + "unsafe :- q(Y), Y>=0.",
+    "p(A,I,V) :- read(A,I,V), X=A, q(X).\nq(X) :- X=0.\nunsafe :- p(A,I,V).",
+    "push(NUMERAL, STRING) :- NUMERAL>=0, STRING=NUMERAL.\n"
+    "pop(DECIMAL, BINARY, HEXADECIMAL) :- push(DECIMAL, BINARY), "
+    "HEXADECIMAL=1.\nexit(X) :- pop(X, Y, Z).\necho(X) :- exit(X).\n"
+    "reset(X) :- echo(X).\nunsafe :- reset(X), X<0.",
+)
+
+# the SHA-256 of the SMT-LIB text, or the emit error, of each program of
+# the transform digest (tests/test_cfar.py) and of EMIT_TEXTS, raw, after
+# nlr and after nlr then cfar: a change to the emitter must change none
+SMT_OUTPUTS = "d18555b5af6893eef52b2329b51e789afa7398b6b39b8e447b6f4602d5d4722d"
+
+
+def test_smt_outputs_are_pinned():
+    rng, frames = random.Random(1), random.Random(2)
+    programs = ([load(name) for name in corpus_names()]
+                + [random_program(rng) for _ in range(300)]
+                + [frame_program(frames) for _ in range(100)]
+                + [parse_program(text) for text in EMIT_TEXTS])
+    digest = hashlib.sha256()
+    for prog in programs:
+        slim, _ = nlr_transform(prog)
+        both, _, _ = cfar_transform(slim)
+        for stage in (prog, slim, both):
+            try:
+                text = emit_smtlib_horn(stage)
+            except SmtEmitError as exc:
+                text = f"error {exc}"
+            digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == SMT_OUTPUTS

@@ -143,6 +143,87 @@ def test_edited_corpus_texts_give_a_program_or_a_parse_error():
     assert digest.hexdigest() == EDITED_OUTCOMES
 
 
+def _expression(rng: random.Random) -> str:
+    """A linear expression over few names, so that terms repeat and
+    cancel: an optional leading sign, then terms ``N``, ``N*V``, ``V*N``
+    or ``V`` (``_`` among the names) with coefficients from 0 to 3."""
+    pieces = [rng.choice(("", "", "+", "-"))]
+    for k in range(rng.randint(1, 4)):
+        if k:
+            pieces.append(rng.choice("+-"))
+        name, coeff = rng.choice("XXYYZ_"), str(rng.randint(0, 3))
+        pieces.append(rng.choice((coeff, f"{coeff}*{name}", f"{name}*{coeff}",
+                                  name, name)))
+    return "".join(pieces)
+
+
+def _hot_text(rng: random.Random) -> str:
+    """A program text whose clauses take every branch of the clause loop:
+    the expressions of ``_expression`` under each relation (``<=`` among
+    them), ``true``, ``read`` and ``write``, ``_`` and negative integers
+    as arguments, and atoms with and without arguments."""
+    def arg() -> str:
+        return rng.choice(("X", "Y", "_", "A", str(rng.randint(0, 9)),
+                           f"-{rng.randint(0, 9)}"))
+
+    def atom(pred: str) -> str:
+        return pred if pred == "r" else f"{pred}({','.join(arg() for _ in range(2))})"
+
+    lines = []
+    for _ in range(rng.randint(2, 4)):
+        head = rng.choice(("p", "q", "r", "unsafe"))
+        items = []
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if roll < 0.5:
+                rel = rng.choice(("=", "<", "=<", "<=", ">", ">="))
+                items.append(f"{_expression(rng)}{rel}{_expression(rng)}")
+            elif roll < 0.6:
+                items.append("true")
+            elif roll < 0.7:
+                items.append(f"read(A,{arg()},{arg()})")
+            elif roll < 0.8:
+                items.append(f"write(A,{arg()},{arg()},B)")
+            else:
+                items.append(atom(rng.choice("pqr")))
+        clause = atom(head) if head != "unsafe" else head
+        if items:
+            clause += rng.choice((" :- ", ":-", " :-\n  ")) + rng.choice(
+                (",", ", ", ",\n  ")).join(items)
+        lines.append(clause + ".")
+    return "\n".join(lines) + "\n"
+
+
+# the SHA-256 of the 2,000 outcomes below, as for EDITED_OUTCOMES
+EDITED_HOT_OUTCOMES = "122690156cd8676fffeaea28b693414bc498611f872967db3954f2b1e761a0cb"
+
+
+def test_edited_hot_texts_give_a_program_or_a_parse_error():
+    # the corpus edits above rarely reach coefficients, signs, repeated
+    # and zero terms, ``_``, ``true`` or arrays; these texts are built of them
+    rng = random.Random(2917)
+    outcomes, digest = Counter(), hashlib.sha256()
+    for _ in range(2000):
+        chars = list(_hot_text(rng))
+        i, j = rng.randrange(len(chars)), rng.randrange(len(chars))
+        edit = rng.choice(("insert", "delete", "swap", "none"))
+        if edit == "insert":
+            chars.insert(i, rng.choice("()<=>-+*,.:_%#XYZabtrue019 \n"))
+        elif edit == "delete":
+            del chars[i]
+        elif edit == "swap":
+            chars[i], chars[j] = chars[j], chars[i]
+        try:
+            outcome = "program\n" + emit_clp(parse_program("".join(chars)))
+            outcomes["program"] += 1
+        except ParseError as exc:
+            outcome = f"error {exc}\n"
+            outcomes["error"] += 1
+        digest.update(outcome.encode())
+    assert outcomes == {"program": 913, "error": 1087}
+    assert digest.hexdigest() == EDITED_HOT_OUTCOMES
+
+
 @pytest.mark.parametrize("source", [
     "p(X) :- X=\u0663.",  # ARABIC-INDIC DIGIT THREE, a decimal digit
     "p(X) :-\u00a0X=3.",
