@@ -48,10 +48,10 @@ def _smt_int(value: int) -> str:
     return str(value) if value >= 0 else f"(- {-value})"
 
 
-def _smt_linexpr(expr: LinExpr) -> str:
+def _smt_linexpr(expr: LinExpr, symbols: dict[str, str]) -> str:
     pieces = []
     for name, coeff in expr.terms:
-        sym = _smt_symbol(name)
+        sym = symbols[name]
         if coeff == 1:
             pieces.append(sym)
         elif coeff == -1:
@@ -65,14 +65,15 @@ def _smt_linexpr(expr: LinExpr) -> str:
     return f"(+ {' '.join(pieces)})"
 
 
-def _smt_term(term: Term) -> str:
-    return _smt_symbol(term.name) if isinstance(term, Var) else _smt_int(term.value)
+def _smt_term(term: Term, symbols: dict[str, str]) -> str:
+    return symbols[term.name] if isinstance(term, Var) else _smt_int(term.value)
 
 
-def _smt_atom(atom: Atom) -> str:
+def _smt_atom(atom: Atom, preds: dict[str, str], symbols: dict[str, str]) -> str:
     if not atom.args:
-        return _smt_symbol(atom.pred)
-    return f"({_smt_symbol(atom.pred)} {' '.join(_smt_term(t) for t in atom.args)})"
+        return preds[atom.pred]
+    args = " ".join([_smt_term(t, symbols) for t in atom.args])
+    return f"({preds[atom.pred]} {args})"
 
 
 def _conjoin(parts: list[str]) -> str:
@@ -90,7 +91,6 @@ def _array_sorted(program: Program) -> tuple[set[tuple[int, str]],
     the sort flows both ways between a variable and every predicate
     position it fills, through any number of clauses."""
     seeds: list[tuple] = []
-    links: dict[tuple, list[tuple]] = {}
     for i, clause in enumerate(program.clauses):
         for con in clause.constraint.conjuncts:
             if isinstance(con, ArrayCon):
@@ -100,6 +100,10 @@ def _array_sorted(program: Program) -> tuple[set[tuple[int, str]],
                         raise SmtEmitError(f"array argument of {con.kind} must be "
                                            f"a variable", i)
                     seeds.append((i, t.name))
+    if not seeds:
+        return set(), set()
+    links: dict[tuple, list[tuple]] = {}
+    for i, clause in enumerate(program.clauses):
         for atom in (clause.head, *clause.body):
             for k, t in enumerate(atom.args):
                 if isinstance(t, Var):
@@ -115,17 +119,10 @@ def _array_sorted(program: Program) -> tuple[set[tuple[int, str]],
     return variables, reached - variables
 
 
-def emit_smtlib_horn(program: Program) -> str:
-    """Emit an SMT-LIB 2 document in the HORN fragment.
-
-    Every non-query predicate is declared over integer sorts; each clause
-    becomes a universally quantified implication and query clauses imply
-    ``false``, so the clause set is satisfiable iff the program is safe.
-    Read/write pseudo-constraints become select/store equations over
-    ``(Array Int Int)`` variables; predicate argument sorts are inferred
-    and must not conflict.
-    """
-    array_vars, array_positions = _array_sorted(program)
+def _check_array_uses(program: Program, array_vars: set[tuple[int, str]],
+                      array_positions: set[tuple[str, int]]) -> None:
+    """An SmtEmitError at the first clause that uses an array-sorted
+    variable or position as an integer."""
     for i, clause in enumerate(program.clauses):
         names = {n for (j, n) in array_vars if j == i}
         for name in names:
@@ -143,14 +140,31 @@ def emit_smtlib_horn(program: Program) -> str:
                     raise SmtEmitError(f"integer constant at array-sorted position "
                                        f"{k + 1} of {atom.pred}", i)
 
+
+def emit_smtlib_horn(program: Program) -> str:
+    """Emit an SMT-LIB 2 document in the HORN fragment.
+
+    Every non-query predicate is declared over integer sorts; each clause
+    becomes a universally quantified implication and query clauses imply
+    ``false``, so the clause set is satisfiable iff the program is safe.
+    Read/write pseudo-constraints become select/store equations over
+    ``(Array Int Int)`` variables; predicate argument sorts are inferred
+    and must not conflict.  Each predicate's symbol is computed once per
+    program, each variable's once per clause.
+    """
+    array_vars, array_positions = _array_sorted(program)
+    if array_vars:
+        _check_array_uses(program, array_vars, array_positions)
+
+    preds = {pred: _smt_symbol(pred) for pred in program.arities}
     lines = ["(set-logic HORN)"]
-    for pred in program.arities:
+    for pred, arity in program.arities.items():
         if pred != QUERY:
             sig = ["(Array Int Int)" if (pred, k) in array_positions else "Int"
-                   for k in range(program.arities[pred])]
-            lines.append(f"(declare-fun {_smt_symbol(pred)} ({' '.join(sig)}) Bool)")
+                   for k in range(arity)]
+            lines.append(f"(declare-fun {preds[pred]} ({' '.join(sig)}) Bool)")
     for i, clause in enumerate(program.clauses):
-        lines.append(_emit_clause(clause, array_vars, i))
+        lines.append(_emit_clause(clause, preds, array_vars, i))
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
@@ -162,30 +176,33 @@ def _var_constrained_arith(clause: Clause, name: str) -> bool:
     return False
 
 
-def _emit_clause(clause: Clause, array_vars: set[tuple[int, str]],
-                 index: int) -> str:
-    var_sorts = {name: "(Array Int Int)" if (index, name) in array_vars else "Int"
-                 for name in clause.vars()}
+def _emit_clause(clause: Clause, preds: dict[str, str],
+                 array_vars: set[tuple[int, str]], index: int) -> str:
+    names = clause.vars()
+    symbols = {name: _smt_symbol(name) for name in names}
 
     parts: list[str] = []
     for con in clause.constraint.conjuncts:
         if isinstance(con, RelCon):
-            parts.append(f"({_SMT_REL[con.rel]} {_smt_linexpr(con.lhs)} "
-                         f"{_smt_linexpr(con.rhs)})")
+            parts.append(f"({_SMT_REL[con.rel]} {_smt_linexpr(con.lhs, symbols)} "
+                         f"{_smt_linexpr(con.rhs, symbols)})")
         elif con.kind == "read":
-            a, i, v = (_smt_term(t) for t in con.args)
+            a, i, v = (_smt_term(t, symbols) for t in con.args)
             parts.append(f"(= (select {a} {i}) {v})")
         else:
-            a, i, v, b = (_smt_term(t) for t in con.args)
+            a, i, v, b = (_smt_term(t, symbols) for t in con.args)
             parts.append(f"(= {b} (store {a} {i} {v}))")
-    parts.extend(_smt_atom(a) for a in clause.body)
+    parts.extend(_smt_atom(a, preds, symbols) for a in clause.body)
 
-    head = "false" if clause.head.pred == QUERY else _smt_atom(clause.head)
+    head = "false" if clause.head.pred == QUERY else _smt_atom(clause.head, preds,
+                                                               symbols)
     if parts:
         core = f"(=> {_conjoin(parts)} {head})"
     else:
         core = head
-    binders = " ".join(f"({_smt_symbol(n)} {s})" for n, s in var_sorts.items())
+    binders = " ".join([f"({symbols[n]} "
+                        f"{'(Array Int Int)' if (index, n) in array_vars else 'Int'})"
+                        for n in names])
     if binders:
         return f"(assert (forall ({binders}) {core}))"
     return f"(assert {core})"

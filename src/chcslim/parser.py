@@ -19,14 +19,23 @@ the relative order of each kind.
 ``parse_program`` is the one entry point: a file is read as a whole
 program, its rules checked once every clause is parsed.
 
-Tokens are read in one scan: a single pattern skips whitespace and
-comments and returns the next token's text, the empty text at the end of
-the input standing for ``eof``.  A token's kind follows from its text.
-Variables, identifiers and integers have the kinds ``var``, ``ident`` and
-``int``; an operator is its own kind, so the parser matches every token by
-kind alone.  ``<=`` gets the kind ``=<`` and keeps its text, so error
-messages quote the token as written.  Token offsets are worked out only
-for an error, by scanning the text again.
+Tokens are read in one scan: ``findall`` over one pattern steps over
+whitespace and returns each token's text, comments are dropped from the
+list, and the empty text ends it, standing for ``eof``.  A token's kind
+follows from its text.  Variables, identifiers and integers have the
+kinds ``var``, ``ident`` and ``int``; an operator is its own kind, so the
+parser matches every token by kind alone.  ``<=`` gets the kind ``=<``
+and keeps its text, so error messages quote the token as written.  Token
+offsets are worked out only for an error, by scanning the text again.
+
+Each clause is read in one flat pass over local ``pos``, ``kinds`` and
+``words``: its atoms, argument lists and linear expressions are read in
+place, with no call per token.  Each written variable name gets one
+``Var`` per parse, and an expression whose terms are distinct and
+non-zero becomes a ``LinExpr`` as read; only one with a zero or repeated
+term is normalized by ``LinExpr.make``.  The rare cases, ``_``, an
+integer too long to convert and every error, go through small methods,
+and each error names the token it is found at.
 """
 
 from __future__ import annotations
@@ -46,13 +55,11 @@ class ParseError(Exception):
         self.col = col
 
 
-# Whitespace and comments, then one token: a name, an integer, an
-# operator, any other character (which is an error) or the end of the
-# text.  Names are ASCII; ``\d`` is any Unicode decimal digit.
-_TOKEN_RE = re.compile(r"""
-    (?: \s+ | %[^\n]* )*
-    ( [A-Za-z_][A-Za-z0-9_]* | \d+ | :- | =< | <= | >= | [=<>.,()*+-] | . | \Z )
-""", re.VERBOSE | re.DOTALL)
+# One token or comment: a name, an integer, an operator, a comment or any
+# other character but whitespace (which is an error).  Whitespace matches
+# nothing, so ``findall`` steps over it.  Names are ASCII; ``\d`` is any
+# Unicode decimal digit.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|:-|=<|<=|>=|%[^\n]*|\S")
 
 # the kinds of the operators, and of the end of the text
 _OPERATORS = {op: op for op in ":- =< >= = < > . , ( ) * + -".split()}
@@ -72,26 +79,34 @@ def _kind(word: str) -> str:
     return "int" if first.isdecimal() else "bad"
 
 
+def _words(text: str) -> list[str]:
+    """The texts of the tokens of ``text``, then the empty text for the
+    end of the input."""
+    words = _TOKEN_RE.findall(text)
+    if "%" in text:  # a comment is the only match that starts with '%'
+        words = [w for w in words if w[0] != "%"]
+    words.append("")
+    return words
+
+
 def _error(message: str, text: str, index: int) -> ParseError:
-    """A ParseError at the ``index``-th token of ``text``, with its line
-    and column counted from 1."""
-    offset = next(itertools.islice(_TOKEN_RE.finditer(text), index, None)).start(1)
+    """A ParseError at the ``index``-th token of ``_words(text)``, with its
+    line and column counted from 1."""
+    offsets = [m.start() for m in _TOKEN_RE.finditer(text) if m[0][0] != "%"]
+    offsets.append(len(text))
+    offset = offsets[index]
     bol = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - bol + 1)
-
-
-# token kinds named in words; the others are quoted as they are written
-_KIND_WORDS = {"var": "a variable", "int": "an integer", "ident": "a name"}
 
 
 class _Parser:
     """Reads the tokens of ``text`` by index: ``words[pos]`` is the text
     of the current token and ``kinds[pos]`` its kind.  The token lists
-    may end in more than one ``eof``; nothing reads past the first."""
+    end in one ``eof``."""
 
     def __init__(self, text: str):
         self.text = text
-        self.words = words = _TOKEN_RE.findall(text)
+        self.words = words = _words(text)
         known = dict(_OPERATORS)  # then each word once, as it is first seen
         self.kinds = kinds = [known.get(w) or known.setdefault(w, _kind(w))
                               for w in words]
@@ -99,50 +114,31 @@ class _Parser:
             bad = kinds.index("bad")
             raise _error(f"unexpected character {words[bad]!r}", text, bad)
         self.pos = 0
+        self.variables: dict[str, Var] = {}  # one Var per written name
         self.clause_start, self.anonymous = 0, None
 
-    def accept(self, kind: str) -> bool:
-        """Step past the current token if it has ``kind``."""
-        if self.kinds[self.pos] != kind:
-            return False
-        self.pos += 1
-        return True
+    def fail(self, message: str, pos: int) -> ParseError:
+        """A ParseError at token ``pos``."""
+        return _error(message, self.text, pos)
 
-    def fail(self, message: str, pos: int | None = None) -> ParseError:
-        """A ParseError at token ``pos``, by default the current token."""
-        return _error(message, self.text, self.pos if pos is None else pos)
-
-    def unexpected(self, wanted: str) -> ParseError:
-        """A ParseError at the current token, which is not ``wanted``."""
+    def unexpected(self, wanted: str, pos: int) -> ParseError:
+        """A ParseError at token ``pos``, which is not ``wanted``."""
         return self.fail(f"expected {wanted}, found "
-                         f"{self.words[self.pos] or 'end of input'!r}")
+                         f"{self.words[pos] or 'end of input'!r}", pos)
 
-    def expect(self, kind: str) -> str:
-        """The current token's text, stepping past it; a ParseError unless
-        it has ``kind``."""
-        pos = self.pos
-        if self.kinds[pos] != kind:
-            raise self.unexpected(_KIND_WORDS.get(kind) or repr(kind))
-        self.pos = pos + 1
-        return self.words[pos]
-
-    def integer(self) -> int:
-        """The value of the current token, an int, stepping past it; a
-        ParseError at it when the literal is too long for Python to
-        convert."""
-        pos = self.pos
-        word = self.expect("int")
+    def integer(self, pos: int) -> int:
+        """The value of the integer token ``pos``; a ParseError at it when
+        the literal is too long for Python to convert."""
+        word = self.words[pos]
         try:
             return int(word)
         except ValueError:
             raise self.fail(f"integer literal of {len(word)} digits is "
                             "too long", pos) from None
 
-    def var_name(self, word: str) -> str:
-        """The name of a variable written ``word``; each ``_`` gets a fresh
+    def fresh_name(self) -> str:
+        """The name of the next ``_`` of the clause: each gets a fresh
         one, apart from every variable written in its clause."""
-        if word != "_":
-            return word
         if self.anonymous is None:
             kinds, start = self.kinds, self.clause_start
             end = start
@@ -154,110 +150,140 @@ class _Parser:
                               if f"_{i}" not in written)
         return next(self.anonymous)
 
-    # --- terms and expressions -------------------------------------------
+    def var(self, word: str) -> Var:
+        """The variable written ``word`` when it is not yet in
+        ``variables``: a fresh one for ``_``, else a new entry."""
+        if word == "_":
+            return Var(self.fresh_name())
+        var = self.variables[word] = Var(word)
+        return var
 
-    def parse_term(self) -> Term:
-        kind = self.kinds[self.pos]
-        if kind == "var":
-            return Var(self.var_name(self.expect("var")))
-        if kind == "int":
-            return Const(self.integer())
-        if self.accept("-"):
-            return Const(-self.integer())
-        raise self.unexpected("a variable or integer")
-
-    def parse_linexpr(self) -> LinExpr:
-        kinds, words = self.kinds, self.words
-        pairs: list[tuple[str, int]] = []
-        const = 0
-        kind = kinds[self.pos]
-        sign = -1 if kind == "-" else 1
-        if kind == "-" or kind == "+":
-            self.pos += 1
-        while True:
-            kind = kinds[self.pos]
-            if kind == "int":
-                coeff = sign * self.integer()
-                if self.accept("*"):
-                    pairs.append((self.var_name(self.expect("var")), coeff))
-                else:
-                    const += coeff
-            elif kind == "var":
-                word = words[self.pos]
-                self.pos += 1
-                coeff = sign * self.integer() if self.accept("*") else sign
-                pairs.append((self.var_name(word), coeff))
-            else:
-                raise self.unexpected("a term")
-            kind = kinds[self.pos]
-            if kind == "+":
-                sign = 1
-            elif kind == "-":
-                sign = -1
-            else:
-                return LinExpr.make(pairs, const)
-            self.pos += 1
-
-    def parse_relcon(self) -> RelCon:
-        lhs = self.parse_linexpr()
-        rel = self.kinds[self.pos]
-        if rel not in RELATIONS:
-            raise self.unexpected("a relation")
-        self.pos += 1
-        return RelCon(rel, lhs, self.parse_linexpr())
-
-    # --- atoms and clauses ------------------------------------------------
-
-    def parse_args(self) -> tuple[Term, ...]:
-        self.expect("(")
-        args = [self.parse_term()]
-        while self.accept(","):
-            args.append(self.parse_term())
-        self.expect(")")
-        return tuple(args)
-
-    def parse_atom(self) -> Atom:
-        name = self.expect("ident")
-        if self.kinds[self.pos] == "(":
-            return Atom(name, self.parse_args())
-        return Atom(name)
-
-    def parse_body_item(self) -> "AtomicCon | Atom | None":
-        pos = self.pos
-        if self.kinds[pos] == "ident":
-            word, call = self.words[pos], self.kinds[pos + 1] == "("
-            if word == "true" and not call:
-                self.pos = pos + 1
-                return None
-            if word in ARRAY_KINDS and call:
-                self.pos = pos + 1
-                args = self.parse_args()
-                if len(args) != ARRAY_KINDS[word]:
-                    raise self.fail(f"{word} expects {ARRAY_KINDS[word]} "
-                                    f"arguments, got {len(args)}", pos)
-                return ArrayCon(word, args)
-            atom = self.parse_atom()
-            after = self.kinds[self.pos]
-            if after in RELATIONS or after in ("+", "-", "*"):
-                raise self.fail("compound terms are not supported")
-            return atom
-        return self.parse_relcon()
-
-    def parse_clause(self) -> Clause:
-        self.clause_start, self.anonymous = self.pos, None
-        head = self.parse_atom()
+    def clause(self) -> Clause:
+        """The clause at ``pos``, read in one pass: the head, then each
+        body item, an atom, ``true``, an array constraint or a relation
+        between two linear expressions."""
+        kinds, words, variables = self.kinds, self.words, self.variables
+        pos = self.clause_start = self.pos
+        self.anonymous = None
+        head = None
         conjuncts: list[AtomicCon] = []
         body: list[Atom] = []
-        if self.accept(":-"):
-            while True:
-                item = self.parse_body_item()
-                if isinstance(item, Atom):
-                    body.append(item)
-                elif item is not None:  # None is ``true``
-                    conjuncts.append(item)
-                if not self.accept(","):
-                    break
-        self.expect(".")
+        while True:  # the head, then one body item per round
+            kind = kinds[pos]
+            if kind == "ident" or head is None:
+                if kind != "ident":
+                    raise self.unexpected("a name", pos)
+                at, name = pos, words[pos]
+                pos += 1
+                call = kinds[pos] == "("
+                args: list[Term] = []
+                if call:
+                    while True:
+                        pos += 1
+                        kind = kinds[pos]
+                        if kind == "var":
+                            word = words[pos]
+                            args.append(variables.get(word) or self.var(word))
+                        elif kind == "int":
+                            args.append(Const(self.integer(pos)))
+                        elif kind == "-":
+                            pos += 1
+                            if kinds[pos] != "int":
+                                raise self.unexpected("an integer", pos)
+                            args.append(Const(-self.integer(pos)))
+                        else:
+                            raise self.unexpected("a variable or integer", pos)
+                        pos += 1
+                        kind = kinds[pos]
+                        if kind != ",":
+                            if kind != ")":
+                                raise self.unexpected("')'", pos)
+                            pos += 1
+                            break
+                if head is None:
+                    head = Atom(name, tuple(args))
+                    if kinds[pos] != ":-":
+                        break
+                    pos += 1
+                    continue
+                if name == "true" and not call:
+                    pass  # the empty constraint
+                elif name in ARRAY_KINDS and call:
+                    if len(args) != ARRAY_KINDS[name]:
+                        raise self.fail(f"{name} expects {ARRAY_KINDS[name]} "
+                                        f"arguments, got {len(args)}", at)
+                    conjuncts.append(ArrayCon(name, tuple(args)))
+                else:
+                    after = kinds[pos]
+                    if after in RELATIONS or after in ("+", "-", "*"):
+                        raise self.fail("compound terms are not supported", pos)
+                    body.append(Atom(name, tuple(args)))
+            else:
+                lhs = None
+                while True:  # the left side, then the right
+                    pairs: list[tuple[str, int]] = []
+                    const, nonzero = 0, True
+                    sign = 1
+                    if kind == "-":
+                        sign, pos = -1, pos + 1
+                    elif kind == "+":
+                        pos += 1
+                    while True:
+                        kind = kinds[pos]
+                        if kind == "var":
+                            word = words[pos]
+                            if kinds[pos + 1] == "*":
+                                pos += 2
+                                if kinds[pos] != "int":
+                                    raise self.unexpected("an integer", pos)
+                                coeff = sign * self.integer(pos)
+                                nonzero = nonzero and coeff != 0
+                            else:
+                                coeff = sign
+                            pairs.append((self.fresh_name() if word == "_"
+                                          else word, coeff))
+                        elif kind == "int":
+                            value = sign * self.integer(pos)
+                            if kinds[pos + 1] == "*":
+                                pos += 2
+                                if kinds[pos] != "var":
+                                    raise self.unexpected("a variable", pos)
+                                word = words[pos]
+                                pairs.append((self.fresh_name() if word == "_"
+                                              else word, value))
+                                nonzero = nonzero and value != 0
+                            else:
+                                const += value
+                        else:
+                            raise self.unexpected("a term", pos)
+                        pos += 1
+                        kind = kinds[pos]
+                        if kind == "+":
+                            sign = 1
+                        elif kind == "-":
+                            sign = -1
+                        else:
+                            break
+                        pos += 1
+                    if nonzero and (len(pairs) < 2
+                                    or len(dict(pairs)) == len(pairs)):
+                        expr = LinExpr(tuple(pairs), const)
+                    else:  # a zero or repeated term
+                        expr = LinExpr.make(pairs, const)
+                    if lhs is not None:
+                        break
+                    lhs, rel = expr, kind
+                    if rel not in RELATIONS:
+                        raise self.unexpected("a relation", pos)
+                    pos += 1
+                    kind = kinds[pos]
+                conjuncts.append(RelCon(rel, lhs, expr))
+            if kinds[pos] != ",":
+                break
+            pos += 1
+        if kinds[pos] != ".":
+            raise self.unexpected("'.'", pos)
+        self.pos = pos + 1
         return Clause(head, Constraint(tuple(conjuncts)), tuple(body))
 
     def parse_program(self) -> Program:
@@ -268,7 +294,7 @@ class _Parser:
         starts: list[int] = []
         while self.kinds[self.pos] != "eof":
             starts.append(self.pos)
-            clauses.append(self.parse_clause())
+            clauses.append(self.clause())
         try:
             return Program(tuple(clauses))
         except ProgramError as exc:
@@ -278,4 +304,3 @@ class _Parser:
 
 def parse_program(text: str) -> Program:
     return _Parser(text).parse_program()
-

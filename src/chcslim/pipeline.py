@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shlex
 import subprocess
 import time
@@ -194,6 +195,24 @@ def read_input(path: Path) -> str:
         raise OSError(f"{path}: not UTF-8: {exc}") from None
 
 
+def write_artifact(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8.  An existing file is rewritten
+    in place: opened without truncating it, then cut where the text ends,
+    so it holds the bytes of a fresh write.  Truncating it to nothing
+    first, as ``Path.write_text`` does, makes ext4 (``auto_da_alloc``)
+    allocate its blocks when it is closed, which costs a re-run into the
+    same directory several times the write itself."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def run_pipeline(cfg: PipelineConfig) -> list[RunRecord]:
     """Process every input; per-problem failures are recorded, not raised."""
     cfg.validate()
@@ -233,7 +252,7 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
             rec.stage_times[stage] = time.perf_counter() - start
             clp_path = cfg.out_dir / f"{rec.name}.{stage}.clp"
             try:
-                clp_path.write_text(emit_clp(current))
+                write_artifact(clp_path, emit_clp(current))
                 rec.artifacts.append(str(clp_path))
                 problem = _recheck_artifact(clp_path, current)
             except OSError as exc:  # not written, or not read back
@@ -253,7 +272,7 @@ def _run_one(path: Path, cfg: PipelineConfig) -> RunRecord:
 
     try:
         smt_path = cfg.out_dir / f"{rec.name}.smt2"
-        smt_path.write_text(emit_smtlib_horn(current))
+        write_artifact(smt_path, emit_smtlib_horn(current))
         rec.artifacts.append(str(smt_path))
     except SmtEmitError as exc:
         rec.error = f"emit error: {exc}"

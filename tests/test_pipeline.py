@@ -211,6 +211,24 @@ def test_unwritable_smt_artifact_becomes_error_record(tmp_path, capsys):
     assert (tmp_path / "out" / "y.smt2").is_file()
 
 
+def test_rerun_into_the_same_out_dir_writes_the_bytes_of_a_fresh_run(tmp_path):
+    # artifacts are rewritten in place: a shorter program leaves no tail
+    # of the longer one's artifacts behind
+    problem = tmp_path / "p.clp"
+    problem.write_text((CORPUS / "count_up_safe.clp").read_text())
+    reused = PipelineConfig([problem], tmp_path / "reused", bound=8)
+    longer = [Path(a).read_bytes() for a in run_pipeline(reused)[0].artifacts]
+    problem.write_text((CORPUS / "always_safe.clp").read_text())
+    again = run_pipeline(reused)[0]
+    fresh = run_pipeline(PipelineConfig([problem], tmp_path / "fresh", bound=8))[0]
+    assert [Path(a).name for a in again.artifacts] == [
+        Path(a).name for a in fresh.artifacts] == ["p.nlr.clp", "p.cfar.clp",
+                                                   "p.smt2"]
+    for old, path, want in zip(longer, again.artifacts, fresh.artifacts):
+        assert len(old) > len(Path(want).read_bytes())
+        assert Path(path).read_bytes() == Path(want).read_bytes()
+
+
 def test_stage_subset_skips_other_transform(tmp_path):
     cfg = config(tmp_path, stages=("nlr",))
     record = run_pipeline(cfg)[0]
