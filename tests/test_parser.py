@@ -115,22 +115,20 @@ def test_error_messages_name_what_was_expected(source, message):
 EDITED_OUTCOMES = "5437d9fc6f7810e8985da4b01f6ad4c9a780a57ef17fdf47981ba0d1aae52dc7"
 
 
-def test_edited_corpus_texts_give_a_program_or_a_parse_error():
-    # one hostile input never ends a batch: a text one character edit away
-    # from a corpus file parses or raises ParseError, and nothing else;
-    # which one, and the message and position, are pinned
-    rng = random.Random(1202)
-    texts = [(corpus_dir() / f"{name}.clp").read_text() for name in corpus_names()]
+def _edited_outcomes(rng: random.Random, source, edits: tuple[str, ...]):
+    """The outcome counts and the SHA-256 of 2,000 texts, each drawn from
+    ``source()`` and edited by one of ``edits``: a character inserted,
+    deleted or swapped with another, or ``none``."""
     outcomes, digest = Counter(), hashlib.sha256()
     for _ in range(2000):
-        chars = list(rng.choice(texts))
+        chars = list(source())
         i, j = rng.randrange(len(chars)), rng.randrange(len(chars))
-        edit = rng.choice(("insert", "delete", "swap"))
+        edit = rng.choice(edits)
         if edit == "insert":
             chars.insert(i, rng.choice("()<=>-+*,.:_%#XYZabtrue019 \n"))
         elif edit == "delete":
             del chars[i]
-        else:
+        elif edit == "swap":
             chars[i], chars[j] = chars[j], chars[i]
         try:
             outcome = "program\n" + emit_clp(parse_program("".join(chars)))
@@ -139,8 +137,19 @@ def test_edited_corpus_texts_give_a_program_or_a_parse_error():
             outcome = f"error {exc}\n"
             outcomes["error"] += 1
         digest.update(outcome.encode())
+    return outcomes, digest.hexdigest()
+
+
+def test_edited_corpus_texts_give_a_program_or_a_parse_error():
+    # one hostile input never ends a batch: a text one character edit away
+    # from a corpus file parses or raises ParseError, and nothing else;
+    # which one, and the message and position, are pinned
+    rng = random.Random(1202)
+    texts = [(corpus_dir() / f"{name}.clp").read_text() for name in corpus_names()]
+    outcomes, digest = _edited_outcomes(rng, lambda: rng.choice(texts),
+                                        ("insert", "delete", "swap"))
     assert outcomes == {"program": 1246, "error": 754}
-    assert digest.hexdigest() == EDITED_OUTCOMES
+    assert digest == EDITED_OUTCOMES
 
 
 def _expression(rng: random.Random) -> str:
@@ -202,26 +211,10 @@ def test_edited_hot_texts_give_a_program_or_a_parse_error():
     # the corpus edits above rarely reach coefficients, signs, repeated
     # and zero terms, ``_``, ``true`` or arrays; these texts are built of them
     rng = random.Random(2917)
-    outcomes, digest = Counter(), hashlib.sha256()
-    for _ in range(2000):
-        chars = list(_hot_text(rng))
-        i, j = rng.randrange(len(chars)), rng.randrange(len(chars))
-        edit = rng.choice(("insert", "delete", "swap", "none"))
-        if edit == "insert":
-            chars.insert(i, rng.choice("()<=>-+*,.:_%#XYZabtrue019 \n"))
-        elif edit == "delete":
-            del chars[i]
-        elif edit == "swap":
-            chars[i], chars[j] = chars[j], chars[i]
-        try:
-            outcome = "program\n" + emit_clp(parse_program("".join(chars)))
-            outcomes["program"] += 1
-        except ParseError as exc:
-            outcome = f"error {exc}\n"
-            outcomes["error"] += 1
-        digest.update(outcome.encode())
+    outcomes, digest = _edited_outcomes(rng, lambda: _hot_text(rng),
+                                        ("insert", "delete", "swap", "none"))
     assert outcomes == {"program": 913, "error": 1087}
-    assert digest.hexdigest() == EDITED_HOT_OUTCOMES
+    assert digest == EDITED_HOT_OUTCOMES
 
 
 @pytest.mark.parametrize("source", [
