@@ -119,28 +119,6 @@ def _array_sorted(program: Program) -> tuple[set[tuple[int, str]],
     return variables, reached - variables
 
 
-def _check_array_uses(program: Program, array_vars: set[tuple[int, str]],
-                      array_positions: set[tuple[str, int]]) -> None:
-    """An SmtEmitError at the first clause that uses an array-sorted
-    variable or position as an integer."""
-    for i, clause in enumerate(program.clauses):
-        names = {n for (j, n) in array_vars if j == i}
-        for name in names:
-            if _var_constrained_arith(clause, name):
-                raise SmtEmitError(f"array variable {name} used in arithmetic", i)
-        for con in clause.constraint.conjuncts:
-            if isinstance(con, ArrayCon):
-                for t in (con.args[1], con.args[2]):
-                    if isinstance(t, Var) and t.name in names:
-                        raise SmtEmitError(f"array variable {t.name} used as an "
-                                           f"integer in {con.kind}", i)
-        for atom in (clause.head, *clause.body):
-            for k, t in enumerate(atom.args):
-                if isinstance(t, Const) and (atom.pred, k) in array_positions:
-                    raise SmtEmitError(f"integer constant at array-sorted position "
-                                       f"{k + 1} of {atom.pred}", i)
-
-
 def emit_smtlib_horn(program: Program) -> str:
     """Emit an SMT-LIB 2 document in the HORN fragment.
 
@@ -153,8 +131,24 @@ def emit_smtlib_horn(program: Program) -> str:
     program, each variable's once per clause.
     """
     array_vars, array_positions = _array_sorted(program)
-    if array_vars:
-        _check_array_uses(program, array_vars, array_positions)
+    if array_vars:  # no array-sorted variable or position is used as an integer
+        for i, clause in enumerate(program.clauses):
+            names = {n for (j, n) in array_vars if j == i}
+            for name in names:
+                if _var_constrained_arith(clause, name):
+                    raise SmtEmitError(f"array variable {name} used in "
+                                       "arithmetic", i)
+            for con in clause.constraint.conjuncts:
+                if isinstance(con, ArrayCon):
+                    for t in (con.args[1], con.args[2]):
+                        if isinstance(t, Var) and t.name in names:
+                            raise SmtEmitError(f"array variable {t.name} used "
+                                               f"as an integer in {con.kind}", i)
+            for atom in (clause.head, *clause.body):
+                for k, t in enumerate(atom.args):
+                    if isinstance(t, Const) and (atom.pred, k) in array_positions:
+                        raise SmtEmitError("integer constant at array-sorted "
+                                           f"position {k + 1} of {atom.pred}", i)
 
     preds = {pred: _smt_symbol(pred) for pred in program.arities}
     lines = ["(set-logic HORN)"]

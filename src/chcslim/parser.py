@@ -31,11 +31,9 @@ offsets are worked out only for an error, by scanning the text again.
 Each clause is read in one flat pass over local ``pos``, ``kinds`` and
 ``words``: its atoms, argument lists and linear expressions are read in
 place, with no call per token.  Each written variable name gets one
-``Var`` per parse, and an expression whose terms are distinct and
-non-zero becomes a ``LinExpr`` as read; only one with a zero or repeated
-term is normalized by ``LinExpr.make``.  The rare cases, ``_``, an
-integer too long to convert and every error, go through small methods,
-and each error names the token it is found at.
+``Var`` per parse, and each expression is normalized by ``LinExpr.make``.
+The rare cases, ``_``, an integer too long to convert and every error,
+go through small methods, and each error names the token it is found at.
 """
 
 from __future__ import annotations
@@ -150,14 +148,6 @@ class _Parser:
                               if f"_{i}" not in written)
         return next(self.anonymous)
 
-    def var(self, word: str) -> Var:
-        """The variable written ``word`` when it is not yet in
-        ``variables``: a fresh one for ``_``, else a new entry."""
-        if word == "_":
-            return Var(self.fresh_name())
-        var = self.variables[word] = Var(word)
-        return var
-
     def clause(self) -> Clause:
         """The clause at ``pos``, read in one pass: the head, then each
         body item, an atom, ``true``, an array constraint or a relation
@@ -183,7 +173,11 @@ class _Parser:
                         kind = kinds[pos]
                         if kind == "var":
                             word = words[pos]
-                            args.append(variables.get(word) or self.var(word))
+                            var = variables.get(word)
+                            if var is None:
+                                var = (Var(self.fresh_name()) if word == "_"
+                                       else variables.setdefault(word, Var(word)))
+                            args.append(var)
                         elif kind == "int":
                             args.append(Const(self.integer(pos)))
                         elif kind == "-":
@@ -222,7 +216,7 @@ class _Parser:
                 lhs = None
                 while True:  # the left side, then the right
                     pairs: list[tuple[str, int]] = []
-                    const, nonzero = 0, True
+                    const = 0
                     sign = 1
                     if kind == "-":
                         sign, pos = -1, pos + 1
@@ -230,32 +224,26 @@ class _Parser:
                         pos += 1
                     while True:
                         kind = kinds[pos]
-                        if kind == "var":
-                            word = words[pos]
-                            if kinds[pos + 1] == "*":
-                                pos += 2
-                                if kinds[pos] != "int":
-                                    raise self.unexpected("an integer", pos)
+                        if kind == "int" and kinds[pos + 1] != "*":
+                            const += sign * self.integer(pos)
+                        else:
+                            if kind == "var":  # X or X*c
+                                word, coeff = words[pos], sign
+                                if kinds[pos + 1] == "*":
+                                    pos += 2
+                                    if kinds[pos] != "int":
+                                        raise self.unexpected("an integer", pos)
+                                    coeff *= self.integer(pos)
+                            elif kind == "int":  # c*X
                                 coeff = sign * self.integer(pos)
-                                nonzero = nonzero and coeff != 0
-                            else:
-                                coeff = sign
-                            pairs.append((self.fresh_name() if word == "_"
-                                          else word, coeff))
-                        elif kind == "int":
-                            value = sign * self.integer(pos)
-                            if kinds[pos + 1] == "*":
                                 pos += 2
                                 if kinds[pos] != "var":
                                     raise self.unexpected("a variable", pos)
                                 word = words[pos]
-                                pairs.append((self.fresh_name() if word == "_"
-                                              else word, value))
-                                nonzero = nonzero and value != 0
                             else:
-                                const += value
-                        else:
-                            raise self.unexpected("a term", pos)
+                                raise self.unexpected("a term", pos)
+                            pairs.append((self.fresh_name() if word == "_"
+                                          else word, coeff))
                         pos += 1
                         kind = kinds[pos]
                         if kind == "+":
@@ -265,11 +253,7 @@ class _Parser:
                         else:
                             break
                         pos += 1
-                    if nonzero and (len(pairs) < 2
-                                    or len(dict(pairs)) == len(pairs)):
-                        expr = LinExpr(tuple(pairs), const)
-                    else:  # a zero or repeated term
-                        expr = LinExpr.make(pairs, const)
+                    expr = LinExpr.make(pairs, const)
                     if lhs is not None:
                         break
                     lhs, rel = expr, kind

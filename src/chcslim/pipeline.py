@@ -197,18 +197,20 @@ def read_input(path: Path) -> str:
 
 def write_artifact(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8.  An existing file is rewritten
-    in place: opened without truncating it, then cut where the text ends,
-    so it holds the bytes of a fresh write.  Truncating it to nothing
-    first, as ``Path.write_text`` does, makes ext4 (``auto_da_alloc``)
-    allocate its blocks when it is closed, which costs a re-run into the
-    same directory several times the write itself."""
+    in place: opened without truncating it, cut to the length of the
+    text, then written, so a completed write leaves the bytes of a fresh
+    one.  A write cut short leaves the start of the text over what the
+    file held, never anything past the text's length.  Truncating the file
+    to nothing first, as ``Path.write_text`` does, makes ext4
+    (``auto_da_alloc``) allocate its blocks when it is closed, which costs
+    a re-run into the same directory several times the write itself."""
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        os.ftruncate(fd, len(data))
         rest = memoryview(data)
         while rest:
             rest = rest[os.write(fd, rest):]
-        os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 

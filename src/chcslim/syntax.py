@@ -70,6 +70,10 @@ class LinExpr(NamedTuple):
     @staticmethod
     def make(pairs: "list[tuple[str, int]] | tuple[tuple[str, int], ...]" = (),
              const: int = 0) -> "LinExpr":
+        if len(pairs) < 2:  # nothing to sum
+            if pairs and pairs[0][1] == 0:
+                return LinExpr((), const)
+            return LinExpr(tuple(pairs), const)
         coeffs = dict(pairs)
         if len(coeffs) < len(pairs):  # a variable repeats: sum its coefficients
             coeffs = {}
