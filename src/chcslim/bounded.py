@@ -57,35 +57,30 @@ variable itself: its interval (the arithmetic of ``_interval``, which
 per value, and the head tuples.
 
 The atoms phase of a plan, lone variable included, runs as a kernel: a
-Python function generated from the plan (``_source``).  Each probe is
-written out as straight-line code over the assignment list: its table
-charge, its index lookup, its repeated-variable check, its binds and the
-rows of the conjuncts made checkable.  Then come the next probe, the lone
-variable's interval rows, truncation, charge and head, or ``_descend``.
-Each probe is a function of its own that calls the next for every
-surviving fact, so no kernel nests more than a few blocks.  The kernel
-takes the body's predicate names as an argument, and on entry it reads
-the constants from the assignment: each row's bound less its constant
-term, and the lone variable's interval from its rows without another
-variable.  Every value of the plan is passed in as a parameter: a
-predicate's body position, row bounds and coefficients other than 1 and
--1.  So is every slot list but the binds: a probe's key positions, with
-the ``itemgetter`` that reads its key from the assignment as ``_extend``
-reads the index keys from the facts, the two ``itemgetter`` whose values
-at a fact must agree for its repeated variables, and the head tuple,
-``_Compiled.head``.  A group of rows wider than ``_INLINE`` (``_width``),
-and a list of binds longer than that, is a parameter too, which the
-kernel hands to ``_holds`` or ``_interval`` or loops over, so a kernel
-grows with the atoms of its clause, not with their width.  So a kernel
-depends only on its plan's shape, and clauses of different shapes can
-share it.
+Python function that ``_plan`` writes for the plan and compiles
+(``_Source``).  Each probe is written out as straight-line code over the
+assignment list: its table charge, its index lookup, its repeated-variable
+check, its binds and the rows of the conjuncts made checkable.  Then come
+the next probe, the lone variable's interval rows, truncation, charge and
+head, or ``_descend``.  Each probe is a function of its own that calls the
+next for every surviving fact, so no kernel nests more than a few blocks.
+The plan's numbers are in the source: slots, a probe's body position and
+key positions, and row bounds.  The kernel takes the body's predicate
+names as an argument and reads the constants from the assignment on
+entry: the bound less the constant terms of each row that reads one, and
+the lone variable's interval from its rows without another variable.  A
+coefficient other than 1 and -1 is a name in the kernel's namespace, and
+so is a group of rows wider than ``_INLINE`` (``_width``) or a list of
+binds longer than that, which the kernel hands to ``_holds`` or
+``_interval`` or loops over, so a kernel grows with the atoms of its
+clause, not with their width, and its source holds no input value.
 
-Compiled clause shapes and kernels are kept in one process-wide cache of
-``_CACHED`` entries (``_CACHE``), the least recently used evicted first.
-No entry holds a predicate name or a constant, so it serves every clause
-of its shape, in this problem and the next.  The first clause of a shape
-pays for the shape, about 10 µs, and for its plans, about 30 µs each, and
-the first plan of a kernel shape for a compile, about 0.3-0.4 ms for
+Compiled clause shapes are kept in one process-wide cache of ``_CACHED``
+entries (``_compiled``), the least recently used evicted first; each holds
+its plans and their kernels.  No entry holds a predicate name or a
+constant, so it serves every clause of its shape, in this problem and the
+next.  The first clause of a shape pays for the shape, about 10 µs, and
+for each of its plans, about 30 µs and a compile of about 0.3-0.4 ms for
 kernels of 20 to 50 lines; every clause of that shape after it pays only
 the per-evaluation part, about 5-8 µs.  That pays off where shapes
 repeat, as in a batch of problems from one translator, and costs time
@@ -118,9 +113,9 @@ trusted; a clipped one only certifies derivations, not their absence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
-import threading
 from collections.abc import Callable, Set
 from dataclasses import dataclass
 from math import inf
@@ -291,36 +286,6 @@ class _Join(NamedTuple):
     initial: tuple[list[SlotRow], ...]   # conjuncts without variables
     level: _Level                    # the variable phase after the atoms
     kernel: Callable | None          # the atoms phase; None without atoms
-    params: tuple                    # the values of the plan the kernel reads
-
-
-class _Cache:
-    """What clause shapes and kernel shapes compile to, kept for the life
-    of the process: at most ``size`` entries, the least recently used
-    evicted first, with the count of lookups that found their entry
-    (``hits``) and that built it (``misses``).  An entry is stored once
-    built, so a build that raises stores nothing."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.entries: dict[tuple, object] = {}
-        self.hits = self.misses = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple, build: Callable[[tuple], object]):
-        with self._lock:
-            entry = self.entries.pop(key, None)
-            if entry is not None:
-                self.hits += 1
-                self.entries[key] = entry
-                return entry
-            self.misses += 1
-        entry = build(key)
-        with self._lock:
-            self.entries[key] = entry
-            while len(self.entries) > self.size:
-                del self.entries[next(iter(self.entries))]
-        return entry
 
 
 class _Rule(NamedTuple):
@@ -366,9 +331,7 @@ def _rule(clause: Clause, bound: int) -> _Rule:
                    for name, c in rhs.terms])))
         values.append(lhs.const - rhs.const)
     body = tuple([args(atom) for atom in clause.body])
-    compiled = _CACHE.get(
-        ("clause", _INLINE, len(slots), head, tuple(conjuncts), body),
-        _Compiled)
+    compiled = _compiled(len(slots), head, tuple(conjuncts), body)
     return _Rule(clause, compiled, compiled.zeros + values,
                  tuple([atom.pred for atom in clause.body]), clips)
 
@@ -387,8 +350,8 @@ class _Compiled:
     __slots__ = ("variables", "length", "zeros", "head", "body", "conjuncts",
                  "joins")
 
-    def __init__(self, key: tuple):
-        _, _, variables, head, conjuncts, body = key
+    def __init__(self, variables: int, head: tuple[int | None, ...],
+                 conjuncts: tuple, body: tuple[tuple[int | None, ...], ...]):
         constants = itertools.count(variables)
 
         def placed(args: tuple[int | None, ...]) -> tuple[int, ...]:
@@ -439,40 +402,19 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
             if s not in bound:
                 unbound[index] += 1
                 uses.setdefault(s, []).append(index)
-    params: list = []
-    constants: list[int] = []  # the slots the kernel reads on entry, as K
-    entry: list = []  # per row it reads, (its terms over K, its bound)
-
-    def param(value) -> str:
-        params.append(value)
-        return f"P{len(params) - 1}"
-
-    def row(terms: tuple[tuple[int, int], ...], r: int) -> tuple:
-        # its variable terms, and the name of its bound less its constant
-        # terms, which the kernel computes on entry
-        held, read = [], []
-        for s, c in terms:
-            if s < variables:
-                held.append((s, c))
-            else:
-                read.append((len(constants), c))
-                constants.append(s)
-        entry.append((tuple(read), param(r)))
-        return _terms(tuple(held), param), f"R{len(entry) - 1}"
-
-    probes = []
+    source = _Source(variables)
+    n = 0  # the probes written
     while todo:
         # most-bound atom first keeps the join narrow
         todo.sort(key=lambda pair: unbound[pair[0]])
         index, args = todo.pop(0)
-        key, lookup, binds, firsts, repeats = [], [], {}, [], []
+        key, lookup, binds, same = [], [], {}, []
         for p, s in enumerate(args):
             if s in bound:
                 key.append(p)
-                lookup.append(s)
+                lookup.append(f"a[{s}]")
             elif s in binds:
-                firsts.append(binds[s])
-                repeats.append(p)
+                same.append(f"f[{binds[s]}] != f[{p}]")
             else:
                 binds[s] = p
         bound |= binds.keys()
@@ -480,32 +422,39 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
             for i in uses[s]:
                 unbound[i] -= 1
         ready, pending = _ready(pending, bound)
-        binds = tuple(binds.items())
-        # the probe key is read as _extend reads the index keys
-        probes.append((param(index), index == delta_index,
-                       (param(tuple(key)), param(itemgetter(*lookup)))
-                       if key else None,
-                       binds if len(binds) <= _INLINE else param(binds),
-                       (param(itemgetter(*firsts)),
-                        param(itemgetter(*repeats))) if repeats else None,
-                       _shaped(ready, param, row)))
+        facts = "L" if index == delta_index else "E"
+        source.entry += [f"Q{n} = N[{index}]", f"T{n} = {facts}.table[Q{n}]"]
+        source.emit(1, f"def m{n}():")
+        source.charge(2, f"len(T{n})")
+        if key:
+            # the probe key is read as _extend reads the index keys
+            value = (lookup[0] if len(lookup) == 1
+                     else "(" + "".join(f"{v}, " for v in lookup) + ")")
+            source.emit(2, f"for f in {facts}.index(Q{n}, {tuple(key)})"
+                           f".get({value}, ()):")
+        else:
+            source.emit(2, f"for f in T{n}:")
+        if same:
+            source.emit(3, f"if {' or '.join(same)}: continue")
+        if len(binds) > _INLINE:
+            source.emit(3, f"for s, p in {source.name(tuple(binds.items()))}:"
+                           " a[s] = f[p]")
+        else:
+            for s, p in binds.items():
+                source.emit(3, f"a[{s}] = f[{p}]")
+        source.check(3, ready)
+        n += 1
+        if todo:
+            source.emit(3, f"m{n}()")
     level = _level(pending, frozenset(bound),
                    [s for s in range(variables) if s not in bound])
-    if not probes:
-        return _Join(initial, level, None, ())
-    lone = None
+    if not n:
+        return _Join(initial, level, None)
     if len(level.free) == 1:
+        # the lone variable, grounded as _choose and _descend would
         (s,) = level.free
         ready, _ = _ready(pending, bound | {s})
         guaranteed = _guaranteed(s, ready)
-
-        def narrowing(rows: list[tuple[int, tuple, int]]) -> tuple | str:
-            if _width(rest for _, rest, _ in rows) > _INLINE:
-                return param(rows)
-            return tuple((a > 0, a if a == 1 or a == -1 else param(a),
-                          *row(rest, r)) for a, rest, r in rows)
-
-        intervals = None  # without a bounding row, the whole box
         if level.bounding:
             # the rows without another variable narrow the interval on
             # entry, the others per fact
@@ -514,39 +463,144 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
             for x in level.bounding[0][1]:
                 constant = all(t >= variables for t, _ in x[1])
                 (fixed if constant else moving).append(x)
-            intervals = narrowing(fixed), narrowing(moving)
-        lone = (s, intervals, () if guaranteed else _shaped(ready, param, row),
-                1 + len(ready) if guaranteed else 1)
-    reads = param(_tuple_of(tuple(constants))) if constants else None
-    shape = (len(params), reads, tuple(entry), tuple(probes), lone,
-             not level.free)
-    return _Join(initial, level, _kernel(shape), tuple(params))
+            source.entry += ["LO, HI = -inf, inf",
+                             *source.narrow(fixed, "LO", "HI")]
+            source.emit(3, "lo, hi = LO, HI")
+            for text in source.narrow(moving, "lo", "hi"):
+                source.emit(3, text)
+        else:
+            source.emit(3, "lo, hi = -EDGE, EDGE")
+        source.emit(3, "if lo > hi: continue")
+        source.emit(3, "if lo < -EDGE or hi > EDGE:")
+        source.emit(4, "st.clipped = True")
+        source.emit(4, "lo, hi = max(lo, -EDGE), min(hi, EDGE)")
+        source.emit(3, "for v in range(lo, hi + 1):")
+        source.charge(4, 1 + len(ready) if guaranteed else 1)
+        source.emit(4, f"a[{s}] = v")
+        if not guaranteed:
+            source.check(4, ready)
+        source.emit(4, "out.append(head(a))")
+        source.emit(4, "if v == EDGE or v == -EDGE: st.clipped = True")
+    elif not level.free:
+        source.emit(3, "out.append(head(a))")
+    else:
+        source.emit(3, "_descend(level, a, out, head, st)")
+    return _Join(initial, level, source.kernel(compiled.head, level))
 
 
-def _terms(terms: tuple[tuple[int, int], ...], param) -> tuple:
-    """``terms`` with each coefficient other than 1 and -1 named by a
-    parameter."""
-    for _, c in terms:
-        if c != 1 and c != -1:
-            return tuple(t if t[1] == 1 or t[1] == -1 else (t[0], param(t[1]))
-                         for t in terms)
-    return terms
+class _Source:
+    """The source of a plan's kernel as ``_plan`` writes it.
+
+    ``kernel(a, E, L, st, out, N)`` runs on the assignment, the indexes of
+    every fact and of the last round's facts, the ``_State``, the list of
+    head tuples and the body's predicate names.  Probe ``i`` is the
+    function ``mi``: it charges the table, loops over the facts its key
+    finds, checks the repeated variables, binds, checks the conjuncts made
+    checkable and calls the next probe; after the last come ``_descend``,
+    the head or the lone variable.  A charge adds to ``st.steps``, and
+    ``st.tick(0)`` raises once they exceed the budget.  On entry the kernel
+    reads each probe's predicate and table, computes ``Ri``, the bound of
+    row ``i`` less its constant terms, for each row that reads a constant,
+    and narrows the lone variable's interval by its rows without another
+    variable.  Slots, positions and row bounds are written as literals;
+    each coefficient other than 1 and -1, each group of rows wider than
+    ``_INLINE`` (``_width``) and each list of binds longer than that is a
+    name in the kernel's namespace, so the source holds no input value and
+    no number too long for ``str``.  The kernel hands such rows to
+    ``_holds`` or ``_interval``, which ``_descend`` and ``_choose`` use, and
+    loops over such binds, so it grows with the atoms of its clause, not
+    with their width."""
+
+    def __init__(self, variables: int):
+        self.variables = variables  # the first slot of a constant
+        self.lines: list[str] = []  # the probe functions
+        self.entry: list[str] = []  # the statements run before them
+        self.names: dict[str, object] = {}
+        self.rows = 0
+
+    def emit(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def name(self, value: object) -> str:
+        name = f"V{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def charge(self, depth: int, cost: object) -> None:
+        self.emit(depth, f"st.steps += {cost}")
+        self.emit(depth, "if st.steps > B: st.tick(0)")
+
+    def total(self, terms) -> str:
+        text = "".join(f" + a[{s}]" if c == 1 else f" - a[{s}]" if c == -1
+                       else f" + {self.name(c)} * a[{s}]" for s, c in terms)
+        return text.removeprefix(" + ").removeprefix(" ") or "0"
+
+    def row(self, terms: tuple[tuple[int, int], ...], r: int) \
+            -> tuple[str, str]:
+        """The sum of the variable terms of a row and its bound: ``r``, or
+        for a row that reads a constant the ``Ri`` computed on entry."""
+        held = [t for t in terms if t[0] < self.variables]
+        if len(held) < len(terms):
+            read = [t for t in terms if t[0] >= self.variables]
+            self.entry.append(f"R{self.rows} = {r} - ({self.total(read)})")
+            self.rows += 1
+            return self.total(held), f"R{self.rows - 1}"
+        return self.total(held), str(r)
+
+    def check(self, depth: int, conjuncts: tuple[list[SlotRow], ...]) -> None:
+        if _width(terms for rows in conjuncts for terms, _ in rows) > _INLINE:
+            self.emit(depth, f"if not _holds({self.name(conjuncts)}, a, st):"
+                             " continue")
+            return
+        # as _holds: the first conjunct with a row over its bound fails
+        for checked, rows in enumerate(conjuncts, 1):
+            self.emit(depth, "if " + " or ".join(
+                "{} > {}".format(*self.row(terms, r)) for terms, r in rows)
+                + ":")
+            self.charge(depth + 1, checked)
+            self.emit(depth + 1, "continue")
+        if conjuncts:
+            self.charge(depth, len(conjuncts))
+
+    def narrow(self, rows: list[tuple[int, tuple, int]], lo: str, hi: str) \
+            -> list[str]:
+        """The statements that narrow ``[lo, hi]`` by ``rows`` as
+        ``_interval`` does."""
+        if _width(rest for _, rest, _ in rows) > _INLINE:
+            return [f"{lo}, {hi} = _interval({lo}, {hi}, {self.name(rows)}, a)"]
+        code = []
+        for c, rest, r in rows:
+            rest, r = self.row(rest, r)
+            if c == 1:
+                code.append(f"r = {r} - ({rest})")
+            elif c == -1:
+                code.append(f"r = {rest} - {r}")
+            elif c > 0:
+                code.append(f"r = ({r} - ({rest})) // {self.name(c)}")
+            else:
+                code.append(f"r = -(({rest} - {r}) // {self.name(c)})")
+            code.append(f"if r < {hi}: {hi} = r" if c > 0
+                        else f"if r > {lo}: {lo} = r")
+        return code
+
+    def kernel(self, head: Callable, level: _Level) -> Callable:
+        namespace = {**self.names, "head": head, "level": level,
+                     "_holds": _holds, "_interval": _interval,
+                     "_descend": _descend, "inf": inf}
+        lines = ["def kernel(a, E, L, st, out, N):",
+                 "    B, EDGE = st.budget, st.bound",
+                 *["    " + text for text in self.entry], *self.lines,
+                 "    m0()"]
+        exec(compile("\n".join(lines) + "\n", "<join kernel>", "exec"),
+             namespace)
+        # taken out, so the function and its globals make no cycle
+        return namespace.pop("kernel")
 
 
 def _width(rows) -> int:
     """How much code writing ``rows`` out takes: one per row and one per
     term."""
     return sum(1 + len(terms) for terms in rows)
-
-
-def _shaped(conjuncts: tuple[list[SlotRow], ...], param, row) -> tuple | str:
-    """The shape of ``conjuncts``: each of their rows as ``row`` gives it;
-    or, when they are wider than ``_INLINE``, the parameter that holds them
-    all."""
-    if _width(terms for rows in conjuncts for terms, _ in rows) > _INLINE:
-        return param(conjuncts)
-    return tuple(tuple(row(terms, r) for terms, r in rows)
-                 for rows in conjuncts)
 
 
 def _ready(pending: list[Conjunct], bound: Set[int]) \
@@ -582,176 +636,18 @@ def _level(pending: list[Conjunct], bound: frozenset[int],
                   pending, {})
 
 
-# The entries, clause shapes and kernel shapes together, that stay
-# compiled.  At seed 101 the bench's loop_nest slims to 800 clauses of 5
-# shapes, which take 6 kernels, and block_wide to 192 clauses of 4 shapes
-# and 3 kernels.  The random and frame programs of
+# The clause shapes that stay compiled, the least recently used evicted
+# first.  At seed 101 the bench's loop_nest slims to 800 clauses of 5
+# shapes, whose plans take 6 kernels, and block_wide to 192 clauses of 4
+# shapes and 3 kernels.  The random and frame programs of
 # test_evaluator_outcomes_are_pinned look up 5,680 clauses of 840 shapes,
-# which take 353 kernels, so there the cache evicts a few entries, and when
-# full it holds about 6 MiB.
+# which compile 557 kernels, so there nothing is evicted.
 _CACHED = 1024
 # The widest group of rows (_width) and the longest list of binds a kernel
-# writes out; a wider one is a parameter, which _holds checks, _interval
+# writes out; a wider one is a name, which _holds checks, _interval
 # narrows by or the kernel loops over
 _INLINE = 16
-_CACHE = _Cache(_CACHED)
-
-
-def _kernel(shape: tuple) -> Callable:
-    """The kernel of a plan's atoms phase with this shape: the ``kernel``
-    function ``_source(shape)`` defines, compiled once per process."""
-    return _CACHE.get(("kernel", shape), _compile_kernel)
-
-
-def _compile_kernel(key: tuple) -> Callable:
-    namespace = {"_holds": _holds, "_interval": _interval,
-                 "_descend": _descend, "inf": inf}
-    exec(compile(_source(key[1]), "<join kernel>", "exec"), namespace)
-    # taken out, so the function and its globals make no cycle
-    return namespace.pop("kernel")
-
-
-def _source(shape: tuple) -> str:
-    """The Python source of a kernel.  The shape, built by ``_plan``, is
-
-    - the number of parameters;
-    - the parameter of the function that reads the constants' values
-      from the assignment, as the tuple ``K`` (or None without rows);
-    - the rows the kernel reads, each as its constant terms over ``K``
-      and the parameter of its bound: on entry the kernel computes
-      ``Ri``, the bound of row ``i`` less those terms;
-    - per probe, in join order: the parameter of its body position, which
-      indexes the predicate names, whether it matches the last round's
-      facts, the parameters of its key positions and of the
-      ``itemgetter`` that reads its key from the assignment (or None
-      without a key), its (slot, position) binds, the parameters of two
-      ``itemgetter`` whose values at a fact must agree for its repeated
-      variables (or None) and the conjuncts made checkable after it;
-    - the lone variable, or None: its slot, None when no row bounds it or
-      else its rows without another variable and its other rows, each as
-      (a > 0, a, rest, bound), the conjuncts it makes checkable unless its
-      interval guarantees them, and its charge per value;
-    - whether the atoms bind every variable.
-
-    A conjunct is a tuple of rows (terms, bound), a term is (slot,
-    coefficient), a bound is an ``Ri`` and each coefficient other than 1
-    and -1 is a parameter, so the shape and the source hold no input
-    value.  A group of rows wider than ``_INLINE`` is instead the name of
-    the parameter that holds it, and the kernel calls ``_holds`` or
-    ``_interval`` on it, the functions ``_descend`` and ``_choose`` use; so
-    are binds longer than that, which the kernel loops over.
-
-    ``kernel(a, E, L, st, out, head, level, P, N)`` runs on the
-    assignment, the indexes of every fact and of the last round's facts,
-    the ``_State``, the list of head tuples, the head tuple as a function
-    of the assignment, the plan's level, the parameters and the body's
-    predicate names.  Probe ``i`` is the function ``mi``: it charges the
-    table, loops over the facts its key finds, checks the repeated
-    variables, binds, checks the conjuncts made checkable and calls the
-    next probe; after the last come ``_descend``, the head or the lone
-    variable, grounded as ``_choose`` and ``_descend`` would ground it.  A
-    charge adds to ``st.steps``, and ``st.tick(0)`` raises once they
-    exceed the budget."""
-    count, reads, entry, probes, lone, emits = shape
-    lines = ["def kernel(a, E, L, st, out, head, level, P, N):",
-             "    " + "".join(f"P{i}, " for i in range(count)) + "= P",
-             "    B, EDGE = st.budget, st.bound"]
-
-    def emit(depth: int, text: str) -> None:
-        lines.append("    " * depth + text)
-
-    def charge(depth: int, cost: object) -> None:
-        emit(depth, f"st.steps += {cost}")
-        emit(depth, "if st.steps > B: st.tick(0)")
-
-    def total(terms: tuple, values: str = "a") -> str:
-        text = "".join(f" + {values}[{s}]" if c == 1
-                       else f" - {values}[{s}]" if c == -1
-                       else f" + {c} * {values}[{s}]" for s, c in terms)
-        return text.removeprefix(" + ").removeprefix(" ") or "0"
-
-    def check(depth: int, conjuncts: tuple | str) -> None:
-        if isinstance(conjuncts, str):
-            emit(depth, f"if not _holds({conjuncts}, a, st): continue")
-            return
-        # as _holds: the first conjunct with a row over its bound fails
-        for checked, rows in enumerate(conjuncts, 1):
-            emit(depth, "if " + " or ".join(f"{total(terms)} > {r}"
-                                            for terms, r in rows) + ":")
-            charge(depth + 1, checked)
-            emit(depth + 1, "continue")
-        if conjuncts:
-            charge(depth, len(conjuncts))
-
-    def narrow(depth: int, rows: tuple | str, lo: str, hi: str) -> None:
-        if isinstance(rows, str):
-            emit(depth, f"{lo}, {hi} = _interval({lo}, {hi}, {rows}, a)")
-            return
-        for positive, c, rest, r in rows:  # as _interval
-            rest = total(rest)
-            if c == 1:
-                emit(depth, f"r = {r} - ({rest})")
-            elif c == -1:
-                emit(depth, f"r = {rest} - {r}")
-            elif positive:
-                emit(depth, f"r = ({r} - ({rest})) // {c}")
-            else:
-                emit(depth, f"r = -(({rest} - {r}) // {c})")
-            emit(depth, f"if r < {hi}: {hi} = r" if positive
-                 else f"if r > {lo}: {lo} = r")
-
-    if reads:
-        emit(1, f"K = {reads}(a)")
-    for i, (terms, r) in enumerate(entry):
-        emit(1, f"R{i} = {r} - ({total(terms, 'K')})")
-    if lone and lone[1]:
-        emit(1, "LO, HI = -inf, inf")
-        narrow(1, lone[1][0], "LO", "HI")
-    for i, (pred, delta, key, binds, same, ready) in enumerate(probes):
-        facts = "L" if delta else "E"
-        emit(1, f"Q{i} = N[{pred}]")
-        emit(1, f"T{i} = {facts}.table[Q{i}]")
-        emit(1, f"def m{i}():")
-        charge(2, f"len(T{i})")
-        if key:
-            positions, values = key
-            emit(2, f"for f in {facts}.index(Q{i}, {positions})"
-                    f".get({values}(a), ()):")
-        else:
-            emit(2, f"for f in T{i}:")
-        if same:
-            emit(3, f"if {same[0]}(f) != {same[1]}(f): continue")
-        if isinstance(binds, str):
-            emit(3, f"for s, p in {binds}: a[s] = f[p]")
-        else:
-            for s, p in binds:
-                emit(3, f"a[{s}] = f[{p}]")
-        check(3, ready)
-        if i + 1 < len(probes):
-            emit(3, f"m{i + 1}()")
-        elif lone:
-            x, intervals, after, cost = lone
-            if intervals:
-                emit(3, "lo, hi = LO, HI")
-                narrow(3, intervals[1], "lo", "hi")
-            else:
-                emit(3, "lo, hi = -EDGE, EDGE")
-            emit(3, "if lo > hi: continue")
-            emit(3, "if lo < -EDGE or hi > EDGE:")
-            emit(4, "st.clipped = True")
-            emit(4, "lo, hi = max(lo, -EDGE), min(hi, EDGE)")
-            emit(3, "for v in range(lo, hi + 1):")
-            charge(4, cost)
-            emit(4, f"a[{x}] = v")
-            check(4, after)
-            emit(4, "out.append(head(a))")
-            emit(4, "if v == EDGE or v == -EDGE: st.clipped = True")
-        elif emits:
-            emit(3, "out.append(head(a))")
-        else:
-            emit(3, "_descend(level, a, out, head, st)")
-    emit(1, "m0()")
-    return "\n".join(lines) + "\n"
+_compiled = functools.lru_cache(maxsize=_CACHED)(_Compiled)
 
 
 def _ground(rule: _Rule, delta_index: int | None,
@@ -770,7 +666,6 @@ def _ground(rule: _Rule, delta_index: int | None,
                 _descend(join.level, assignment, out, compiled.head, state)
             else:
                 join.kernel(assignment, everything, last, state, out,
-                            compiled.head, join.level, join.params,
                             rule.preds)
     except RecursionError:
         # one frame per atom and per variable enumerated by _descend; or a

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import random
 import sys
+import types
 
 import pytest
 
@@ -146,6 +147,19 @@ def test_wide_ascending_chain_exhausts_the_budget():
         bounded_least_model(parse_program(_ascending(50)), 32, budget=100_000)
 
 
+def test_huge_coefficients_stay_out_of_kernel_sources():
+    # N*Y+N*Y sums to a coefficient of 4,301 digits, which str() refuses
+    # to write: a kernel that spelled its coefficients out could not be
+    # written for Y's interval
+    n = "9" * 4300
+    model = bounded_least_model(parse_program(
+        f"q(0). q(1).\np(Y) :- q(X), {n}*Y+{n}*Y=X.\n"
+        "unsafe :- p(X), X>=1."), 4)
+    assert model.facts == {"p": {(0,)}, "q": {(0,), (1,)}, "unsafe": set()}
+    assert model.verdict() is TriState.FAILS and not model.clipped
+    assert (model.rounds, model.steps) == (2, 6)
+
+
 def _deep_body(n: int) -> str:
     facts = "".join(f"q{i}({i % 2}).\n" for i in range(n))
     body = ", ".join(f"q{i}(X{i})" for i in range(n))
@@ -166,13 +180,13 @@ def test_deep_bodies_are_pinned(n, expected):
 
 
 def test_wide_rows_compile(monkeypatch):
-    # rows and atoms wider than _INLINE are parameters the kernel loops
-    # over, so its source does not grow with them: written out, a sum of
-    # a few thousand terms exceeds the compiler's nesting limit
-    compiled = bounded._kernel
+    # rows and atoms wider than _INLINE are names the kernel hands to
+    # _holds or _interval or loops over, so its source does not grow with
+    # them: written out, a sum of a few thousand terms exceeds the
+    # compiler's nesting limit
     sources = []
-    monkeypatch.setattr(bounded, "_kernel", lambda shape: sources.append(
-        bounded._source(shape)) or compiled(shape))
+    monkeypatch.setattr(bounded, "compile", lambda text, *rest: sources.append(
+        text) or compile(text, *rest), raising=False)
     n = 4000
     xs = [f"X{i}" for i in range(n)]
     source = (f"q({','.join(str(i % 2) for i in range(n))}).\n"
@@ -206,9 +220,10 @@ def _rows_program(rng: random.Random) -> str:
 
 def test_kernels_read_rows_as_holds_and_interval_do(monkeypatch):
     # the same programs with every group of rows and every list of binds
-    # written out, then with each passed as a parameter: _holds checks the
-    # conjuncts and _interval narrows the lone variable, as _descend and
-    # _choose do, and the facts, flag, rounds and steps must agree
+    # written out, then with each named in the kernel's namespace: _holds
+    # checks the conjuncts and _interval narrows the lone variable, as
+    # _descend and _choose do, and the facts, flag, rounds and steps must
+    # agree
     rng = random.Random(7)
     programs = ([parse_program(_rows_program(rng)) for _ in range(60)]
                 + [random_program(rng) for _ in range(30)]
@@ -216,7 +231,9 @@ def test_kernels_read_rows_as_holds_and_interval_do(monkeypatch):
 
     def outcomes(width: int) -> list:
         monkeypatch.setattr(bounded, "_INLINE", width)
-        misses = bounded._CACHE.misses
+        # _INLINE is read when a plan is compiled, so each width compiles
+        # plans of its own rather than reusing the other's
+        bounded._compiled.cache_clear()
         runs = []
         for prog in programs:
             for bound in (4, 8):
@@ -226,12 +243,13 @@ def test_kernels_read_rows_as_holds_and_interval_do(monkeypatch):
                                  model.steps))
                 except EvalError as e:
                     runs.append(str(e))
-        # _INLINE is part of a clause shape's key, so each width compiles
-        # plans of its own rather than reusing the other's
-        assert bounded._CACHE.misses > misses
         return runs
 
-    assert outcomes(10**6) == outcomes(0)
+    try:
+        assert outcomes(10**6) == outcomes(0)
+    finally:
+        # no plan compiled at width 0 serves a later test
+        bounded._compiled.cache_clear()
 
 
 def _spelled(names: str, digits: str) -> str:
@@ -246,45 +264,57 @@ def _spelled(names: str, digits: str) -> str:
 
 
 def _held(value) -> list:
-    """The strings and numbers a cache entry holds: through containers,
-    named tuples and ``_Compiled`` slots; functions and ``itemgetter`` are
-    not looked into."""
+    """The strings and numbers a compiled clause shape holds: through
+    containers, named tuples, ``_Compiled`` slots and kernels, whose nested
+    code constants and namespace are looked into; other functions and
+    ``itemgetter`` are not."""
     if isinstance(value, (str, int)):
         return [value]
     if isinstance(value, dict):
         value = list(value.items())
     elif isinstance(value, bounded._Compiled):
         value = [getattr(value, name) for name in value.__slots__]
+    elif isinstance(value, types.CodeType):
+        value = value.co_consts
+    elif isinstance(value, types.FunctionType) and value.__name__ == "kernel":
+        value = [value.__code__,
+                 {name: held for name, held in value.__globals__.items()
+                  if name != "__builtins__"}]
     if isinstance(value, (tuple, list, frozenset)):
         return [leaf for item in value for leaf in _held(item)]
     return []
 
 
-def _cold(monkeypatch) -> None:
-    # a cache of the same size with nothing in it, for this test alone
-    monkeypatch.setattr(bounded, "_CACHE", bounded._Cache(bounded._CACHED))
+def _cold() -> None:
+    # nothing compiled, for this test alone
+    bounded._compiled.cache_clear()
 
 
-def test_kernels_are_shared_by_shape_and_hold_no_input(monkeypatch):
-    _cold(monkeypatch)
-    bounded_least_model(parse_program(_spelled("aa", "42424")), 8)
-    hits, misses = bounded._CACHE.hits, bounded._CACHE.misses
-    bounded_least_model(parse_program(_spelled("zz", "98765")), 8)
+def test_kernels_are_shared_by_shape_and_hold_no_input():
+    _cold()
+    first = parse_program(_spelled("aa", "42424"))
+    bounded_least_model(first, 8)
+    info = bounded._compiled.cache_info()
+    second = parse_program(_spelled("zz", "98765"))
+    bounded_least_model(second, 8)
     # the second program compiles nothing: each of its clauses finds its
     # shape, with the plans and kernels the first program compiled
-    assert misses > 0 and bounded._CACHE.misses == misses
-    assert bounded._CACHE.hits - hits == 5
-    for key, entry in bounded._CACHE.entries.items():
-        text = " ".join(map(str, _held(key) + _held(entry)))
-        if key[0] == "kernel":
-            text += bounded._source(key[1])
+    assert info.misses == 5 and bounded._compiled.cache_info().misses == 5
+    assert bounded._compiled.cache_info().hits - info.hits == 5
+    kernels = 0
+    for clause in first.clauses + second.clauses:
+        compiled = bounded._rule(clause, 8).compiled
+        kernels += sum(join.kernel is not None
+                       for join in compiled.joins.values())
+        text = " ".join(map(str, _held(compiled)))
         for given in ("aa", "zz", "42424", "98765"):
             assert given not in text
+    assert kernels == 2 * 4
 
 
-# Each pair differs only in head slots, then only in a probe's lookup
-# slots: the shapes the second program adds, and (facts, steps) of the
-# first and of the second program at bound 8.
+# Each pair differs only in head slots, then only in the constants a probe
+# looks up: the clause shapes the second program adds, and (facts, steps)
+# of the first and of the second program at bound 8.
 @pytest.mark.parametrize("first, second, shapes, expected", [
     ("a(1,2). p(X,Y) :- a(X,Y).", "a(1,2). p(X,Y,Y) :- a(X,Y).", 1,
      ({"a": {(1, 2)}, "p": {(1, 2)}}, 1,
@@ -294,17 +324,16 @@ def test_kernels_are_shared_by_shape_and_hold_no_input(monkeypatch):
      ({"a": {(1,)}, "b": {(1, 5)}, "c": {(1, 5)}, "p": {(1,)}}, 9,
       {"a": {(1,)}, "b": {(1, 5)}, "c": {(1, 7)}, "p": {(1,)}}, 9)),
 ], ids=["head-slots", "lookup-slots"])
-def test_kernels_are_shared_across_head_and_lookup_slots(first, second,
-                                                          shapes, expected,
-                                                          monkeypatch):
-    # the head tuple and each probe key are read by an itemgetter passed
-    # in, so no slot of either is written into a kernel: the second
-    # program compiles no kernel, only the clause shapes it adds
-    _cold(monkeypatch)
+def test_shapes_added_by_head_and_lookup_slots(first, second, shapes,
+                                               expected):
+    # a clause whose head repeats a slot is a shape of its own; constants
+    # are read from the assignment, so looking up others adds no shape
+    _cold()
     one = bounded_least_model(parse_program(first), 8)
-    misses = bounded._CACHE.misses
+    misses = bounded._compiled.cache_info().misses
     two = bounded_least_model(parse_program(second), 8)
-    assert bounded._CACHE.misses - misses == shapes and misses > 0
+    assert bounded._compiled.cache_info().misses - misses == shapes
+    assert misses > 0
     assert (one.facts, one.steps, two.facts, two.steps) == expected
 
 
@@ -345,12 +374,12 @@ def _outcome(source: str, bound: int) -> tuple:
     return model.facts, model.clipped, model.rounds, model.steps
 
 
-def test_clauses_of_one_shape_do_not_collide(monkeypatch):
+def test_clauses_of_one_shape_do_not_collide():
     # a shape leaves out every constant, predicate name and the bound, so
     # each program must run the same after the others as on its own
     cold = []
     for source, bound in COLLIDERS:
-        _cold(monkeypatch)
+        _cold()
         cold.append(_outcome(source, bound))
     # forward, each after those before it; backward, each after all others
     forward = [_outcome(source, bound) for source, bound in COLLIDERS]
@@ -369,14 +398,14 @@ def _chain(first: int) -> str:
     return f"p(X{n - 1}) :- X0={first}, {chain}.\nunsafe :- p(X), X>=1.\n"
 
 
-def test_failed_evaluation_leaves_nothing_broken(monkeypatch):
+def test_failed_evaluation_leaves_nothing_broken():
     # the evaluation that nests too deep stops part way through building
     # the levels of its shape; what it built serves the next evaluations
     cold = []
     for first in (0, 1):
-        _cold(monkeypatch)
+        _cold()
         cold.append(_outcome(_chain(first), 32))
-    _cold(monkeypatch)
+    _cold()
     deep = parse_program(_chain(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
