@@ -29,12 +29,17 @@ rest of (i), only for the pairs still open.  Each pass skips a pair
 already kept and closes every pair it keeps backward at once, so a pair
 the closure reaches is never asked about.
 
-Each clause's constraint is split once into its variable-disjoint parts
-(``constraints.Parts``).  Condition (i) holds when X_k's own part projects
-to true and every other part is satisfiable, each part decided at most
-once per clause; (ii) and the body edges read the parts' linked sets.
-The oracle answers each question once per transform
-(``constraints.answers_once``), since one part recurs across clauses.
+Each clause's constraint is split into its variable-disjoint parts
+(``constraints.Parts``) once per transform, or once per problem in the
+pipeline (``constraints.parts_of``): the projection records the split of
+each constraint it keeps or only deletes whole parts of, so a second run
+on the output splits only the constraints it rewrote.  Condition (i)
+holds when X_k's own part projects to true and every other part is
+satisfiable, each part decided at most once; (ii) and the body edges read
+the parts' linked sets.  The oracle answers each question once per
+transform (``constraints.answers_once``), since one part recurs across
+clauses, and a part of a constraint it answered ``holds``, as nlr asks
+of each resolvent, is ``holds`` without a question of its own.
 
 The erased program then gets each clause's constraint projected onto its
 live variables, those of the erased head and of the erased body atoms
@@ -58,7 +63,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .constraints import (Parts, TriState, answers_once, constrained_to,
-                          forall_exists_valid, project)
+                          forall_exists_valid, parts_of, project)
 from .syntax import Atom, Clause, Const, Program, Var, productive_clauses
 
 Pair = tuple[str, int]
@@ -234,13 +239,13 @@ def cfar_transform(prog: Program) -> tuple[Program, Erasure, CfarReport]:
     clause's constraint is then projected onto the clause's live
     variables, and a clause whose constraint the projection finds
     unsatisfiable is left out, as is every clause that is then not among
-    the ``productive_clauses``.  One ``answers_once`` table serves the
-    whole call, or the caller's if open.
+    the ``productive_clauses``.  One ``answers_once`` block serves the
+    whole call, its answers and its splits, or the caller's if open.
     """
     pairs = full_erasure(prog)
     report = CfarReport(pairs_initial=len(pairs), args_before=prog.total_args())
 
-    splits = [(index, clause, Parts(clause.constraint))
+    splits = [(index, clause, parts_of(clause.constraint))
               for index, clause in enumerate(prog.clauses)]
     by_head: dict[str, list[Split]] = defaultdict(list)
     for split in splits:

@@ -24,18 +24,27 @@ lossless over the integers.  Each question is answered by one
 elimination.
 
 Inside an ``answers_once`` block (one per problem in the pipeline, one
-per ``cfar_transform`` call, never longer) each question is answered once.
-The key is the constraint as asked and the variable kept.  It is exact:
-not taken up to renaming, since the elimination order breaks ties by
-name, nor up to the <=-rows, since the first phase reads each conjunct's
-relation: X+Y=3, X+Y=<2 is solved as an equality, and X+Y=<3, X+Y>=3,
-X+Y=<2, with the same rows, is not.
+per ``cfar_transform`` call, never longer) each question is answered once
+and each conjunction is split once.  The key is the constraint as asked
+and the variable kept.  It is exact: not taken up to renaming, since the
+elimination order breaks ties by name, nor up to the <=-rows, since the
+first phase reads each conjunct's relation: X+Y=3, X+Y=<2 is solved as an
+equality, and X+Y=<3, X+Y>=3, X+Y=<2, with the same rows, is not.
 
-``Parts`` splits a conjunction once into its variable-disjoint parts.  It
+``Parts`` splits a conjunction into its variable-disjoint parts.  It
 gives each variable's linked set (the constrained-to relation) and its own
 part, and decides each part's satisfiability at most once, so a caller
 asking about every variable of one conjunction runs the eliminator on each
-part once, not on the rest of the conjunction once per variable.
+part once, not on the rest of the conjunction once per variable.  Inside
+``answers_once``, ``parts_of`` hands out the block's one split of each
+conjunction, and a part of a conjunction the table answers ``holds`` is
+``holds`` with no elimination: each part is eliminated by the steps it
+takes alone, so an exact whole run makes every part's run exact.  The
+rule runs one way only: a whole ``fails`` or ``unknown`` says nothing of a
+part, and parts that all hold do not make the whole hold within
+``ROW_BUDGET``.  ``project`` records the split of each result that keeps
+whole parts of its input, so a second ``cfar`` run on the output splits
+only the conjunctions the projection rewrote.
 
 ``project`` rewrites a split conjunction c into one with the same
 solutions on a given set of live variables: for every assignment of the
@@ -82,6 +91,9 @@ class Parts:
     part keeps the conjunct order of the whole, ``part_of`` gives each
     conjunct's part, ``names`` each part's variables (its conjuncts' sets
     joined), and each part's satisfiability is decided at most once.
+    Inside ``answers_once`` a conjunction is split once per block
+    (``parts_of``), and a part of a conjunction answered ``holds`` is
+    ``holds`` (``decide``).
     """
 
     def __init__(self, c: Constraint) -> None:
@@ -102,8 +114,7 @@ class Parts:
         index: dict[object, int] = {}
         groups: list[list] = []
         members: list[set[str]] = []  # each part's variables
-        self.whole = c
-        self.part_of: list[int] = []
+        part_of: list[int] = []
         for i, (con, group) in enumerate(zip(c.conjuncts, names)):
             # a conjunct without variables is keyed by its own position
             j = index.setdefault(find(min(group)) if group else i, len(groups))
@@ -112,14 +123,31 @@ class Parts:
                 members.append(set())
             groups[j].append(con)
             members[j] |= group
-            self.part_of.append(j)
-        self.parts = [Constraint(tuple(cons)) for cons in groups]
-        self.names = [frozenset(group) for group in members]
-        self._part: dict[str, int] = {}
-        for i, linked in enumerate(self.names):
-            for n in linked:
-                self._part[n] = i
-        self._answers: dict[int, TriState] = {}
+            part_of.append(j)
+        self._fill(c, [Constraint(tuple(cons)) for cons in groups],
+                   [frozenset(group) for group in members], part_of, {})
+
+    def _fill(self, whole: Constraint, parts: list[Constraint],
+              names: list[frozenset[str]], part_of: list[int],
+              answers: dict[int, TriState]) -> None:
+        self.whole = whole
+        self.parts = parts
+        self.names = names
+        self.part_of = part_of
+        self._part = {n: i for i, linked in enumerate(names) for n in linked}
+        self._answers = answers
+
+    def _without(self, gone: set[int], whole: Constraint) -> "Parts":
+        """The split of ``whole``, this conjunction with the parts in
+        ``gone`` deleted: the other parts in order, with their answers."""
+        kept = [i for i in range(len(self.parts)) if i not in gone]
+        at = {i: j for j, i in enumerate(kept)}
+        out = Parts.__new__(Parts)
+        out._fill(whole, [self.parts[i] for i in kept],
+                  [self.names[i] for i in kept],
+                  [at[i] for i in self.part_of if i in at],
+                  {at[i]: a for i, a in self._answers.items() if i in at})
+        return out
 
     def linked(self, x: str) -> frozenset[str]:
         """The variables of x's part; just x when x does not occur."""
@@ -138,10 +166,38 @@ class Parts:
                    for i in range(len(self.parts)) if i != own)
 
     def decide(self, i: int) -> TriState:
-        """``is_satisfiable`` of part i, asked at most once."""
-        if i not in self._answers:
-            self._answers[i] = is_satisfiable(self.parts[i])
-        return self._answers[i]
+        """``is_satisfiable`` of part i, asked at most once.
+
+        Inside ``answers_once``, a part of a conjunction the table answers
+        ``holds`` is ``holds``, with no elimination: each part is
+        eliminated by the steps it takes alone, and the whole's rows bound
+        each part's, so an exact whole run leaves every part's run exact,
+        without a row, a refutation or a blown budget.  The part's answer
+        goes into the table for later splits.  A whole ``fails`` or
+        ``unknown`` says nothing of a part, which is then asked.
+        """
+        answer = self._answers.get(i)
+        if answer is None:
+            table = _table  # read once: another thread's block may close it
+            if table is not None and \
+                    table.get((self.whole, None)) is TriState.HOLDS:
+                answer = table[self.parts[i], None] = TriState.HOLDS
+            else:
+                answer = is_satisfiable(self.parts[i])
+            self._answers[i] = answer
+        return answer
+
+
+def parts_of(c: Constraint) -> Parts:
+    """``Parts(c)``; inside ``answers_once``, the block's split of c, built
+    at most once (``project`` records the splits of its results)."""
+    splits = _splits
+    if splits is None:
+        return Parts(c)
+    parts = splits.get(c)
+    if parts is None:
+        parts = splits[c] = Parts(c)
+    return parts
 
 
 def project(parts: Parts, live: set[str]) -> Constraint | None:
@@ -167,7 +223,10 @@ def project(parts: Parts, live: set[str]) -> Constraint | None:
     or in a non-unit equality alone stays.  Every conjunct keeps its place
     in the input order; one the substitution rewrote is written with its
     positive terms on the left.  With nothing to project the result is
-    the input itself.
+    the input itself, whose split ``parts_of`` keeps inside
+    ``answers_once``; there a result that is the input without some whole
+    parts gets its split recorded too: the parts kept, in order, with
+    their answers.
     """
     projected: dict[int, list] = {}  # part -> its conjuncts, None if deleted
     for i, names in enumerate(parts.names):
@@ -227,7 +286,13 @@ def project(parts: Parts, live: set[str]) -> Constraint | None:
             taken[i] += 1
         if con is not None:
             out.append(con)
-    return Constraint(tuple(out))
+    result = Constraint(tuple(out))
+    splits = _splits
+    if splits is not None and all(con is None for cons in projected.values()
+                                  for con in cons):
+        # only whole parts went: the rest is the result's split
+        splits.setdefault(result, parts._without(set(projected), result))
+    return result
 
 
 def _row(con: RelCon) -> list:
@@ -566,18 +631,20 @@ def _eliminate(c: Constraint, keep: str | None) -> TriState:
 
 
 _table: dict[tuple, TriState] | None = None  # (c, keep) -> answer
+_splits: dict[Constraint, Parts] | None = None  # c -> its split
 
 
 @contextmanager
 def answers_once():
-    """Answer each oracle question once in the block; a nested block shares
-    the outermost one's table, which is dropped on exit, raised or not."""
-    global _table
+    """Answer each oracle question once and split each conjunction once in
+    the block; a nested block shares the outermost one's tables, which are
+    dropped on exit, raised or not."""
+    global _table, _splits
     if _table is not None:
         yield
         return
-    _table = {}
+    _table, _splits = {}, {}
     try:
         yield
     finally:
-        _table = None
+        _table = _splits = None

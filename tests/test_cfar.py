@@ -8,8 +8,9 @@ import pytest
 
 from chcslim import (EvalError, TriState, bounded_least_model, cfar_transform,
                      derives_unsafe, emit_clp, nlr_transform, parse_program)
-from chcslim import constraints
+from chcslim import cfar, constraints
 from chcslim.cfar import erasure_lines, full_erasure, verify_safe_erasure
+from chcslim.constraints import Parts, answers_once, project
 from chcslim.corpus import corpus_names, load
 
 from gen import frame_program, random_program
@@ -133,6 +134,71 @@ def test_each_part_is_decided_at_most_once(monkeypatch):
     _, erasure, _ = cfar_transform(prog)
     assert sorted(asked) == ["Y1=X1+1", "Y2=X2", "Y3=X3"]
     assert erasure == full_erasure(prog)
+
+
+def test_recorded_splits_equal_fresh_ones(monkeypatch):
+    # every projection cfar makes on nlr's output that keeps only whole
+    # parts of its input records its result's split, and a recorded split
+    # is the one Parts builds afresh, with answers the oracle gives afresh
+    seen = []
+
+    def recording(parts, live):
+        result = project(parts, live)
+        if result is not None:
+            seen.append((parts, result, constraints._splits.get(result)))
+        return result
+
+    monkeypatch.setattr(cfar, "project", recording)
+    rng, frames = random.Random(11), random.Random(12)
+    programs = ([load(name) for name in corpus_names()]
+                + [frame_program(frames) for _ in range(200)]
+                + [random_program(rng) for _ in range(300)])
+    recorded = answers = 0
+    for prog in programs:
+        seen.clear()
+        with answers_once():
+            cfar_transform(nlr_transform(prog)[0])
+        for parts, result, split in seen:
+            fresh = Parts(result)
+            if all(part in parts.parts for part in fresh.parts):
+                assert split is not None, result
+            if split is None:
+                continue
+            assert split.whole == result
+            assert split.parts == fresh.parts
+            assert split.names == fresh.names
+            assert split.part_of == fresh.part_of
+            assert split._part == fresh._part
+            for i, answer in split._answers.items():
+                assert constraints.is_satisfiable(split.parts[i]) is answer
+            recorded += 1
+            answers += len(split._answers)
+    assert recorded > 2000 and answers > 50
+
+
+def test_second_run_splits_only_rewritten_constraints(monkeypatch):
+    # in one block of nlr, cfar and cfar, the second run builds a split only
+    # for the constraints the first run's projection rewrote: on the
+    # corpus none of them, on the block chain its one collapsed clause
+    init, built = Parts.__init__, []
+
+    def counted(self, c):
+        built.append(c)
+        init(self, c)
+
+    monkeypatch.setattr(Parts, "__init__", counted)
+    clauses = rewritten = 0
+    for prog in [load(name) for name in corpus_names()] + [parse_program(BLOCK)]:
+        with answers_once():
+            out, _, _ = cfar_transform(nlr_transform(prog)[0])
+            fresh = {clause.constraint for clause in out.clauses
+                     if clause.constraint not in constraints._splits}
+            built.clear()
+            cfar_transform(out)
+            assert len(built) == len(fresh) and set(built) == fresh, prog
+        clauses += len(out.clauses)
+        rewritten += len(fresh)
+    assert (clauses, rewritten) == (45, 1)
 
 
 def test_corpus_erasures_are_idempotent_and_certified():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from chcslim import constraints
 from chcslim.constraints import (
     Parts, TriState, answers_once, constrained_to, forall_exists_valid,
-    is_satisfiable, project, rows_of,
+    is_satisfiable, parts_of, project, rows_of,
 )
 from gen import (constraint_of, random_constraint, random_forall_instance,
                  wide_constraint)
@@ -344,21 +344,86 @@ def test_answer_table_gives_the_uncached_answers(monkeypatch):
 
 def test_nested_answer_tables_are_one():
     with answers_once():
-        outer = constraints._table
+        outer, splits = constraints._table, constraints._splits
         sat("X>=1")
+        first = parts_of(constraint_of("X>=1, Y=<2"))
         with answers_once():
             assert constraints._table is outer
+            assert constraints._splits is splits
             sat("X>=2")
+            assert parts_of(constraint_of("X>=1, Y=<2")) is first
+            parts_of(constraint_of("Z=1"))
         assert constraints._table is outer and len(outer) == 2
-    assert constraints._table is None
+        assert constraints._splits is splits and len(splits) == 2
+    assert constraints._table is None and constraints._splits is None
 
 
 def test_no_answer_table_outlives_its_block():
+    c = constraint_of("X>=1")
     sat("X>=1")
-    assert constraints._table is None
+    assert parts_of(c) is not parts_of(c)
+    assert constraints._table is None and constraints._splits is None
     with pytest.raises(RuntimeError):
         with answers_once():
             with answers_once():
                 sat("X>=1")
+                parts_of(c)
                 raise RuntimeError("inside")
-    assert constraints._table is None
+    assert constraints._table is None and constraints._splits is None
+
+
+def _multi_part_inputs():
+    # random unit and non-unit constraints, wide ones and forall instances
+    # (only unit ones have more than one conjunct)
+    rng = random.Random(4242)
+    for i in range(6000):
+        if i % 4 == 0:
+            yield random_constraint(rng, max_vars=8, max_conjuncts=6)
+        elif i % 4 == 1:
+            yield random_constraint(rng, max_vars=8, unit=False)
+        elif i % 4 == 2:
+            yield wide_constraint(rng, max_vars=8, max_conjuncts=6)
+        else:
+            yield random_forall_instance(rng)[1]
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2, 3, 5, 8])
+def test_parts_of_a_satisfiable_conjunction_are_satisfiable(monkeypatch, budget):
+    # a conjunction answered holds has every part answering holds alone, so
+    # inside a block the whole's answer decides each part with no
+    # elimination; any other whole answer leaves each part to the oracle.
+    # Tiny row budgets make the whole blow where parts do not
+    if budget is not None:
+        monkeypatch.setattr(constraints, "ROW_BUDGET", budget)
+    eliminate, fresh = constraints._eliminate, []
+
+    def counted(c, keep):
+        fresh.append(c)
+        return eliminate(c, keep)
+
+    monkeypatch.setattr(constraints, "_eliminate", counted)
+    wholes = parts = others = 0
+    for c in _multi_part_inputs():
+        split = Parts(c)
+        if len(split.parts) < 2:
+            continue
+        whole = is_satisfiable(c)
+        alone = [is_satisfiable(part) for part in split.parts]
+        if whole is TriState.HOLDS:
+            assert set(alone) == {TriState.HOLDS}, c
+        with answers_once():
+            is_satisfiable(c)
+            fresh.clear()
+            split = Parts(c)
+            assert [split.decide(i) for i in range(len(split.parts))] == alone, c
+            if whole is TriState.HOLDS:
+                assert not fresh, c
+                # and a later split of a part finds its answer in the table
+                assert Parts(split.parts[0]).decide(0) is TriState.HOLDS
+                assert not fresh, c
+        if whole is TriState.HOLDS:
+            wholes += 1
+            parts += len(split.parts)
+        else:
+            others += 1
+    assert wholes > 1200 and parts > 2 * wholes and others > 100
