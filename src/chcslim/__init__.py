@@ -14,7 +14,7 @@ from .cfar import (CfarReport, Erasure, Violation, cfar_transform,
 from .constraints import (Parts, TriState, constrained_to, forall_exists_valid,
                           is_satisfiable)
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
-from .nlr import NlrReport, linkvars, nlr_transform
+from .nlr import NlrReport, nlr_transform
 from .parser import ParseError, parse_program
 from .pipeline import (ConfigError, PipelineConfig, RunRecord,
                        invariant_failures, report, run_pipeline,
@@ -32,7 +32,7 @@ __all__ = [
     "TriState", "Var", "Violation", "bounded_least_model", "cfar_transform",
     "constrained_to", "derives_unsafe", "emit_clp",
     "emit_smtlib_horn", "erasure_lines", "forall_exists_valid",
-    "full_erasure", "invariant_failures", "is_satisfiable", "linkvars",
-    "nlr_transform", "parse_program", "report", "run_pipeline",
-    "solve_external", "verify_safe_erasure",
+    "full_erasure", "invariant_failures", "is_satisfiable", "nlr_transform",
+    "parse_program", "report", "run_pipeline", "solve_external",
+    "verify_safe_erasure",
 ]

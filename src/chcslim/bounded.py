@@ -500,16 +500,16 @@ class _Source:
     the head or the lone variable.  A charge adds to ``st.steps``, and
     ``st.tick(0)`` raises once they exceed the budget.  On entry the kernel
     reads each probe's predicate and table, computes ``Ri``, the bound of
-    row ``i`` less its constant terms, for each row that reads a constant,
-    and narrows the lone variable's interval by its rows without another
-    variable.  Slots, positions and row bounds are written as literals;
-    each coefficient other than 1 and -1, each group of rows wider than
-    ``_INLINE`` (``_width``) and each list of binds longer than that is a
-    name in the kernel's namespace, so the source holds no input value and
-    no number too long for ``str``.  The kernel hands such rows to
-    ``_holds`` or ``_interval``, which ``_descend`` and ``_choose`` use, and
-    loops over such binds, so it grows with the atoms of its clause, not
-    with their width."""
+    row ``i`` less its constant terms, for each row (every row reads its
+    conjunct's constant slot), and narrows the lone variable's interval by
+    its rows without another variable.  Slots, positions and row bounds are
+    written as literals; each coefficient other than 1 and -1, each group of
+    rows wider than ``_INLINE`` (``_width``) and each list of binds longer
+    than that is a name in the kernel's namespace, so the source holds no
+    input value and no number too long for ``str``.  The kernel hands such
+    rows to ``_holds`` or ``_interval``, which ``_descend`` and ``_choose``
+    use, and loops over such binds, so it grows with the atoms of its
+    clause, not with their width."""
 
     def __init__(self, variables: int):
         self.variables = variables  # the first slot of a constant
@@ -537,15 +537,13 @@ class _Source:
 
     def row(self, terms: tuple[tuple[int, int], ...], r: int) \
             -> tuple[str, str]:
-        """The sum of the variable terms of a row and its bound: ``r``, or
-        for a row that reads a constant the ``Ri`` computed on entry."""
+        """The sum of the variable terms of a row and its bound, the ``Ri``
+        computed on entry from ``r`` and the row's constant terms."""
         held = [t for t in terms if t[0] < self.variables]
-        if len(held) < len(terms):
-            read = [t for t in terms if t[0] >= self.variables]
-            self.entry.append(f"R{self.rows} = {r} - ({self.total(read)})")
-            self.rows += 1
-            return self.total(held), f"R{self.rows - 1}"
-        return self.total(held), str(r)
+        read = [t for t in terms if t[0] >= self.variables]
+        self.entry.append(f"R{self.rows} = {r} - ({self.total(read)})")
+        self.rows += 1
+        return self.total(held), f"R{self.rows - 1}"
 
     def check(self, depth: int, conjuncts: tuple[list[SlotRow], ...]) -> None:
         if _width(terms for rows in conjuncts for terms, _ in rows) > _INLINE:

@@ -311,6 +311,7 @@ def verify_safe_erasure(prog: Program, e: Erasure) -> list[Violation]:
     for index, clause in enumerate(prog.clauses):
         head = clause.head
         c = clause.constraint
+        head_vars = head.vars()
         surviving_body_vars: set[str] = set()
         for atom in clause.body:
             for pos, t in enumerate(atom.args, start=1):
@@ -327,13 +328,10 @@ def verify_safe_erasure(prog: Program, e: Erasure) -> list[Violation]:
             x = term.name
             if forall_exists_valid(x, c) is not TriState.HOLDS:
                 violations.append(Violation(pair, index, "i-forall-exists"))
-            head_vars = {t.name for t in head.args
-                         if isinstance(t, Var) and t.name != x}
-            if any(constrained_to(x, y, c) for y in head_vars):
+            linked = constrained_to(x, c)
+            if not linked.isdisjoint(head_vars):
                 violations.append(Violation(pair, index, "ii-head-constrained"))
-            occurrences = sum(1 for t in head.args
-                              if isinstance(t, Var) and t.name == x)
-            if (occurrences > 1 or x in surviving_body_vars
-                    or any(constrained_to(x, y, c) for y in surviving_body_vars)):
+            if (head.args.count(term) > 1 or x in surviving_body_vars
+                    or not linked.isdisjoint(surviving_body_vars)):
                 violations.append(Violation(pair, index, "iii-body-constrained"))
     return violations

@@ -32,19 +32,21 @@ first phase reads each conjunct's relation: X+Y=3, X+Y=<2 is solved as an
 equality, and X+Y=<3, X+Y>=3, X+Y=<2, with the same rows, is not.
 
 ``Parts`` splits a conjunction into its variable-disjoint parts.  It
-gives each variable's linked set (the constrained-to relation) and its own
-part, and decides each part's satisfiability at most once, so a caller
-asking about every variable of one conjunction runs the eliminator on each
-part once, not on the rest of the conjunction once per variable.  Inside
-``answers_once``, ``parts_of`` hands out the block's one split of each
-conjunction, and a part of a conjunction the table answers ``holds`` is
-``holds`` with no elimination: each part is eliminated by the steps it
-takes alone, so an exact whole run makes every part's run exact.  The
-rule runs one way only: a whole ``fails`` or ``unknown`` says nothing of a
-part, and parts that all hold do not make the whole hold within
-``ROW_BUDGET``.  ``project`` records the split of each result that keeps
-whole parts of its input, so a second ``cfar`` run on the output splits
-only the conjunctions the projection rewrote.
+gives each variable's linked set and its own part, and decides each
+part's satisfiability at most once, so a caller asking about every
+variable of one conjunction runs the eliminator on each part once, not on
+the rest of the conjunction once per variable.  ``constrained_to(x, c)``
+is x's linked set less x: the constrained-to relation from x to every
+other variable, read off one split.  Inside ``answers_once``,
+``parts_of`` hands out the block's one split of each conjunction, and a
+part of a conjunction the table answers ``holds`` is ``holds`` with no
+elimination: each part is eliminated by the steps it takes alone, so an
+exact whole run makes every part's run exact.  The rule runs one way
+only: a whole ``fails`` or ``unknown`` says nothing of a part, and parts
+that all hold do not make the whole hold within ``ROW_BUDGET``.
+``project`` records the split of each result that keeps whole parts of
+its input, so a second ``cfar`` run on the output splits only the
+conjunctions the projection rewrote.
 
 ``project`` rewrites a split conjunction c into one with the same
 solutions on a given set of live variables: for every assignment of the
@@ -371,11 +373,11 @@ def _written(coeffs: dict[str, int], const: int, rel: str) -> RelCon:
                           -const))
 
 
-def constrained_to(x: str, y: str, c: Constraint) -> bool:
-    """True when x and y are distinct variables linked by a chain of
-    conjuncts sharing variables.  Irreflexive by convention; monotone under
-    adding conjuncts."""
-    return x != y and y in Parts(c).linked(x)
+def constrained_to(x: str, c: Constraint) -> frozenset[str]:
+    """The variables x is constrained to in c: those other than x linked to
+    it by a chain of conjuncts sharing variables, read off one split.
+    Irreflexive by convention; monotone under adding conjuncts."""
+    return Parts(c).linked(x) - {x}
 
 
 # --- Fourier-Motzkin over integer rows -----------------------------------

@@ -19,9 +19,7 @@ def emit_clp(program: Program) -> str:
     Parsing the result yields a program structurally identical to the input
     (same clause list; variable names are preserved verbatim).
     """
-    if not program.clauses:
-        return ""
-    return "\n".join(str(c) for c in program.clauses) + "\n"
+    return f"{program}\n" if program.clauses else ""
 
 
 _SMT_REL = {"=": "=", "<": "<", "=<": "<=", ">": ">", ">=": ">="}
@@ -77,8 +75,6 @@ def _smt_atom(atom: Atom, preds: dict[str, str], symbols: dict[str, str]) -> str
 
 
 def _conjoin(parts: list[str]) -> str:
-    if not parts:
-        return "true"
     if len(parts) == 1:
         return parts[0]
     return f"(and {' '.join(parts)})"

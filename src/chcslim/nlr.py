@@ -24,22 +24,6 @@ from .syntax import (QUERY, Atom, Clause, Program, Var, atom_variant_key,
                      rename_apart)
 
 
-def linkvars(clause: Clause, position: int) -> list[str]:
-    """Linking variables of clause.body[position]: those also occurring in
-    the head, the constraint, or another body atom.  Ordered by first
-    occurrence in the atom."""
-    atom = clause.body[position]
-    rest: set[str] = clause.head.vars() | clause.constraint.vars()
-    for i, other in enumerate(clause.body):
-        if i != position:
-            rest |= other.vars()
-    out: list[str] = []
-    for t in atom.args:
-        if isinstance(t, Var) and t.name in rest and t.name not in out:
-            out.append(t.name)
-    return out
-
-
 @dataclass
 class Definition:
     """``name`` abstracts the variant class of ``atom`` by the argument
@@ -80,10 +64,25 @@ def register(clause: Clause, defs: dict[tuple, Definition],
     """Introduce a definition for each body atom whose variant class has
     none, and widen an existing one by the positions of the atom's linking
     variables it does not keep yet, in linking order; widening marks it
-    pending.  Returns the number of atoms that widened a definition."""
+    pending.  Returns the number of atoms that widened a definition.
+
+    A variable of a body atom links when the head, the constraint or a
+    second body atom holds it, so one pass over the body finds the
+    clause's linking variables; each is kept at its first position in the
+    atom, and the positions are in that order."""
+    links = clause.head.vars() | clause.constraint.vars()
+    seen: set[str] = set()
+    for atom in clause.body:
+        names = atom.vars()
+        links |= names & seen
+        seen |= names
     widened = 0
-    for i, atom in enumerate(clause.body):
-        wanted = [atom.args.index(Var(x)) for x in linkvars(clause, i)]
+    for atom in clause.body:
+        first: dict[str, int] = {}
+        for k, t in enumerate(atom.args):
+            if isinstance(t, Var) and t.name in links:
+                first.setdefault(t.name, k)
+        wanted = list(first.values())
         key = atom_variant_key(atom)
         defn = defs.get(key)
         if defn is None:

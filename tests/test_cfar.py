@@ -210,6 +210,31 @@ def test_corpus_erasures_are_idempotent_and_certified():
         assert again == frozenset(), name
 
 
+def test_certifier_splits_each_clause_once_per_erased_pair(monkeypatch,
+                                                          counter_p2):
+    # conditions (ii) and (iii) read one constrained-to set per erased
+    # pair, not one split per pair and other variable
+    built = []
+    split = Parts.__init__
+
+    def counted(self, c):
+        built.append(c)
+        split(self, c)
+
+    monkeypatch.setattr(Parts, "__init__", counted)
+    progs = [counter_p2] + [nlr_transform(load(name))[0]
+                            for name in corpus_names()]
+    pairs = splits = 0
+    for prog in progs:
+        _, erasure, _ = cfar_transform(prog)
+        built.clear()
+        assert not verify_safe_erasure(prog, erasure)
+        splits += len(built)
+        pairs += sum((c.head.pred, k) in erasure
+                     for c in prog.clauses for k in range(1, c.head.arity + 1))
+    assert (pairs, splits) == (6, 6)
+
+
 def test_query_verdict_preserved():
     rng = random.Random(8128)
     compared = 0

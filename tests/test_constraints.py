@@ -119,7 +119,19 @@ def test_forall_exists_of_absent_variable_reduces_to_satisfiability():
     ("X", "Y", "true", False),
 ])
 def test_constrained_to(x, y, text, expected):
-    assert constrained_to(x, y, constraint_of(text)) is expected
+    assert (y in constrained_to(x, constraint_of(text))) is expected
+
+
+@pytest.mark.parametrize("x, text, expected", [
+    ("X", "X=Y", {"Y"}),
+    ("X", "X>=1, Y=<2", set()),
+    ("X", "X=Z, Z=Y, W>=0", {"Z", "Y"}),
+    ("X", "X=X", set()),
+    ("X", "read(A,X,V), Y=V+1", {"A", "V", "Y"}),
+    ("X", "true", set()),
+])
+def test_constrained_to_is_the_linked_set_less_x(x, text, expected):
+    assert constrained_to(x, constraint_of(text)) == expected
 
 
 def test_parts_split_on_shared_vars():

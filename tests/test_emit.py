@@ -86,6 +86,17 @@ def test_array_slot_inference_rejects_mixed_use():
         emit_smtlib_horn(prog)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p(V) :- read(5,I,V).", "array argument of read must be a variable"),
+    ("p(A,V) :- read(A,A,V).", "array variable A used as an integer in read"),
+    ("p(A) :- read(A,I,V).\nunsafe :- p(3).",
+     "integer constant at array-sorted position 1 of p"),
+])
+def test_array_misuse_is_named(text, message):
+    with pytest.raises(SmtEmitError, match=message):
+        emit_smtlib_horn(parse_program(text))
+
+
 def test_emit_is_parse_stable_on_programmatic_asts():
     prog = Program((
         Clause(Atom("p", (Var("A"), Var("B"))),

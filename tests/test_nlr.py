@@ -1,5 +1,6 @@
 """Non-linking argument removal by unfold/define/fold."""
 
+import itertools
 import random
 
 import pytest
@@ -8,21 +9,39 @@ from chcslim import (EvalError, TriState, bounded_least_model, derives_unsafe,
                      nlr_transform, parse_program)
 from chcslim import nlr
 from chcslim.corpus import corpus_dir, corpus_names, load
-from chcslim.nlr import linkvars
 from chcslim.syntax import Const, Var
 
 from gen import clause_of, frame_program, random_program
 from oracles import programs_isomorphic
 
 
+def kept_positions(clause):
+    """The positions ``register`` keeps for each body atom of ``clause``,
+    each atom of its own variant class."""
+    defs = {}
+    nlr.register(clause, defs, itertools.count())
+    return [d.positions for d in defs.values()]
+
+
+def linking_vars(clause, i):
+    """The variables of body atom i also in the head, the constraint or
+    another body atom."""
+    rest = clause.head.vars() | clause.constraint.vars()
+    rest = rest.union(*(a.vars() for j, a in enumerate(clause.body) if j != i))
+    return clause.body[i].vars() & rest
+
+
 def test_linkvars_orders_by_atom_occurrence():
+    # Z and W link q(Z,W,U) through the constraint, V links r(V); U is q's
+    # alone, and a variable repeated in one atom keeps its first position
     clause = clause_of("p(X,Y) :- X=Z+1, W=V, q(Z,W,U), r(V).")
-    assert linkvars(clause, 0) == ["Z", "W"]
-    assert linkvars(clause, 1) == ["V"]
+    assert kept_positions(clause) == [[0, 1], [0]]
+    clause = clause_of("p(X) :- q(U,X,U,X), r(U).")
+    assert kept_positions(clause) == [[0, 1], [0]]
 
 
 def test_linkvars_on_query(counter_p1):
-    assert linkvars(counter_p1.clauses[0], 0) == ["X1", "Y2"]
+    assert kept_positions(counter_p1.clauses[0]) == [[0, 3]]
 
 
 def test_counter_example_transform(counter_p1, counter_p2):
@@ -147,7 +166,7 @@ def test_introduced_positions_link_somewhere():
             for i, atom in enumerate(clause.body):
                 if atom.pred not in introduced:
                     continue
-                links = set(linkvars(clause, i))
+                links = linking_vars(clause, i)
                 for k, t in enumerate(atom.args):
                     if isinstance(t, Var) and t.name in links:
                         linking[(atom.pred, k)] = True

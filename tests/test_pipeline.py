@@ -159,6 +159,20 @@ def test_oracle_contradiction_marks_internal_error(tmp_path, fake_solver):
     assert invariant_failures(records)
 
 
+def test_emit_error_is_recorded_and_the_batch_goes_on(tmp_path):
+    bad = tmp_path / "bad_array.clp"
+    bad.write_text("p(V) :- read(5,I,V).\nunsafe :- p(V), V>=1.\n")
+    first, second = run_pipeline(PipelineConfig(
+        inputs=[str(bad), str(CORPUS / "chain_safe.clp")],
+        out_dir=str(tmp_path / "out"), bound=8))
+    assert first.error == ("emit error: clause 1: array argument of read "
+                           "must be a variable")
+    assert first.internal_error is None and first.oracle is None
+    assert (second.error, second.internal_error, second.oracle) == \
+        (None, None, "fails")
+    assert second.artifacts[-1].endswith("chain_safe.smt2")
+
+
 # inputs that must become an error record, not end the batch
 BAD_INPUTS = {
     "no.clp": None,  # missing
@@ -551,10 +565,26 @@ def test_cli_pipeline_json_and_report_rerender(tmp_path, fake_solver, capsys):
     assert parse_json_lines(again) == parse_json_lines(out)
 
 
-def test_cli_pipeline_contradiction_exits_2(tmp_path, fake_solver, capsys):
-    rc = main(["pipeline", str(CORPUS / "two_counters.clp"),
+# by the solver's answer: a derivation of unsafe against sat, and an exact
+# refutation (the evaluator answers chain_safe ``fails`` at bound 32)
+# against unsat
+CONTRADICTIONS = {
+    "sat": ("two_counters", "oracle derives unsafe but solver reports sat"),
+    "unsat": ("chain_safe",
+              "oracle refutes unsafe exactly but solver reports unsat"),
+}
+
+
+@pytest.mark.parametrize("behavior", CONTRADICTIONS)
+def test_cli_pipeline_contradiction_exits_2(tmp_path, fake_solver, capsys,
+                                            behavior):
+    name, message = CONTRADICTIONS[behavior]
+    records = run_pipeline(config(tmp_path, names=(name,), bound=32,
+                                  solver_cmd=fake_solver(behavior)))
+    assert records[0].internal_error == message
+    rc = main(["pipeline", str(CORPUS / f"{name}.clp"),
                "--out-dir", str(tmp_path / "o"),
-               "--solver-cmd", fake_solver("sat"), "--bound", "32"])
+               "--solver-cmd", fake_solver(behavior), "--bound", "32"])
     assert rc == 2
     assert "invariant failure" in capsys.readouterr().err
 
