@@ -51,19 +51,22 @@ its cancelled variables too: no row of X+Y=X+2 holds X.)
 When the atoms leave exactly one variable free, as in a transition clause
 ``p(N,I) :- ..., J=I+2, p(N,J)``, that level has one candidate and every
 pending conjunct becomes checkable with it, so the plan builds its step
-with the atoms'.  The loop over the last atom's facts then grounds the
-variable itself: its interval (the arithmetic of ``_interval``, which
-``_choose`` uses), the same emptiness and truncation rules, the same charge
-per value, and the head tuples.
+with the atoms'.  The loop over the last atom's facts, or the kernel's
+body when the clause has no atoms, then grounds the variable: its
+interval (the arithmetic of ``_interval``, which ``_choose`` uses), the
+same emptiness and truncation rules, the same charge per value, and the
+head tuples.
 
-The atoms phase of a plan, lone variable included, runs as a kernel: a
-Python function that ``_plan`` writes for the plan and compiles
-(``_Source``).  Each probe is written out as straight-line code over the
-assignment list: its table charge, its index lookup, its repeated-variable
-check, its binds and the rows of the conjuncts made checkable.  Then come
-the next probe, the lone variable's interval rows, truncation, charge and
-head, or ``_descend``.  Each probe is a function of its own that calls the
-next for every surviving fact, so no kernel nests more than a few blocks.
+Every plan runs as a kernel: a Python function that ``_plan`` writes for
+the plan and compiles (``_Source``).  On entry it checks the conjuncts
+without variables (``_holds``).  Each probe is written out as
+straight-line code over the assignment list: its table charge, its index
+lookup, its repeated-variable check, its binds and the rows of the
+conjuncts made checkable.  Then come the next probe, the lone variable's
+interval rows, truncation, charge and head, or ``_descend``; a clause
+without atoms has only this tail.  Each probe is a function of its own
+that calls the next for every surviving fact, so no kernel nests more
+than a few blocks.
 The plan's numbers are in the source: slots, a probe's body position and
 key positions, and row bounds.  The kernel takes the body's predicate
 names as an argument and reads the constants from the assignment on
@@ -281,13 +284,6 @@ class _Level(NamedTuple):
     after: dict[int, tuple[tuple[list[SlotRow], ...], bool, _Level]]
 
 
-class _Join(NamedTuple):
-    """A clause's grounding with one body position as the delta atom."""
-    initial: tuple[list[SlotRow], ...]   # conjuncts without variables
-    level: _Level                    # the variable phase after the atoms
-    kernel: Callable | None          # the atoms phase; None without atoms
-
-
 class _Rule(NamedTuple):
     """A clause as one evaluation grounds it: its shape's ``_Compiled`` and
     the values of this instance."""
@@ -369,9 +365,9 @@ class _Compiled:
                                    rows_of(con)))
         self.body = tuple(placed(args) for args in body)
         self.length = next(constants)  # the assignment's
-        self.joins: dict[int | None, _Join] = {}
+        self.joins: dict[int | None, Callable] = {}
 
-    def join(self, delta_index: int | None) -> _Join:
+    def join(self, delta_index: int | None) -> Callable:
         plan = self.joins.get(delta_index)
         if plan is None:
             plan = self.joins[delta_index] = _plan(self, delta_index)
@@ -387,7 +383,7 @@ def _tuple_of(slots: tuple[int, ...]) -> Callable[[list[int]], Fact]:
     return itemgetter(*slots) if slots else lambda assignment: ()
 
 
-def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
+def _plan(compiled: _Compiled, delta_index: int | None) -> Callable:
     variables = compiled.variables
     bound = set(range(variables, compiled.length))  # the constants
     initial, pending = _ready(compiled.conjuncts, bound)
@@ -448,8 +444,9 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
             source.emit(3, f"m{n}()")
     level = _level(pending, frozenset(bound),
                    [s for s in range(variables) if s not in bound])
-    if not n:
-        return _Join(initial, level, None)
+    # the tail runs in the last probe's loop, or in the kernel's body when
+    # the clause has no atoms
+    d, skip = (3, "continue") if n else (1, "return")
     if len(level.free) == 1:
         # the lone variable, grounded as _choose and _descend would
         (s,) = level.free
@@ -465,27 +462,29 @@ def _plan(compiled: _Compiled, delta_index: int | None) -> _Join:
                 (fixed if constant else moving).append(x)
             source.entry += ["LO, HI = -inf, inf",
                              *source.narrow(fixed, "LO", "HI")]
-            source.emit(3, "lo, hi = LO, HI")
+            source.emit(d, "lo, hi = LO, HI")
             for text in source.narrow(moving, "lo", "hi"):
-                source.emit(3, text)
+                source.emit(d, text)
         else:
-            source.emit(3, "lo, hi = -EDGE, EDGE")
-        source.emit(3, "if lo > hi: continue")
-        source.emit(3, "if lo < -EDGE or hi > EDGE:")
-        source.emit(4, "st.clipped = True")
-        source.emit(4, "lo, hi = max(lo, -EDGE), min(hi, EDGE)")
-        source.emit(3, "for v in range(lo, hi + 1):")
-        source.charge(4, 1 + len(ready) if guaranteed else 1)
-        source.emit(4, f"a[{s}] = v")
+            source.emit(d, "lo, hi = -EDGE, EDGE")
+        source.emit(d, f"if lo > hi: {skip}")
+        source.emit(d, "if lo < -EDGE or hi > EDGE:")
+        source.emit(d + 1, "st.clipped = True")
+        source.emit(d + 1, "lo, hi = max(lo, -EDGE), min(hi, EDGE)")
+        source.emit(d, "for v in range(lo, hi + 1):")
+        source.charge(d + 1, 1 + len(ready) if guaranteed else 1)
+        source.emit(d + 1, f"a[{s}] = v")
         if not guaranteed:
-            source.check(4, ready)
-        source.emit(4, "out.append(head(a))")
-        source.emit(4, "if v == EDGE or v == -EDGE: st.clipped = True")
+            source.check(d + 1, ready)
+        source.emit(d + 1, "out.append(head(a))")
+        source.emit(d + 1, "if v == EDGE or v == -EDGE: st.clipped = True")
     elif not level.free:
-        source.emit(3, "out.append(head(a))")
+        source.emit(d, "out.append(head(a))")
     else:
-        source.emit(3, "_descend(level, a, out, head, st)")
-    return _Join(initial, level, source.kernel(compiled.head, level))
+        source.emit(d, "_descend(level, a, out, head, st)")
+    if n:
+        source.emit(1, "m0()")
+    return source.kernel(compiled.head, level, initial)
 
 
 class _Source:
@@ -493,23 +492,25 @@ class _Source:
 
     ``kernel(a, E, L, st, out, N)`` runs on the assignment, the indexes of
     every fact and of the last round's facts, the ``_State``, the list of
-    head tuples and the body's predicate names.  Probe ``i`` is the
-    function ``mi``: it charges the table, loops over the facts its key
-    finds, checks the repeated variables, binds, checks the conjuncts made
-    checkable and calls the next probe; after the last come ``_descend``,
-    the head or the lone variable.  A charge adds to ``st.steps``, and
-    ``st.tick(0)`` raises once they exceed the budget.  On entry the kernel
-    reads each probe's predicate and table, computes ``Ri``, the bound of
-    row ``i`` less its constant terms, for each row (every row reads its
+    head tuples and the body's predicate names.  It returns at once unless
+    the conjuncts without variables hold (``_holds``).  On entry it reads
+    each probe's predicate and table, computes ``Ri``, the bound of row
+    ``i`` less its constant terms, for each row (every row reads its
     conjunct's constant slot), and narrows the lone variable's interval by
-    its rows without another variable.  Slots, positions and row bounds are
-    written as literals; each coefficient other than 1 and -1, each group of
-    rows wider than ``_INLINE`` (``_width``) and each list of binds longer
-    than that is a name in the kernel's namespace, so the source holds no
-    input value and no number too long for ``str``.  The kernel hands such
-    rows to ``_holds`` or ``_interval``, which ``_descend`` and ``_choose``
-    use, and loops over such binds, so it grows with the atoms of its
-    clause, not with their width."""
+    its rows without another variable.  Probe ``i`` is the function
+    ``mi``: it charges the table, loops over the facts its key finds,
+    checks the repeated variables, binds, checks the conjuncts made
+    checkable and calls the next probe; after the last come ``_descend``,
+    the head or the lone variable, which the kernel's own body runs when
+    the clause has no atoms.  A charge adds to ``st.steps``, and
+    ``st.tick(0)`` raises once they exceed the budget.  Slots, positions
+    and row bounds are written as literals; each coefficient other than 1
+    and -1, each group of rows wider than ``_INLINE`` (``_width``) and each
+    list of binds longer than that is a name in the kernel's namespace, so
+    the source holds no input value and no number too long for ``str``.
+    The kernel hands such rows to ``_holds`` or ``_interval``, which
+    ``_descend`` and ``_choose`` use, and loops over such binds, so it
+    grows with the atoms of its clause, not with their width."""
 
     def __init__(self, variables: int):
         self.variables = variables  # the first slot of a constant
@@ -581,14 +582,15 @@ class _Source:
                         else f"if r > {lo}: {lo} = r")
         return code
 
-    def kernel(self, head: Callable, level: _Level) -> Callable:
+    def kernel(self, head: Callable, level: _Level,
+               initial: tuple[list[SlotRow], ...]) -> Callable:
         namespace = {**self.names, "head": head, "level": level,
-                     "_holds": _holds, "_interval": _interval,
-                     "_descend": _descend, "inf": inf}
+                     "initial": initial, "_holds": _holds,
+                     "_interval": _interval, "_descend": _descend, "inf": inf}
         lines = ["def kernel(a, E, L, st, out, N):",
+                 "    if not _holds(initial, a, st): return",
                  "    B, EDGE = st.budget, st.bound",
-                 *["    " + text for text in self.entry], *self.lines,
-                 "    m0()"]
+                 *["    " + text for text in self.entry], *self.lines]
         exec(compile("\n".join(lines) + "\n", "<join kernel>", "exec"),
              namespace)
         # taken out, so the function and its globals make no cycle
@@ -636,10 +638,10 @@ def _level(pending: list[Conjunct], bound: frozenset[int],
 
 # The clause shapes that stay compiled, the least recently used evicted
 # first.  At seed 101 the bench's loop_nest slims to 800 clauses of 5
-# shapes, whose plans take 6 kernels, and block_wide to 192 clauses of 4
-# shapes and 3 kernels.  The random and frame programs of
+# shapes, whose plans take 7 kernels, and block_wide to 192 clauses of 4
+# shapes and 4 kernels.  The random and frame programs of
 # test_evaluator_outcomes_are_pinned look up 5,680 clauses of 840 shapes,
-# which compile 557 kernels, so there nothing is evicted.
+# which compile 814 kernels, so there nothing is evicted.
 _CACHED = 1024
 # The widest group of rows (_width) and the longest list of binds a kernel
 # writes out; a wider one is a name, which _holds checks, _interval
@@ -655,16 +657,11 @@ def _ground(rule: _Rule, delta_index: int | None,
     at ``delta_index`` (when given) matches only the facts of ``last``."""
     # values by slot; a slot is read only while the plan has it bound
     assignment = rule.start.copy()
-    compiled = rule.compiled
     out: list[Fact] = []
     try:
-        join = compiled.join(delta_index)  # compiles its kernel on first use
-        if _holds(join.initial, assignment, state):
-            if join.kernel is None:
-                _descend(join.level, assignment, out, compiled.head, state)
-            else:
-                join.kernel(assignment, everything, last, state, out,
-                            rule.preds)
+        # compiles the plan's kernel on first use
+        rule.compiled.join(delta_index)(assignment, everything, last, state,
+                                        out, rule.preds)
     except RecursionError:
         # one frame per atom and per variable enumerated by _descend; or a
         # kernel nested deeper than the compiler takes
@@ -678,14 +675,12 @@ def _ground(rule: _Rule, delta_index: int | None,
 
 def _descend(level: _Level, assignment: list[int], out: list[Fact],
              head: Callable[[list[int]], Fact], state: _State) -> None:
-    """Append the head tuple of ``assignment`` to ``out`` once every
-    variable is bound; else bind the narrowest variable to each value of
-    its interval in turn, check the conjuncts that become checkable unless
-    the interval guarantees them, then go a level down.  A fact derived
-    below a value at the box edge sets ``clipped``."""
-    if not level.free:
-        out.append(head(assignment))
-        return
+    """Bind the narrowest of the level's free variables, of which there is
+    at least one, to each value of its interval in turn, check the
+    conjuncts that become checkable unless the interval guarantees them,
+    then append the head tuple of ``assignment`` to ``out`` once every
+    variable is bound, or go a level down.  A fact derived below a value
+    at the box edge sets ``clipped``."""
     edge = state.bound
     s, lo, hi = _choose(level.bounding, level.free[0], assignment, state)
     step = level.after.get(s)

@@ -182,6 +182,8 @@ def body_edges(splits: list[Split]) -> dict[Pair, list[Pair]]:
 @dataclass
 class CfarReport:
     pairs_initial: int = 0
+    # the pairs erased, not those kept; bench/layertrace.py reads it by
+    # this name
     pairs_kept: int = 0
     removals: int = 0
     # each kept pair is credited to the first reason found: the syntactic

@@ -19,9 +19,9 @@ from .cfar import cfar_transform
 from .emit import SmtEmitError, emit_clp, emit_smtlib_horn
 from .nlr import nlr_transform
 from .parser import ParseError, parse_program
-from .pipeline import (ConfigError, PipelineConfig, invariant_failures,
-                       parse_json_lines, read_input, report, run_pipeline,
-                       solve_external)
+from .pipeline import (STAGES, ConfigError, PipelineConfig,
+                       invariant_failures, parse_json_lines, read_input,
+                       report, run_pipeline, solve_external)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -49,28 +49,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("nlr", help="remove non-linking variables")
-    p.add_argument("file", type=Path)
-    p.add_argument("-o", "--out", type=Path)
-    p.add_argument("--json", action="store_true",
-                   help="print the report as JSON on stderr")
-    p.set_defaults(func=cmd_nlr)
-
-    p = sub.add_parser("cfar", help="erase constrained-redundant arguments")
-    p.add_argument("file", type=Path)
-    p.add_argument("-o", "--out", type=Path)
-    p.add_argument("--json", action="store_true",
-                   help="print the report as JSON on stderr")
-    p.set_defaults(func=cmd_cfar)
+    for name, transform, text in (
+            ("nlr", nlr_transform, "remove non-linking variables"),
+            ("cfar", cfar_transform, "erase constrained-redundant arguments")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file", type=Path)
+        p.add_argument("-o", "--out", type=Path)
+        p.add_argument("--json", action="store_true",
+                       help="print the report as JSON on stderr")
+        p.set_defaults(func=cmd_transform, transform=transform)
 
     p = sub.add_parser("pipeline", help="transform, emit and solve a batch")
     p.add_argument("files", nargs="+", type=Path)
     p.add_argument("--out-dir", type=Path, default=Path("chcslim-out"))
-    p.add_argument("--stages", type=_stages, default=("nlr", "cfar"),
+    p.add_argument("--stages", type=_stages, default=STAGES,
                    help="comma-separated subset of nlr,cfar (default both)")
     p.add_argument("--solver-cmd",
                    help="solver command template containing {file}")
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--timeout", type=float, default=PipelineConfig.timeout)
     p.add_argument("--bound", type=int,
                    help="cross-check verdicts against bounded evaluation")
     p.add_argument("--json", action="store_true",
@@ -87,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run an external solver on one problem")
     p.add_argument("file", type=Path, help=".smt2 file, or .clp to convert")
     p.add_argument("--solver-cmd", required=True)
-    p.add_argument("--timeout", type=float, default=300.0)
+    p.add_argument("--timeout", type=float, default=PipelineConfig.timeout)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("report", help="re-render a report from JSON lines")
@@ -151,17 +147,10 @@ def _print_report(rep, as_json: bool) -> None:
     print(text, file=sys.stderr)
 
 
-def cmd_nlr(args) -> int:
-    prog = _load(args.file)
-    result, rep = nlr_transform(prog)
-    _write_out(emit_clp(result), args.out)
-    _print_report(rep, args.json)
-    return 0
-
-
-def cmd_cfar(args) -> int:
-    prog = _load(args.file)
-    result, _, rep = cfar_transform(prog)
+def cmd_transform(args) -> int:
+    """``nlr`` or ``cfar``: the program on stdout or ``--out``, the report
+    on stderr."""
+    result, *_, rep = args.transform(_load(args.file))
     _write_out(emit_clp(result), args.out)
     _print_report(rep, args.json)
     return 0

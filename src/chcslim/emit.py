@@ -129,7 +129,7 @@ def emit_smtlib_horn(program: Program) -> str:
     array_vars, array_positions = _array_sorted(program)
     if array_vars:  # no array-sorted variable or position is used as an integer
         for i, clause in enumerate(program.clauses):
-            names = {n for (j, n) in array_vars if j == i}
+            names = [n for n in clause.vars() if (i, n) in array_vars]
             for name in names:
                 if _var_constrained_arith(clause, name):
                     raise SmtEmitError(f"array variable {name} used in "

@@ -142,6 +142,41 @@ def test_wide_one_clause_shapes_are_pinned(source, bound, expected):
     assert (model.size(), model.rounds, model.clipped, model.steps) == expected
 
 
+def _bounds(n: int) -> str:
+    return "p(X) :- " + ", ".join(f"X>={-i}" for i in range(n)) + ", X=<2."
+
+
+def _cancelled(n: int) -> str:
+    # each conjunct names X, yet no row of it holds X
+    return "p(X) :- " + ", ".join(f"X+{i}>=X" for i in range(n)) + "."
+
+
+# Clauses without body atoms, which their kernels ground without a probe:
+# (facts, steps, clipped, rounds).
+@pytest.mark.parametrize("source, bound, expected", [
+    ("p(X) :- X>=1, X=<5.", 8,
+     ({"p": {(1,), (2,), (3,), (4,), (5,)}}, 15, False, 1)),
+    ("p(X) :- X>=40.", 32, ({"p": set()}, 0, True, 0)),
+    ("p(X) :- X>=-9, X=<-7.", 8, ({"p": {(-8,), (-7,)}}, 6, True, 1)),
+    ("p(X) :- X>=3, X=<2.", 8, ({"p": set()}, 0, False, 0)),
+    ("p(X) :- 2*X=1.", 8, ({"p": set()}, 0, False, 0)),
+    ("p(X) :- 1>=2, X>=0, X=<3.", 8, ({"p": set()}, 1, False, 0)),
+    ("p(X,Y) :- X>=0, X=<2, Y=X+1.", 8,
+     ({"p": {(0, 1), (1, 2), (2, 3)}}, 15, False, 1)),
+    ("p(X) :- X=Y1+Y2+Y3+Y4+Y5+Y6.", 1,
+     ({"p": {(-1,), (0,), (1,)}}, 1878, True, 1)),
+    (_bounds(9), 8, ({"p": {(0,), (1,), (2,)}}, 33, False, 1)),
+    (_cancelled(9), 3, ({"p": {(v,) for v in range(-3, 4)}}, 70, True, 1)),
+], ids=["bounded", "truncated", "truncated-at-the-edge", "empty", "2x=1",
+        "false-ground-conjunct", "two-free-variables", "wide-conjunct",
+        "wide-bounds", "wide-cancelled"])
+def test_clauses_without_atoms_are_pinned(source, bound, expected):
+    prog = parse_program(source)
+    model = bounded_least_model(prog, bound)
+    assert (model.facts, model.steps, model.clipped, model.rounds) == expected
+    assert model.facts == naive_bounded_model(prog, bound)
+
+
 def test_wide_ascending_chain_exhausts_the_budget():
     with pytest.raises(EvalBudgetError):
         bounded_least_model(parse_program(_ascending(50)), 32, budget=100_000)
@@ -304,12 +339,12 @@ def test_kernels_are_shared_by_shape_and_hold_no_input():
     kernels = 0
     for clause in first.clauses + second.clauses:
         compiled = bounded._rule(clause, 8).compiled
-        kernels += sum(join.kernel is not None
-                       for join in compiled.joins.values())
+        # every plan is a kernel, that of the fact q(0) included
+        kernels += len(compiled.joins)
         text = " ".join(map(str, _held(compiled)))
         for given in ("aa", "zz", "42424", "98765"):
             assert given not in text
-    assert kernels == 2 * 4
+    assert kernels == 2 * 5
 
 
 # Each pair differs only in head slots, then only in the constants a probe

@@ -91,6 +91,10 @@ def test_array_slot_inference_rejects_mixed_use():
     ("p(A,V) :- read(A,A,V).", "array variable A used as an integer in read"),
     ("p(A) :- read(A,I,V).\nunsafe :- p(3).",
      "integer constant at array-sorted position 1 of p"),
+    # the first of two misused array variables in clause order, whatever
+    # the hash seed
+    ("p(A,B) :- read(A,I,V), read(B,J,W), A>=0, B>=0.",
+     "array variable A used in arithmetic"),
 ])
 def test_array_misuse_is_named(text, message):
     with pytest.raises(SmtEmitError, match=message):
